@@ -22,35 +22,9 @@ from .rules import (
     verify_skew_lr,
     verify_skew_pieri,
 )
-from .shapes import ParseError, format_partition, format_shape, parse_shape
-from .symfunc import (
-    SchurExpansion,
-    SkewExpansion,
-    expansion_to_json,
-    schur_product,
-    skew_to_schur,
-)
+from .shapes import format_shape, parse_shape
+from .symfunc import expansion_to_json, schur_product, skew_to_schur, term_lines
 from .tableaux import format_tableau, parse_tableau
-
-
-def term_lines(x) -> list[str]:
-    """One `+ s[...]` line per term, shapes in lexicographic order."""
-    if isinstance(x, SchurExpansion):
-        items = [(format_partition(p), c) for p, c in sorted(x.terms.items())]
-    elif isinstance(x, SkewExpansion):
-        items = [
-            (format_shape(s), c)
-            for s, c in sorted(x.terms.items(), key=lambda t: (t[0].outer.parts, t[0].inner.parts))
-        ]
-    else:
-        raise TypeError(f"cannot format {type(x).__name__}")
-    if not items:
-        return ["0"]
-    lines = []
-    for label, c in items:
-        mag = "" if abs(c) == 1 else f"{abs(c)}*"
-        lines.append(f"{'-' if c < 0 else '+'} {mag}s[{label}]")
-    return lines
 
 
 def _emit_expansion(x, fmt: str) -> None:
@@ -160,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("shape", help="skew shape, e.g. 3,2,2/1,1 or 322/11")
     p.add_argument("--h", dest="n", type=int, required=True, metavar="N", help="strip size n")
     p.add_argument("--dual", action="store_true", help="multiply by e_n instead of h_n")
-    p.add_argument("--rule", choices=["skew-pieri"], default="skew-pieri")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_expand)
 
@@ -200,10 +173,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

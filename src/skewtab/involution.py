@@ -17,12 +17,22 @@ from .insertion import (
     FORWARD,
     REVERSE,
     BumpRecord,
+    Scratch,
     _bump_in,
     _reverse_from,
     _freeze,
     _thaw,
 )
-from .shapes import HORIZONTAL, VERTICAL, Cell, Partition, SkewShape, star
+from .shapes import (
+    HORIZONTAL,
+    VERTICAL,
+    Cell,
+    SkewShape,
+    enumerate_inner_strips,
+    enumerate_outer_strips,
+    skew_shapes_up_to,
+    star,
+)
 from .tableaux import SSYT, Tableau, enumerate_ssyt, validate
 
 
@@ -79,15 +89,56 @@ def inner_strip_cells(ctx: SlideContext) -> tuple[Cell, ...]:
     return ctx.inner_strip.cells()
 
 
+def _copy(scratch: Scratch) -> Scratch:
+    outer, inner, rows = scratch
+    return [*outer], [*inner], [list(r) for r in rows]
+
+
+def _snap(scratch: Scratch) -> Tableau:
+    return _freeze(*_copy(scratch))
+
+
+def _reverse_outer_strip(
+    ctx: SlideContext, scratch: Scratch, steps: list[SlideStep] | None = None
+) -> tuple[list[int], BumpRecord | None]:
+    """Reverse-insert the outer strip's cells right to left into scratch
+    until an entry lands in a row >= 1. Returns the entries that exited
+    below row 1, in removal order, and the record of the entry that landed
+    (None when every entry exited)."""
+    exited: list[int] = []
+    for c in outer_strip_cells(ctx):
+        path, final, landing = _reverse_from(*scratch, c.row)
+        if steps is not None:
+            rec = BumpRecord(tuple(path), final, landing, REVERSE)
+            steps.append(SlideStep("reverse", rec, _snap(scratch)))
+        if landing >= 1:
+            return exited, BumpRecord(tuple(path), final, landing, REVERSE)
+        exited.append(final)
+    return exited, None
+
+
+def _internal_from_bottom(scratch: Scratch, r: int) -> BumpRecord:
+    """Internally insert the leftmost entry of row r, the inner strip's
+    bottom cell, into scratch."""
+    outer, inner, rows = scratch
+    k = rows[r - 1].pop(0)
+    inner[r - 1] += 1
+    path = [Cell(r, inner[r - 1])] + _bump_in(outer, inner, rows, k, r + 1)
+    return BumpRecord(tuple(path), k, r, FORWARD)
+
+
+def _reinsert_exited(scratch: Scratch, exited: list[int], steps: list[SlideStep] | None) -> None:
+    """Externally insert the exited entries, the last one exited first."""
+    for k in reversed(exited):
+        path = _bump_in(*scratch, k, 1)
+        if steps is not None:
+            steps.append(SlideStep("external", BumpRecord(tuple(path), k, 0, FORWARD), _snap(scratch)))
+
+
 def downward_path(ctx: SlideContext) -> BumpRecord | None:
     """Reverse-insert the outer strip right to left on a scratch copy; the
     path of the first entry to land in a row >= 1, if any."""
-    outer, inner, rows = _thaw(ctx.tableau)
-    for c in outer_strip_cells(ctx):
-        path, final, landing = _reverse_from(outer, inner, rows, c.row)
-        if landing >= 1:
-            return BumpRecord(tuple(path), final, landing, REVERSE)
-    return None
+    return _reverse_outer_strip(ctx, _thaw(ctx.tableau))[1]
 
 
 def upward_path(ctx: SlideContext) -> BumpRecord | None:
@@ -96,12 +147,7 @@ def upward_path(ctx: SlideContext) -> BumpRecord | None:
     strip = inner_strip_cells(ctx)
     if not strip:
         return None
-    r = strip[0].row
-    outer, inner, rows = _thaw(ctx.tableau)
-    k = rows[r - 1].pop(0)
-    inner[r - 1] += 1
-    path = [Cell(r, inner[r - 1])] + _bump_in(outer, inner, rows, k, r + 1)
-    return BumpRecord(tuple(path), k, r, FORWARD)
+    return _internal_from_bottom(_thaw(ctx.tableau), strip[0].row)
 
 
 def exits_right(ctx: SlideContext) -> bool:
@@ -140,66 +186,40 @@ def _stays_weakly_right(path: tuple[Cell, ...], up_path: tuple[Cell, ...]) -> bo
 def downward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> SlideContext:
     """Reverse-insert the outer strip right to left until an entry lands in a
     row >= 1, then re-insert the exited entries in reverse removal order."""
-    outer, inner, rows = _thaw(ctx.tableau)
-
-    def snap() -> Tableau:
-        return _freeze([*outer], [*inner], [list(r) for r in rows])
-
-    exited: list[int] = []
-    for c in outer_strip_cells(ctx):
-        path, final, landing = _reverse_from(outer, inner, rows, c.row)
-        if steps is not None:
-            steps.append(SlideStep("reverse", BumpRecord(tuple(path), final, landing, REVERSE), snap()))
-        if landing >= 1:
-            break
-        exited.append(final)
-    for k in reversed(exited):
-        path = _bump_in(outer, inner, rows, k, 1)
-        if steps is not None:
-            steps.append(SlideStep("external", BumpRecord(tuple(path), k, 0, FORWARD), snap()))
-    return SlideContext(ctx.base, _freeze(outer, inner, rows))
+    scratch = _thaw(ctx.tableau)
+    exited, _ = _reverse_outer_strip(ctx, scratch, steps)
+    _reinsert_exited(scratch, exited, steps)
+    return SlideContext(ctx.base, _freeze(*scratch))
 
 
 def upward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> SlideContext:
     """Reverse-insert outer strip cells while their paths stay weakly right of
     the upward path (fixed from the input), internally insert the inner
     strip's bottom entry, then re-insert the exited entries."""
-    strip = inner_strip_cells(ctx)
-    if not strip:
-        raise NoUpwardPath(f"inner strip of {ctx.base} is already empty")
     up_rec = upward_path(ctx)
+    if up_rec is None:
+        raise NoUpwardPath(f"inner strip of {ctx.base} is already empty")
 
-    outer, inner, rows = _thaw(ctx.tableau)
-
-    def snap() -> Tableau:
-        return _freeze([*outer], [*inner], [list(r) for r in rows])
-
+    scratch = _thaw(ctx.tableau)
     exited: list[int] = []
     for c in outer_strip_cells(ctx):
-        trial = ([*outer], [*inner], [list(r) for r in rows])
+        trial = _copy(scratch)
         path, final, landing = _reverse_from(*trial, c.row)
         if not _stays_weakly_right(tuple(path), up_rec.path):
             break
-        outer, inner, rows = trial
+        scratch = trial
         if steps is not None:
-            steps.append(SlideStep("reverse", BumpRecord(tuple(path), final, landing, REVERSE), snap()))
+            rec = BumpRecord(tuple(path), final, landing, REVERSE)
+            steps.append(SlideStep("reverse", rec, _snap(scratch)))
         if landing >= 1:
             break
         exited.append(final)
 
-    r = strip[0].row
-    k = rows[r - 1][0]
-    rows[r - 1].pop(0)
-    inner[r - 1] += 1
-    path = [Cell(r, inner[r - 1])] + _bump_in(outer, inner, rows, k, r + 1)
+    rec = _internal_from_bottom(scratch, up_rec.landing_row)
     if steps is not None:
-        steps.append(SlideStep("internal", BumpRecord(tuple(path), k, r, FORWARD), snap()))
-
-    for k in reversed(exited):
-        path = _bump_in(outer, inner, rows, k, 1)
-        if steps is not None:
-            steps.append(SlideStep("external", BumpRecord(tuple(path), k, 0, FORWARD), snap()))
-    return SlideContext(ctx.base, _freeze(outer, inner, rows))
+        steps.append(SlideStep("internal", rec, _snap(scratch)))
+    _reinsert_exited(scratch, exited, steps)
+    return SlideContext(ctx.base, _freeze(*scratch))
 
 
 def phi(ctx: SlideContext, steps: list[SlideStep] | None = None) -> SlideContext:
@@ -224,14 +244,11 @@ def fixed_point_to_star(ctx: SlideContext) -> Tableau:
     are the residual tableau."""
     if not is_fixed_point(ctx):
         raise NotFixedPoint(f"phi moves this context (base {ctx.base})")
-    outer, inner, rows = _thaw(ctx.tableau)
-    exited: list[int] = []
-    for c in outer_strip_cells(ctx):
-        _, final, landing = _reverse_from(outer, inner, rows, c.row)
-        if landing >= 1:
-            raise NotFixedPoint("a reverse insertion landed inside the shape")
-        exited.append(final)
-    residual = _freeze(outer, inner, rows)
+    scratch = _thaw(ctx.tableau)
+    exited, landed = _reverse_outer_strip(ctx, scratch)
+    if landed is not None:
+        raise NotFixedPoint("a reverse insertion landed inside the shape")
+    residual = _freeze(*scratch)
     strip_row = tuple(reversed(exited))
     if not strip_row:
         return residual
@@ -246,11 +263,10 @@ def star_to_fixed_point(base: SkewShape, t: Tableau) -> SlideContext:
     strip_row = t.rows[0]
     if t.shape != star(base, SkewShape.of((len(strip_row),))):
         raise ValueError(f"{t.shape} is not {base} concatenated with one row")
-    residual = Tableau(base, t.rows[1:])
-    outer, inner, rows = _thaw(residual)
+    scratch = _thaw(Tableau(base, t.rows[1:]))
     for k in strip_row:
-        _bump_in(outer, inner, rows, k, 1)
-    return SlideContext(base, _freeze(outer, inner, rows))
+        _bump_in(*scratch, k, 1)
+    return SlideContext(base, _freeze(*scratch))
 
 
 def enumerate_contexts(base: SkewShape, n: int, max_entry: int):
@@ -259,8 +275,6 @@ def enumerate_contexts(base: SkewShape, n: int, max_entry: int):
     Strata are visited with the outer strip taking n, n-1, ..., 0 cells;
     within a stratum tableaux follow enumerate_ssyt order.
     """
-    from .shapes import enumerate_inner_strips, enumerate_outer_strips
-
     for k in range(n + 1):
         for lam_plus in enumerate_outer_strips(base.outer, n - k, HORIZONTAL):
             for mu_minus in enumerate_inner_strips(base.inner, k, VERTICAL):
@@ -274,45 +288,39 @@ def verify_involution(limit_outer: int, limit_n: int, max_entry: int) -> dict:
     every stratum with n <= limit_n: involutivity, content preservation, sign
     reversal off fixed points, and the fixed-point bijection with star
     tableaux. Returns a JSON-ready report."""
-    from .shapes import partitions_of_size, subpartitions_of_size
-
     failures: list[str] = []
     contexts = 0
     cases = 0
-    for m in range(limit_outer + 1):
-        for lam in partitions_of_size(m):
-            for mu_size in range(m + 1):
-                for mu in subpartitions_of_size(lam, mu_size):
-                    base = SkewShape(lam, mu)
-                    for n in range(limit_n + 1):
-                        cases += 1
-                        fixed = 0
-                        for ctx in enumerate_contexts(base, n, max_entry):
-                            contexts += 1
-                            image = phi(ctx)
-                            back = phi(image)
-                            if back != ctx:
-                                failures.append(f"phi not involutive at {ctx.tableau} over {base}")
-                                continue
-                            if image.tableau.content() != ctx.tableau.content():
-                                failures.append(f"content changed at {ctx.tableau} over {base}")
-                            if image == ctx:
-                                fixed += 1
-                                if not is_fixed_point(ctx):
-                                    failures.append(f"unexpected fixed point {ctx.tableau} over {base}")
-                                star_t = fixed_point_to_star(ctx)
-                                if star_to_fixed_point(base, star_t) != ctx:
-                                    failures.append(f"star round trip failed at {ctx.tableau} over {base}")
-                            else:
-                                if is_fixed_point(ctx):
-                                    failures.append(f"fixed point moved: {ctx.tableau} over {base}")
-                                if abs(image.inner_strip.size - ctx.inner_strip.size) != 1:
-                                    failures.append(f"sign not reversed at {ctx.tableau} over {base}")
-                        star_count = len(enumerate_ssyt(star(base, SkewShape.of((n,))), max_entry))
-                        if fixed != star_count:
-                            failures.append(
-                                f"fixed points ({fixed}) != star tableaux ({star_count}) for {base}, n={n}"
-                            )
+    for base in skew_shapes_up_to(limit_outer):
+        for n in range(limit_n + 1):
+            cases += 1
+            fixed = 0
+            for ctx in enumerate_contexts(base, n, max_entry):
+                contexts += 1
+                image = phi(ctx)
+                back = phi(image)
+                if back != ctx:
+                    failures.append(f"phi not involutive at {ctx.tableau} over {base}")
+                    continue
+                if image.tableau.content() != ctx.tableau.content():
+                    failures.append(f"content changed at {ctx.tableau} over {base}")
+                if image == ctx:
+                    fixed += 1
+                    if not is_fixed_point(ctx):
+                        failures.append(f"unexpected fixed point {ctx.tableau} over {base}")
+                    star_t = fixed_point_to_star(ctx)
+                    if star_to_fixed_point(base, star_t) != ctx:
+                        failures.append(f"star round trip failed at {ctx.tableau} over {base}")
+                else:
+                    if is_fixed_point(ctx):
+                        failures.append(f"fixed point moved: {ctx.tableau} over {base}")
+                    if abs(image.inner_strip.size - ctx.inner_strip.size) != 1:
+                        failures.append(f"sign not reversed at {ctx.tableau} over {base}")
+            star_count = len(enumerate_ssyt(star(base, SkewShape.of((n,))), max_entry))
+            if fixed != star_count:
+                failures.append(
+                    f"fixed points ({fixed}) != star tableaux ({star_count}) for {base}, n={n}"
+                )
     return {
         "limit_outer": limit_outer,
         "limit_n": limit_n,

@@ -20,6 +20,7 @@ from .shapes import (
     enumerate_inner_strips,
     enumerate_outer_strips,
     partitions_of_size,
+    skew_shapes_up_to,
     star,
     subpartitions_of_size,
     superpartitions,
@@ -64,6 +65,8 @@ def skew_pieri(s: SkewShape, n: int, dual: bool = False) -> SkewExpansion:
     """s_{lam/mu} * h_n as the signed sum over adding an (n-k)-horizontal
     strip outside and removing a k-vertical strip inside, sign (-1)^k
     (strip directions swap when dual, giving the e_n product)."""
+    if n < 0:
+        raise ValueError("strip size must be nonnegative")
     out_dir, in_dir = (VERTICAL, HORIZONTAL) if dual else (HORIZONTAL, VERTICAL)
     terms: dict[SkewShape, int] = {}
     for k in range(n + 1):
@@ -191,47 +194,44 @@ def verify_skew_pieri(
     schur_cases = monomial_cases = involution_cases = 0
     mono_outer, mono_n = monomial_limits
     inv_outer, inv_n = involution_limits
-    for m in range(limit_outer + 1):
-        for lam in partitions_of_size(m):
-            for mu_size in range(m + 1):
-                for mu in subpartitions_of_size(lam, mu_size):
-                    base = SkewShape(lam, mu)
-                    for n in range(1, limit_n + 1):
-                        schur_cases += 1
-                        expansion = skew_pieri(base, n)
-                        if expansion.to_schur() != schur_product(skew_to_schur(base), h(n)):
-                            failures.append(f"schur-level mismatch at {base} * h_{n}")
-                        if m <= mono_outer and n <= mono_n:
-                            monomial_cases += 1
-                            deg = base.size + n
-                            left = skew_monomials(expansion, deg)
-                            right = monomial_product(
-                                monomial_expansion(base, deg),
-                                monomial_expansion(SkewShape.of((n,)), deg),
-                            )
-                            if left != right:
-                                failures.append(f"monomial-level mismatch at {base} * h_{n}")
-                        if m <= inv_outer and n <= inv_n:
-                            involution_cases += 1
-                            signed = 0
-                            for k in range(n + 1):
-                                sign = -1 if k % 2 else 1
-                                for lam_plus in enumerate_outer_strips(lam, n - k, HORIZONTAL):
-                                    for mu_minus in enumerate_inner_strips(mu, k, VERTICAL):
-                                        stratum = SkewShape(lam_plus, mu_minus)
-                                        signed += sign * len(enumerate_ssyt(stratum, max_entry))
-                            star_count = len(enumerate_ssyt(star(base, SkewShape.of((n,))), max_entry))
-                            if signed != star_count:
-                                failures.append(
-                                    f"signed count {signed} != star count {star_count} at {base}, n={n}"
-                                )
-                            fixed = sum(
-                                1 for ctx in enumerate_contexts(base, n, max_entry) if is_fixed_point(ctx)
-                            )
-                            if fixed != star_count:
-                                failures.append(
-                                    f"fixed points {fixed} != star count {star_count} at {base}, n={n}"
-                                )
+    for base in skew_shapes_up_to(limit_outer):
+        m = base.outer.size
+        for n in range(1, limit_n + 1):
+            schur_cases += 1
+            expansion = skew_pieri(base, n)
+            if expansion.to_schur() != schur_product(skew_to_schur(base), h(n)):
+                failures.append(f"schur-level mismatch at {base} * h_{n}")
+            if m <= mono_outer and n <= mono_n:
+                monomial_cases += 1
+                deg = base.size + n
+                left = skew_monomials(expansion, deg)
+                right = monomial_product(
+                    monomial_expansion(base, deg),
+                    monomial_expansion(SkewShape.of((n,)), deg),
+                )
+                if left != right:
+                    failures.append(f"monomial-level mismatch at {base} * h_{n}")
+            if m <= inv_outer and n <= inv_n:
+                involution_cases += 1
+                signed = 0
+                for k in range(n + 1):
+                    sign = -1 if k % 2 else 1
+                    for lam_plus in enumerate_outer_strips(base.outer, n - k, HORIZONTAL):
+                        for mu_minus in enumerate_inner_strips(base.inner, k, VERTICAL):
+                            stratum = SkewShape(lam_plus, mu_minus)
+                            signed += sign * len(enumerate_ssyt(stratum, max_entry))
+                star_count = len(enumerate_ssyt(star(base, SkewShape.of((n,))), max_entry))
+                if signed != star_count:
+                    failures.append(
+                        f"signed count {signed} != star count {star_count} at {base}, n={n}"
+                    )
+                fixed = sum(
+                    1 for ctx in enumerate_contexts(base, n, max_entry) if is_fixed_point(ctx)
+                )
+                if fixed != star_count:
+                    failures.append(
+                        f"fixed points {fixed} != star count {star_count} at {base}, n={n}"
+                    )
     return {
         "limit_outer": limit_outer,
         "limit_n": limit_n,
@@ -250,9 +250,8 @@ def verify_skew_lr(limit_outer_a: int, limit_outer_b: int) -> dict:
     skew_to_schur(b) over all skew a, b within the size limits."""
     failures: list[str] = []
     cases = 0
-    shapes_a = _all_skew_shapes(limit_outer_a)
-    shapes_b = _all_skew_shapes(limit_outer_b)
-    for a in shapes_a:
+    shapes_b = tuple(skew_shapes_up_to(limit_outer_b))
+    for a in skew_shapes_up_to(limit_outer_a):
         lhs_a = skew_to_schur(a)
         for b in shapes_b:
             cases += 1
@@ -280,12 +279,3 @@ def verify_perp_range(max_deg: int, max_n: int) -> dict:
                     failures.append(f"perp identity failed at f=s{alpha.parts}, g=s{beta.parts}, n={n}")
     return {"max_deg": max_deg, "max_n": max_n, "cases": cases, "failures": failures}
 
-
-def _all_skew_shapes(limit_outer: int) -> list[SkewShape]:
-    out = []
-    for m in range(limit_outer + 1):
-        for lam in partitions_of_size(m):
-            for mu_size in range(m + 1):
-                for mu in subpartitions_of_size(lam, mu_size):
-                    out.append(SkewShape(lam, mu))
-    return out

@@ -30,18 +30,21 @@ class Partition:
     """A weakly decreasing tuple of positive integers; () is the empty partition.
 
     Trailing zeros are trimmed on construction, so equality is equality of
-    the trimmed part tuples. Ordering is lexicographic on parts.
+    the trimmed part tuples. Ordering is lexicographic on parts. A part that
+    is not an int (bools included) is rejected.
     """
 
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         parts = tuple(self.parts)
+        if not {int}.issuperset(map(type, parts)):
+            raise ValueError(f"non-integer part in {parts}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         if parts and parts[-1] < 0:
             raise ValueError(f"negative part in {parts}")
-        if any(a < b for a, b in zip(parts, parts[1:])):
+        if sorted(parts, reverse=True) != list(parts):
             raise ValueError(f"parts not weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
 
@@ -81,12 +84,13 @@ class Partition:
 EMPTY = Partition()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SkewShape:
     """The diagram outer/inner; equality is componentwise on the two partitions.
 
     Translates of the same cell set (e.g. built by star) are distinct values;
-    no translation quotient is applied.
+    no translation quotient is applied. Ordering is lexicographic on the
+    outer parts, then on the inner parts.
     """
 
     outer: Partition
@@ -283,6 +287,17 @@ def superpartitions(p: Partition, added: int) -> tuple[Partition, ...]:
 
     found = {Partition(parts) for parts in rec(1, added, ())}
     return tuple(sorted(found, key=lambda q: q.parts))
+
+
+def skew_shapes_up_to(limit_outer: int) -> Iterator[SkewShape]:
+    """Every skew shape lam/mu with |lam| <= limit_outer: |lam| ascending,
+    then lam in lexicographic order, then |mu| ascending, then mu in
+    lexicographic order."""
+    for m in range(limit_outer + 1):
+        for lam in partitions_of_size(m):
+            for mu_size in range(m + 1):
+                for mu in subpartitions_of_size(lam, mu_size):
+                    yield SkewShape(lam, mu)
 
 
 def format_partition(p: Partition) -> str:

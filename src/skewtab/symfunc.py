@@ -16,8 +16,6 @@ from functools import lru_cache
 from .shapes import (
     Partition,
     SkewShape,
-    format_partition,
-    format_shape,
     partitions_of_size,
     superpartitions,
 )
@@ -28,162 +26,137 @@ class NotSymmetric(ValueError):
     """Monomial data does not peel to a Schur expansion."""
 
 
-class SchurExpansion:
-    """Finite integer combination of Schur functions keyed by partition.
+class _Expansion:
+    """Finite integer combination of basis elements keyed by shape.
 
-    No zero coefficients are stored; equality is coefficientwise.
+    No zero coefficients are stored, and every coefficient is an int (bools
+    are rejected). Iteration and printing go in lexicographic shape order.
+    Subclasses fix the key type `_basis`, and `_coerce` turns any other key
+    into one or raises TypeError.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        data: dict[Partition, int] = {}
-        for p, c in (terms or {}).items():
-            if not isinstance(p, Partition):
-                p = Partition(tuple(p))
-            if not isinstance(c, int):
+        data = {}
+        basis = self._basis
+        for k, c in (terms or {}).items():
+            if not isinstance(k, basis):
+                k = self._coerce(k)
+            if type(c) is not int:
                 raise TypeError(f"coefficient {c!r} is not an integer")
             if c:
-                data[p] = c
+                data[k] = c
         self.terms = data
+
+    __hash__ = None
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __getitem__(self, k) -> int:
+        if not isinstance(k, self._basis):
+            k = self._coerce(k)
+        return self.terms.get(k, 0)
+
+    def __iter__(self):
+        return iter(sorted(self.terms.items()))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return type(self)({k: c * other for k, c in self.terms.items()})
+        return self._product(other)
+
+    __rmul__ = __mul__
+
+    def _product(self, other):
+        """self * other for a non-integer other; none by default."""
+        return NotImplemented
+
+    def __str__(self) -> str:
+        text = " ".join(term_lines(self))
+        return text[2:] if text.startswith("+ ") else text
+
+    __repr__ = __str__
+
+
+class SchurExpansion(_Expansion):
+    """Integer combination of Schur functions keyed by partition; a tuple
+    key becomes a Partition. Equality is coefficientwise."""
+
+    __slots__ = ()
+    _basis = Partition
+
+    @staticmethod
+    def _coerce(p) -> Partition:
+        return Partition(tuple(p))
 
     def __eq__(self, other):
         if isinstance(other, SchurExpansion):
             return self.terms == other.terms
         return NotImplemented
 
-    __hash__ = None
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __getitem__(self, p) -> int:
-        if not isinstance(p, Partition):
-            p = Partition(tuple(p))
-        return self.terms.get(p, 0)
-
-    def __iter__(self):
-        return iter(sorted(self.terms.items()))
-
-    def __add__(self, other: "SchurExpansion") -> "SchurExpansion":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, 0) + c
-        return SchurExpansion(out)
-
-    def __sub__(self, other: "SchurExpansion") -> "SchurExpansion":
-        return self + (-other)
-
-    def __neg__(self) -> "SchurExpansion":
-        return SchurExpansion({p: -c for p, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return SchurExpansion({p: c * other for p, c in self.terms.items()})
+    def _product(self, other):
         if isinstance(other, SchurExpansion):
             return schur_product(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
         return NotImplemented
 
     def degree(self) -> int:
         return max((p.size for p in self.terms), default=0)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for p, c in self:
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            bits.append(f"{'-' if c < 0 else '+'} {mag}s[{format_partition(p)}]")
-        text = " ".join(bits)
-        return text[2:] if text.startswith("+ ") else text
 
-    __repr__ = __str__
-
-
-class SkewExpansion:
-    """Finite integer combination of skew Schur functions keyed by shape.
+class SkewExpansion(_Expansion):
+    """Integer combination of skew Schur functions keyed by SkewShape.
 
     Skew Schur functions are not linearly independent, so `==` compares the
     images under to_schur; `same_terms` compares the raw term maps for
     golden tests against displayed term lists.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _basis = SkewShape
 
-    def __init__(self, terms=None):
-        data: dict[SkewShape, int] = {}
-        for s, c in (terms or {}).items():
-            if not isinstance(s, SkewShape):
-                raise TypeError(f"{s!r} is not a skew shape")
-            if not isinstance(c, int):
-                raise TypeError(f"coefficient {c!r} is not an integer")
-            if c:
-                data[s] = c
-        self.terms = data
+    @staticmethod
+    def _coerce(s):
+        raise TypeError(f"{s!r} is not a skew shape")
 
     def __eq__(self, other):
         if isinstance(other, SkewExpansion):
             return self.to_schur() == other.to_schur()
         return NotImplemented
 
-    __hash__ = None
-
     def same_terms(self, other: "SkewExpansion") -> bool:
         return self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __getitem__(self, s: SkewShape) -> int:
-        return self.terms.get(s, 0)
-
-    def __iter__(self):
-        return iter(sorted(self.terms.items(), key=lambda t: (t[0].outer.parts, t[0].inner.parts)))
-
-    def __add__(self, other: "SkewExpansion") -> "SkewExpansion":
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, 0) + c
-        return SkewExpansion(out)
-
-    def __sub__(self, other: "SkewExpansion") -> "SkewExpansion":
-        return self + (-other)
-
-    def __neg__(self) -> "SkewExpansion":
-        return SkewExpansion({s: -c for s, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return SkewExpansion({s: c * other for s, c in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def to_schur(self) -> SchurExpansion:
         return skew_expansion_to_schur(self)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for s, c in self:
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            bits.append(f"{'-' if c < 0 else '+'} {mag}s[{format_shape(s)}]")
-        text = " ".join(bits)
-        return text[2:] if text.startswith("+ ") else text
 
-    __repr__ = __str__
+def term_lines(x: _Expansion) -> list[str]:
+    """One `+ s[...]` line per term, sign first, shapes in lexicographic
+    order; ["0"] for the zero expansion."""
+    if not isinstance(x, _Expansion):
+        raise TypeError(f"cannot format {type(x).__name__}")
+    lines = []
+    for key, c in x:
+        mag = "" if abs(c) == 1 else f"{abs(c)}*"
+        lines.append(f"{'-' if c < 0 else '+'} {mag}s[{key}]")
+    return lines or ["0"]
 
 
 def schur(p) -> SchurExpansion:
@@ -320,24 +293,12 @@ def monomial_expansion(s: SkewShape, num_vars: int) -> dict[tuple[int, ...], int
     return dict(_monomial_pairs(s, num_vars))
 
 
-def schur_monomials(f: SchurExpansion, num_vars: int) -> dict[tuple[int, ...], int]:
-    """Monomial expansion of a Schur-basis expansion in num_vars variables."""
+def skew_monomials(x: _Expansion, num_vars: int) -> dict[tuple[int, ...], int]:
+    """Monomial expansion of a signed sum of Schur or skew Schur functions."""
     out: dict[tuple[int, ...], int] = {}
-    for p, c in f.terms.items():
-        for vec, k in _monomial_pairs(SkewShape(p), num_vars):
-            total = out.get(vec, 0) + c * k
-            if total:
-                out[vec] = total
-            else:
-                out.pop(vec, None)
-    return out
-
-
-def skew_monomials(x: SkewExpansion, num_vars: int) -> dict[tuple[int, ...], int]:
-    """Monomial expansion of a signed sum of skew Schur functions."""
-    out: dict[tuple[int, ...], int] = {}
-    for s, c in x.terms.items():
-        for vec, k in _monomial_pairs(s, num_vars):
+    for key, c in x.terms.items():
+        shape = key if isinstance(key, SkewShape) else SkewShape(key)
+        for vec, k in _monomial_pairs(shape, num_vars):
             total = out.get(vec, 0) + c * k
             if total:
                 out[vec] = total
@@ -420,7 +381,7 @@ def perp_identity_failures(f: SchurExpansion, g: SchurExpansion, n: int) -> list
         for pi in partitions_of_size(d):
             probe = schur(pi)
             if perp(fg, probe) != perp(f, perp(g, probe)):
-                fails.append(f"(fg)^perp != f^perp g^perp at s[{format_partition(pi)}]")
+                fails.append(f"(fg)^perp != f^perp g^perp at s[{pi}]")
     return fails
 
 
@@ -429,25 +390,15 @@ def verify_perp_identities(f: SchurExpansion, g: SchurExpansion, n: int) -> bool
     return not perp_identity_failures(f, g, n)
 
 
-def expansion_to_json(x) -> dict:
+def expansion_to_json(x: _Expansion) -> dict:
     """JSON-ready dict; terms in lexicographic shape order."""
     if isinstance(x, SchurExpansion):
-        return {
-            "basis": "schur",
-            "terms": [
-                {"coeff": c, "partition": list(p.parts)}
-                for p, c in sorted(x.terms.items())
-            ],
-        }
-    if isinstance(x, SkewExpansion):
-        return {
-            "basis": "skew",
-            "terms": [
-                {"coeff": c, "outer": list(s.outer.parts), "inner": list(s.inner.parts)}
-                for s, c in sorted(x.terms.items(), key=lambda t: (t[0].outer.parts, t[0].inner.parts))
-            ],
-        }
-    raise TypeError(f"cannot serialize {type(x).__name__}")
+        basis, fields = "schur", lambda p: {"partition": list(p.parts)}
+    elif isinstance(x, SkewExpansion):
+        basis, fields = "skew", lambda s: {"outer": list(s.outer.parts), "inner": list(s.inner.parts)}
+    else:
+        raise TypeError(f"cannot serialize {type(x).__name__}")
+    return {"basis": basis, "terms": [{"coeff": c, **fields(k)} for k, c in x]}
 
 
 def expansion_from_json(obj: dict):

@@ -81,11 +81,6 @@ def validate(t: Tableau, kind: str) -> bool:
     return True
 
 
-def monomial(t: Tableau) -> tuple[int, ...]:
-    """Exponent vector of the tableau's monomial; equals its content."""
-    return t.content()
-
-
 def enumerate_ssyt(shape: SkewShape, max_entry: int) -> tuple[Tableau, ...]:
     """All SSYT on shape with entries in 1..max_entry.
 

@@ -17,6 +17,25 @@ EXPAND_LINES = [
     "+ s[5,2,2/1,1]",
 ]
 
+EXPAND_JSON = (
+    '{"basis": "skew", "terms": [{"coeff": 1, "outer": [3, 2, 2], "inner": []}, '
+    '{"coeff": -1, "outer": [3, 2, 2, 1], "inner": [1]}, '
+    '{"coeff": 1, "outer": [3, 2, 2, 2], "inner": [1, 1]}, '
+    '{"coeff": -1, "outer": [3, 3, 2], "inner": [1]}, '
+    '{"coeff": 1, "outer": [3, 3, 2, 1], "inner": [1, 1]}, '
+    '{"coeff": -1, "outer": [4, 2, 2], "inner": [1]}, '
+    '{"coeff": 1, "outer": [4, 2, 2, 1], "inner": [1, 1]}, '
+    '{"coeff": 1, "outer": [4, 3, 2], "inner": [1, 1]}, '
+    '{"coeff": 1, "outer": [5, 2, 2], "inner": [1, 1]}]}\n'
+)
+
+PRODUCT_JSON = (
+    '{"basis": "schur", "terms": [{"coeff": 1, "partition": [2, 2, 1, 1]}, '
+    '{"coeff": 1, "partition": [2, 2, 2]}, {"coeff": 1, "partition": [3, 1, 1, 1]}, '
+    '{"coeff": 2, "partition": [3, 2, 1]}, {"coeff": 1, "partition": [3, 3]}, '
+    '{"coeff": 1, "partition": [4, 1, 1]}, {"coeff": 1, "partition": [4, 2]}]}\n'
+)
+
 BIG_BASE = "7,5,4,1,1/3,1"
 BIG_T = "7,6,4,4,1/3,1: [1,2,2,5][1,2,2,3,6][2,2,3,4][3,5,7,7][9]"
 BIG_DT = "7,6,4,3,1/2,1: [1,1,2,2,5][2,2,2,3,6][2,3,4,7][3,5,7][9]"
@@ -30,7 +49,9 @@ class TestExpand:
 
     def test_json_round_trip(self, capsys):
         assert run(["expand", "3,2,2/1,1", "--h", "2", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert out == EXPAND_JSON
+        payload = json.loads(out)
         assert payload["basis"] == "skew"
         got = expansion_from_json(payload)
         assert got.same_terms(skew_pieri(parse_shape("3,2,2/1,1"), 2))
@@ -58,8 +79,20 @@ class TestProduct:
             "+ s[4,1,1]",
             "+ s[4,2]",
         ]
+        assert run(["product", "2,1", "2,1", "--rule", "schur", "--format", "json"]) == 0
+        assert capsys.readouterr().out == PRODUCT_JSON
 
     def test_skew_lr_default_agrees_with_schur(self, capsys):
+        assert run(["product", "2,1/1", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "- s[2,1,1]",
+            "- s[2,2]",
+            "+ s[2,2,1/1]",
+            "- s[3,1]",
+            "+ s[3,1,1/1]",
+            "+ s[3,2/1]",
+            "+ s[4,1/1]",
+        ]
         assert run(["product", "2,1/1", "2", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["basis"] == "skew"
@@ -142,6 +175,10 @@ class TestErrors:
 
     def test_bad_tableau_exits_2(self, capsys):
         assert run(["trace", "slide", "2,1/1", "2,1/1: [1]"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_strip_exits_2(self, capsys):
+        assert run(["expand", "3,2/1", "--h", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
     def test_unknown_flag_exits_2(self, capsys):

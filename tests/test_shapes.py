@@ -23,6 +23,8 @@ from skewtab import (
     superpartitions,
 )
 
+from skewtab.shapes import skew_shapes_up_to
+
 from conftest import partitions, skew_shapes
 
 
@@ -36,6 +38,9 @@ class TestPartition:
             Partition((2, 3))
         with pytest.raises(ValueError):
             Partition((3, -1))
+        for parts in [(2.5, 1), ("3",), (True,)]:
+            with pytest.raises(ValueError):
+                Partition(parts)
 
     def test_part_indexing(self):
         p = Partition((3, 2, 2))
@@ -86,6 +91,11 @@ class TestSkewShape:
         assert not SkewShape.of((2, 2), (1,)).is_strip(HORIZONTAL)
         assert SkewShape.of((2, 1, 1), (1,)).is_strip(VERTICAL)
         assert not SkewShape.of((2, 2), (1,)).is_strip(VERTICAL)
+
+    def test_ordering_is_outer_then_inner(self):
+        shapes = list(skew_shapes_up_to(6))
+        assert sorted(shapes) == sorted(shapes, key=lambda s: (s.outer.parts, s.inner.parts))
+        assert SkewShape.of((2, 1), (1,)) < SkewShape.of((2, 1), (1, 1)) < SkewShape.of((2, 2))
 
     def test_corners(self):
         inside, outside = SkewShape.of((3, 2), (1,)).corners()
@@ -173,6 +183,11 @@ class TestPartitionEnumeration:
         # partition numbers p(0)..p(8)
         expected = [1, 1, 2, 3, 5, 7, 11, 15, 22]
         assert [len(partitions_of_size(n)) for n in range(9)] == expected
+
+    def test_skew_shapes_up_to(self):
+        labels = [str(s) for s in skew_shapes_up_to(2)]
+        assert labels == ["∅", "1", "1/1", "1,1", "1,1/1", "1,1/1,1", "2", "2/1", "2/2"]
+        assert len(list(skew_shapes_up_to(6))) == 230
 
     def test_subpartitions(self):
         subs = subpartitions_of_size(Partition((2, 2)), 2)

@@ -25,7 +25,6 @@ from skewtab import (
     perp,
     schur,
     schur_from_monomials,
-    schur_monomials,
     schur_product,
     skew_expansion_to_schur,
     skew_monomials,
@@ -49,6 +48,10 @@ class TestSchurExpansion:
     def test_rejects_non_integer(self):
         with pytest.raises(TypeError):
             SchurExpansion({(2, 1): 1.5})
+        with pytest.raises(TypeError):
+            SchurExpansion({(1,): True})
+        with pytest.raises(TypeError):
+            SkewExpansion({SkewShape.of((1,)): False})
 
     def test_arithmetic(self):
         a, b = schur((2, 1)), schur((3,))
@@ -211,6 +214,7 @@ class TestSkewExpansion:
         x = SkewExpansion({SkewShape.of((2, 1), (1,)): 2, SkewShape.of((1,)): -1})
         assert skew_expansion_to_schur(x) == 2 * schur((2,)) + 2 * schur((1, 1)) - schur((1,))
         assert x.to_schur() == skew_expansion_to_schur(x)
+        assert str(x) == "- s[1] + 2*s[2,1/1]"
 
     def test_skew_to_schur_matches_lr_expand(self):
         s = SkewShape.of((3, 2), (1,))
@@ -231,7 +235,7 @@ class TestMonomials:
 
     def test_peel_round_trip(self):
         f = schur_product(schur((2, 1)), schur((2,)))
-        assert schur_from_monomials(schur_monomials(f, 5), 5) == f
+        assert schur_from_monomials(skew_monomials(f, 5), 5) == f
 
     def test_peel_rejects_nonsymmetric(self):
         with pytest.raises(NotSymmetric):
@@ -260,7 +264,7 @@ class TestMonomials:
             return
         nv = max(lam.size + mu.size, 1)
         direct = schur_product(schur(lam), schur(mu))
-        mono = monomial_product(schur_monomials(schur(lam), nv), schur_monomials(schur(mu), nv))
+        mono = monomial_product(skew_monomials(schur(lam), nv), skew_monomials(schur(mu), nv))
         assert schur_from_monomials(mono, nv) == direct
 
 

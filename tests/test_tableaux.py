@@ -16,7 +16,6 @@ from skewtab import (
     is_lr_filling,
     is_yamanouchi,
     lr_fillings,
-    monomial,
     parse_tableau,
     reading_word,
     reverse_reading_word,
@@ -70,7 +69,6 @@ class TestTableau:
         assert t.entry(1, 2) == 1 and t.entry(2, 1) == 3 and t.entry(1, 1) is None
         assert t.entry(9, 9) is None
         assert t.content() == (1, 1, 2, 0, 2, 0, 1)
-        assert monomial(t) == t.content()
 
     def test_validate_goldens(self):
         t = parse_tableau("4,3,1/1: [1,2,7][3,3,5][5]")
