@@ -11,8 +11,12 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
-from skewtab import (
+# Run from a plain checkout: import the package from this checkout's src/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from skewtab import (  # noqa: E402
     verify_perp_range,
     verify_involution,
     verify_skew_lr,

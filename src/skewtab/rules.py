@@ -4,9 +4,14 @@ The straight Pieri rule adds one strip; the skew Pieri rule adds an outer
 strip while removing an inner strip, with sign the parity of the removed
 strip; the skew LR rule generalizes to multiplying by any skew Schur
 function via pairs of an anti-semistandard filling removed inside and a
-semistandard filling added outside. Harnesses cross-check the rules against
-the Schur-basis product, against monomial expansions, and against signed
-tableau counting.
+semistandard filling added outside. Its pairs come from one backtracker that
+fills the removed cells column by column (rightmost first, bottom to top),
+then the added cells row by row (bottom first, right to left): the order of
+the reverse reading word, so the content budget and the Yamanouchi test cut
+each dead prefix as it appears and only admissible pairs are built. The
+multi-row rule for h_rho runs the same backtracker with the word test off.
+Harnesses cross-check the rules against the Schur-basis product, against
+monomial expansions, and against signed tableau counting.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ from .shapes import (
     partitions_of_size,
     skew_shapes_up_to,
     star,
-    subpartitions_of_size,
-    superpartitions,
 )
 from .symfunc import (
     SchurExpansion,
@@ -41,17 +44,12 @@ from .tableaux import (
     ASSYT,
     SSYT,
     Tableau,
-    enumerate_fillings,
+    enumerate_fillings,  # noqa: F401  not called here; bench/test_bench.py traces this binding
     enumerate_ssyt,
     is_yamanouchi,
     reverse_reading_word,
     validate,
 )
-
-
-class InvalidDifference(ValueError):
-    """Componentwise difference of the factor's outer and inner has a
-    negative entry."""
 
 
 def pieri(lam: Partition, n: int, dual: bool = False) -> SchurExpansion:
@@ -94,87 +92,187 @@ def iterated_skew_pieri(a: SkewShape, rho: Partition, dual: bool = False) -> Ske
     return out
 
 
-def _content_vector(t: Tableau, length: int) -> tuple[int, ...]:
-    content = t.content()
-    return content + (0,) * (length - len(content))
+def _difference(b: SkewShape) -> tuple[int, ...]:
+    """The content every pair for a factor b must have: the componentwise
+    difference outer(b) - inner(b), one entry per row of outer(b)."""
+    sigma, tau = b.outer, b.inner
+    return tuple(sigma.part(i) - tau.part(i) for i in range(1, len(sigma) + 1))
 
 
-def _signed_pairs(a: SkewShape, target: tuple[int, ...]):
-    """All pairs (T-, T+) of an anti-semistandard filling of mu/mu_minus and
-    a semistandard filling of lam_plus/lam whose combined content is exactly
-    the composition target, yielded with the resulting shape and the sign
-    (-1)^(cells removed). Entries are bounded by len(target), so caps on the
-    per-entry counts plus the forced total pin the content exactly."""
-    lam, mu = a.outer, a.inner
+def _signed_pairs(a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | None):
+    """All pairs (T-, T+) for the factor a = lam/mu: T- anti-semistandard on
+    mu/mu_minus, T+ semistandard on lam_plus/lam, combined content exactly
+    the composition target (entries 1..len(target)) and, unless tau is None,
+    a reverse reading word that is tau-Yamanouchi; tau=None switches the
+    word test off. Yields raw tuples (minus_rows, plus_rows, lam_plus,
+    mu_minus, sign): the entry rows of T- and T+, bottom row first, the parts
+    of lam_plus and mu_minus, and the sign (-1)^(cells removed).
+
+    One backtracker fills the cells in reverse reading word order and picks
+    the two shapes as it goes: T- column by column, rightmost column first
+    and bottom to top within a column (choosing first how much of the column
+    of mu stays in mu_minus), then T+ row by row, bottom row first and right
+    to left within a row (choosing first the length of that row of
+    lam_plus). The neighbours that bound a cell, to its right and below it,
+    are then already placed. Each placement must fit what target has left
+    of its entry and keep the word so far tau-Yamanouchi, so a dead prefix
+    is cut as soon as it appears and only admissible pairs are built. Pairs
+    come out in this fill order: the shortest column of mu_minus, the
+    shortest row of lam_plus and the smallest entry first at each step."""
+    lam, mu = a.outer.parts, a.inner.parts
+    m = len(target)
     total = sum(target)
-    max_entry = len(target)
-    for k in range(min(mu.size, total) + 1):
-        sign = -1 if k % 2 else 1
-        for mu_minus in subpartitions_of_size(mu, mu.size - k):
-            inner_shape = SkewShape(mu, mu_minus)
-            for t_minus in enumerate_fillings(inner_shape, ASSYT, max_entry, content_cap=target):
-                used = _content_vector(t_minus, max_entry)
-                remaining = tuple(c - u for c, u in zip(target, used))
-                for lam_plus in superpartitions(lam, total - k):
-                    outer_shape = SkewShape(lam_plus, lam)
-                    for t_plus in enumerate_fillings(outer_shape, SSYT, max_entry, content_cap=remaining):
-                        yield t_minus, t_plus, SkewShape(lam_plus, mu_minus), sign
+    budget = [0, *target]  # copies of each entry 1..m still to place
+    if tau is None:  # a seed so steep that no word of this content breaks it
+        tau = tuple((total + 1) * (m - i) for i in range(m))
+    # Entry counts of the word so far, seeded from tau; counts[0] exceeds any
+    # count, so every 1 passes the lattice test.
+    counts = [total + sum(tau) + 1, *tau, *(0,) * (m - len(tau))]
+    mu_cols = [0, *a.inner.conjugate().parts, 0]  # column heights of mu, 1-indexed
+    heights = [0] * len(mu_cols)  # heights[c]: height of column c of mu_minus
+    minus_grid = [[0] * p for p in mu]
+    minus = ()  # (minus_rows, mu_minus, sign) of the finished T-
+    # The rows of T+ so far, each as long as its row of lam_plus; cells of lam
+    # hold 0, so they bound nothing above them.
+    plus_rows: list[list[int]] = []
+    lam_at = (*lam, *(0,) * (total + 1))
+
+    def place(x: int) -> bool:
+        if not budget[x] or counts[x] >= counts[x - 1]:
+            return False
+        budget[x] -= 1
+        counts[x] += 1
+        return True
+
+    def unplace(x: int) -> None:
+        budget[x] += 1
+        counts[x] -= 1
+
+    def minus_column(c: int, k: int):
+        # Choose the height of column c of mu_minus, then fill the cells above.
+        nonlocal minus
+        if c == 0:
+            inner = [sum(h >= r for h in heights) for r in range(1, len(mu) + 1)]
+            minus_rows = tuple(tuple(row[i:]) for row, i in zip(minus_grid, inner))
+            minus = (minus_rows, tuple(i for i in inner if i), -1 if k % 2 else 1)
+            yield from plus_row(1, lam_at[0] + total, total - k)
+            return
+        top = mu_cols[c]
+        for h in range(max(heights[c + 1], top - (total - k)), top + 1):
+            heights[c] = h
+            yield from minus_cell(c, h + 1, k)
+
+    def minus_cell(c: int, r: int, k: int):
+        # Cell (r, c) of T-: above its right neighbour, at most the cell below.
+        if r > mu_cols[c]:
+            yield from minus_column(c - 1, k)
+            return
+        row = minus_grid[r - 1]
+        right = row[c] if c < len(row) else 0
+        below = minus_grid[r - 2][c - 1] if r - 1 > heights[c] else m
+        for x in range(right + 1, below + 1):
+            if place(x):
+                row[c - 1] = x
+                yield from minus_cell(c, r + 1, k + 1)
+                unplace(x)
+
+    def plus_row(r: int, widest: int, left: int):
+        # Choose the length of row r of lam_plus, then fill its new cells.
+        if not left:
+            minus_rows, mu_minus, sign = minus
+            rows = tuple(tuple(row[base:]) for row, base in zip(plus_rows, lam_at))
+            rows += ((),) * (len(lam) - len(rows))
+            lam_plus = tuple(map(len, plus_rows)) + lam[len(plus_rows):]
+            yield minus_rows, rows, lam_plus, mu_minus, sign
+            return
+        base = lam_at[r - 1]
+        # A row above lam left empty would leave every later row empty too.
+        for width in range(max(base, 1), min(widest, base + left) + 1):
+            plus_rows.append([0] * width)
+            yield from plus_cell(r, width, base, left)
+            plus_rows.pop()
+
+    def plus_cell(r: int, c: int, base: int, left: int):
+        # Cell (r, c) of T+: at most its right neighbour, above the cell below.
+        row = plus_rows[-1]
+        if c == base:
+            yield from plus_row(r + 1, len(row), left)
+            return
+        right = row[c] if c < len(row) else m
+        below = plus_rows[-2][c - 1] if r > 1 else 0
+        for x in range(below + 1, right + 1):
+            if place(x):
+                row[c - 1] = x
+                yield from plus_cell(r, c - 1, base, left - 1)
+                unplace(x)
+
+    return minus_column(len(mu_cols) - 2, 0)
 
 
 def skew_lr_pairs(a: SkewShape, b: SkewShape):
     """The admissible pairs behind skew_lr_product, for auditing: tuples
     (t_minus, t_plus, shape, sign) whose combined content is the
     componentwise difference outer(b) - inner(b) and whose reverse reading
-    word is inner(b)-Yamanouchi."""
-    sigma, tau = b.outer, b.inner
-    target = tuple(sigma.part(i + 1) - tau.part(i + 1) for i in range(len(sigma)))
-    if any(x < 0 for x in target):
-        raise InvalidDifference(f"{sigma}/{tau} has a negative componentwise difference")
-    for t_minus, t_plus, shape, sign in _signed_pairs(a, target):
-        if is_yamanouchi(reverse_reading_word(t_minus, t_plus), tau):
-            yield t_minus, t_plus, shape, sign
+    word is inner(b)-Yamanouchi, in the fill order of _signed_pairs."""
+    lam, mu = a.outer, a.inner
+    pairs = _signed_pairs(a, _difference(b), b.inner.parts)
+    for minus_rows, plus_rows, outer, inner, sign in pairs:
+        lam_plus, mu_minus = Partition(outer), Partition(inner)
+        yield (
+            Tableau(SkewShape(mu, mu_minus), minus_rows),
+            Tableau(SkewShape(lam_plus, lam), plus_rows),
+            SkewShape(lam_plus, mu_minus),
+            sign,
+        )
+
+
+def _aggregate(pairs) -> SkewExpansion:
+    """Sum the signs of raw pairs sharing a shape lam_plus/mu_minus."""
+    terms: dict[tuple, int] = {}
+    for _, _, lam_plus, mu_minus, sign in pairs:
+        key = (lam_plus, mu_minus)
+        terms[key] = terms.get(key, 0) + sign
+    return SkewExpansion(
+        {SkewShape(Partition(outer), Partition(inner)): c for (outer, inner), c in terms.items()}
+    )
 
 
 def skew_lr_product(a: SkewShape, b: SkewShape) -> SkewExpansion:
     """s_a * s_b as a signed sum of skew Schur functions, coefficients
     aggregated over admissible pairs sharing a shape."""
-    terms: dict[SkewShape, int] = {}
-    for _, _, shape, sign in skew_lr_pairs(a, b):
-        terms[shape] = terms.get(shape, 0) + sign
-    return SkewExpansion(terms)
+    return _aggregate(_signed_pairs(a, _difference(b), b.inner.parts))
 
 
 def is_admissible_pair(a: SkewShape, b: SkewShape, t_minus: Tableau, t_plus: Tableau) -> bool:
     """Membership test for the skew LR sum: shapes interlock with a, the
-    fillings are anti-semistandard resp. semistandard, the combined content
-    is the componentwise difference of b's partitions, and the reverse
-    reading word is inner(b)-Yamanouchi."""
+    fillings are anti-semistandard resp. semistandard, every entry is at
+    most the length of outer(b), the combined content is the componentwise
+    difference of b's partitions, and the reverse reading word is
+    inner(b)-Yamanouchi."""
     lam, mu = a.outer, a.inner
-    sigma, tau = b.outer, b.inner
     if t_minus.shape.outer != mu or not mu.contains(t_minus.shape.inner):
         return False
     if t_plus.shape.inner != lam or not t_plus.shape.outer.contains(lam):
         return False
     if not validate(t_minus, ASSYT) or not validate(t_plus, SSYT):
         return False
-    target = tuple(sigma.part(i + 1) - tau.part(i + 1) for i in range(len(sigma)))
-    length = len(target)
-    combined = tuple(
-        x + y
-        for x, y in zip(_content_vector(t_minus, length), _content_vector(t_plus, length))
-    )
-    if max(t_minus.content() + t_plus.content() + (0,)) > length or combined != target:
+    target = _difference(b)
+    content = [0] * (len(target) + 1)
+    for t in (t_minus, t_plus):
+        for row in t.rows:
+            for x in row:
+                if x > len(target):
+                    return False
+                content[x] += 1
+    if tuple(content[1:]) != target:
         return False
-    return is_yamanouchi(reverse_reading_word(t_minus, t_plus), tau)
+    return is_yamanouchi(reverse_reading_word(t_minus, t_plus), b.inner)
 
 
 def skew_h_rho_product(a: SkewShape, rho: Partition) -> SkewExpansion:
     """s_{lam/mu} * h_rho: the signed sum over pairs of combined content rho
     with no word condition."""
-    terms: dict[SkewShape, int] = {}
-    for _, _, shape, sign in _signed_pairs(a, rho.parts):
-        terms[shape] = terms.get(shape, 0) + sign
-    return SkewExpansion(terms)
+    return _aggregate(_signed_pairs(a, rho.parts, None))
 
 
 def verify_skew_pieri(

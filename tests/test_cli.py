@@ -36,6 +36,54 @@ PRODUCT_JSON = (
     '{"coeff": 1, "partition": [4, 1, 1]}, {"coeff": 1, "partition": [4, 2]}]}\n'
 )
 
+SKEW_PRODUCT_LINES = [
+    "- s[3,2,1,1,1]",
+    "- 2*s[3,2,2,1]",
+    "+ s[3,2,2,1,1/1]",
+    "+ s[3,2,2,2/1]",
+    "- 2*s[3,3,1,1]",
+    "+ s[3,3,1,1,1/1]",
+    "- 2*s[3,3,2]",
+    "+ 2*s[3,3,2,1/1]",
+    "+ s[3,3,3/1]",
+    "- 2*s[4,2,1,1]",
+    "+ s[4,2,1,1,1/1]",
+    "- 2*s[4,2,2]",
+    "+ 2*s[4,2,2,1/1]",
+    "- 2*s[4,3,1]",
+    "+ 2*s[4,3,1,1/1]",
+    "+ 2*s[4,3,2/1]",
+    "+ s[4,4,1/1]",
+    "- s[5,2,1]",
+    "+ s[5,2,1,1/1]",
+    "+ s[5,2,2/1]",
+    "+ s[5,3,1/1]",
+]
+
+SKEW_PRODUCT_JSON = (
+    '{"basis": "skew", "terms": [{"coeff": -1, "outer": [3, 2, 1, 1, 1], "inner": []}, '
+    '{"coeff": -2, "outer": [3, 2, 2, 1], "inner": []}, '
+    '{"coeff": 1, "outer": [3, 2, 2, 1, 1], "inner": [1]}, '
+    '{"coeff": 1, "outer": [3, 2, 2, 2], "inner": [1]}, '
+    '{"coeff": -2, "outer": [3, 3, 1, 1], "inner": []}, '
+    '{"coeff": 1, "outer": [3, 3, 1, 1, 1], "inner": [1]}, '
+    '{"coeff": -2, "outer": [3, 3, 2], "inner": []}, '
+    '{"coeff": 2, "outer": [3, 3, 2, 1], "inner": [1]}, '
+    '{"coeff": 1, "outer": [3, 3, 3], "inner": [1]}, '
+    '{"coeff": -2, "outer": [4, 2, 1, 1], "inner": []}, '
+    '{"coeff": 1, "outer": [4, 2, 1, 1, 1], "inner": [1]}, '
+    '{"coeff": -2, "outer": [4, 2, 2], "inner": []}, '
+    '{"coeff": 2, "outer": [4, 2, 2, 1], "inner": [1]}, '
+    '{"coeff": -2, "outer": [4, 3, 1], "inner": []}, '
+    '{"coeff": 2, "outer": [4, 3, 1, 1], "inner": [1]}, '
+    '{"coeff": 2, "outer": [4, 3, 2], "inner": [1]}, '
+    '{"coeff": 1, "outer": [4, 4, 1], "inner": [1]}, '
+    '{"coeff": -1, "outer": [5, 2, 1], "inner": []}, '
+    '{"coeff": 1, "outer": [5, 2, 1, 1], "inner": [1]}, '
+    '{"coeff": 1, "outer": [5, 2, 2], "inner": [1]}, '
+    '{"coeff": 1, "outer": [5, 3, 1], "inner": [1]}]}\n'
+)
+
 BIG_BASE = "7,5,4,1,1/3,1"
 BIG_T = "7,6,4,4,1/3,1: [1,2,2,5][1,2,2,3,6][2,2,3,4][3,5,7,7][9]"
 BIG_DT = "7,6,4,3,1/2,1: [1,1,2,2,5][2,2,2,3,6][2,3,4,7][3,5,7][9]"
@@ -100,6 +148,13 @@ class TestProduct:
         assert run(["product", "2,1/1", "2", "--rule", "schur", "--format", "json"]) == 0
         want = expansion_from_json(json.loads(capsys.readouterr().out))
         assert got == want
+
+
+    def test_skew_lr_skew_factor_golden(self, capsys):
+        assert run(["product", "3,2,1/1", "2,2/1"]) == 0
+        assert capsys.readouterr().out.splitlines() == SKEW_PRODUCT_LINES
+        assert run(["product", "3,2,1/1", "2,2/1", "--format", "json"]) == 0
+        assert capsys.readouterr().out == SKEW_PRODUCT_JSON
 
 
 class TestVerify:

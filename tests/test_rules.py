@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,10 +16,14 @@ from skewtab import (
     enumerate_fillings,
     h,
     is_admissible_pair,
+    is_yamanouchi,
     iterated_skew_pieri,
     lr_expand,
     omega,
+    parse_tableau,
+    partitions_of_size,
     pieri,
+    reverse_reading_word,
     schur,
     schur_product,
     skew_expansion_to_schur,
@@ -27,11 +33,15 @@ from skewtab import (
     skew_pieri,
     skew_pieri_linear,
     skew_to_schur,
+    subpartitions_of_size,
+    superpartitions,
     validate,
     verify_perp_range,
     verify_skew_lr,
     verify_skew_pieri,
 )
+
+from skewtab.shapes import skew_shapes_up_to
 
 from conftest import partitions, skew_shapes
 
@@ -170,6 +180,15 @@ class TestSkewLR:
         wrong_base = Tableau.of((9, 9, 5, 3), (7, 5, 4), [2, 4], [1, 4, 4, 5], [3], [4, 5, 6])
         assert not is_admissible_pair(a, b, t_minus, wrong_base)
 
+    def test_entry_above_target_length_is_rejected(self):
+        # a 2-cell plus-filling against a 1-cell target: entry 2 exceeds
+        # len(outer(b)) = 1, so the pair is not admissible
+        a = SkewShape.of((1,))
+        b = SkewShape.of((1,))
+        t_minus = Tableau(SkewShape.of(()), ())
+        t_plus = parse_tableau("2,1/1: [1][2]")
+        assert not is_admissible_pair(a, b, t_minus, t_plus)
+
     def test_large_pair_stratum(self):
         # the pair above contributes -s[(9,9,5,3)/(1)]: five cells leave the
         # inner partition, and both fillings appear in their stratum's lists
@@ -192,6 +211,61 @@ class TestSkewLR:
         assert t_plus in list(
             enumerate_fillings(t_plus.shape, SSYT, len(target), content_cap=remaining)
         )
+
+
+def _reference_pairs(a, target, tau):
+    """Generate-then-filter: every content-matching pair built from capped
+    fillings of each stratum, kept when tau is None or its reverse reading
+    word is tau-Yamanouchi."""
+    lam, mu = a.outer, a.inner
+    total = sum(target)
+    for k in range(min(mu.size, total) + 1):
+        sign = -1 if k % 2 else 1
+        for mu_minus in subpartitions_of_size(mu, mu.size - k):
+            for t_minus in enumerate_fillings(SkewShape(mu, mu_minus), ASSYT, len(target), target):
+                used = t_minus.content() + (0,) * len(target)
+                remaining = tuple(c - u for c, u in zip(target, used))
+                for lam_plus in superpartitions(lam, total - k):
+                    outer_shape = SkewShape(lam_plus, lam)
+                    for t_plus in enumerate_fillings(outer_shape, SSYT, len(target), remaining):
+                        word = reverse_reading_word(t_minus, t_plus)
+                        if tau is None or is_yamanouchi(word, tau):
+                            yield t_minus, t_plus, SkewShape(lam_plus, mu_minus), sign
+
+
+def _reference_terms(pairs):
+    terms = {}
+    for _, _, shape, sign in pairs:
+        terms[shape] = terms.get(shape, 0) + sign
+    return SkewExpansion(terms)
+
+
+class TestPrunedPairsAgainstGenerateThenFilter:
+    """The pruned backtracker against a generate-then-filter reference, over
+    every first factor with |outer| <= 4 and second factor with |outer| <= 3."""
+
+    def test_skew_lr_pairs_and_product(self):
+        cases = 0
+        for a in skew_shapes_up_to(4):
+            for b in skew_shapes_up_to(3):
+                target = tuple(
+                    b.outer.part(i) - b.inner.part(i) for i in range(1, len(b.outer) + 1)
+                )
+                want = list(_reference_pairs(a, target, b.inner))
+                got = list(skew_lr_pairs(a, b))
+                assert Counter(got) == Counter(want), (a, b)
+                assert skew_lr_product(a, b).same_terms(_reference_terms(want)), (a, b)
+                for t_minus, t_plus, _, _ in got:
+                    assert is_admissible_pair(a, b, t_minus, t_plus), (a, b, t_minus, t_plus)
+                cases += 1
+        assert cases == 52 * 22
+
+    def test_h_rho_product(self):
+        rhos = [rho for d in range(4) for rho in partitions_of_size(d)]
+        for a in skew_shapes_up_to(4):
+            for rho in rhos:
+                want = _reference_terms(_reference_pairs(a, rho.parts, None))
+                assert skew_h_rho_product(a, rho).same_terms(want), (a, rho)
 
 
 class TestHRho:
