@@ -10,6 +10,16 @@ virtual row 0.
 
 Every operation returns the new tableau plus a BumpRecord tracing the cells
 whose entries changed, one per row touched, bottom row first.
+
+The three public operations (`external_insert`, `internal_insert`,
+`reverse_insert`) take a user-built tableau, which may not be semistandard,
+so each rebuilds its result through the public `Partition`, `SkewShape` and
+`Tableau` constructors and rejects a result that is not a valid filling of a
+skew shape. The scratch helpers (`_thaw`, `_bump_in`, `_reverse_from`,
+`_freeze`) are shared with the slides in `involution`; `_freeze` builds its
+tableau through the trusted constructors, because a slide runs only on a
+checked semistandard context, where every step keeps the shape and filling
+valid.
 """
 
 from __future__ import annotations
@@ -52,20 +62,32 @@ Scratch = tuple[list[int], list[int], list[list[int]]]
 
 
 def _thaw(t: Tableau) -> Scratch:
-    return (
-        list(t.shape.outer.parts),
-        [t.shape.inner.part(r) for r in range(1, t.shape.rows + 1)],
-        [list(row) for row in t.rows],
-    )
+    """Scratch lists for t: outer parts, inner parts padded with zeros to the
+    outer length, and one list per row."""
+    outer, inner = t.shape.outer.parts, t.shape.inner.parts
+    return [*outer], [*inner] + [0] * (len(outer) - len(inner)), [list(row) for row in t.rows]
 
 
 def _freeze(outer: list[int], inner: list[int], rows: list[list[int]]) -> Tableau:
+    """The tableau held in scratch, built without checks. Empty top rows are
+    dropped, and the zero parts that _thaw and _bump_in pad the inner
+    partition with are trimmed."""
     while outer and outer[-1] == 0:
         outer.pop()
         inner.pop()
         rows.pop()
-    shape = SkewShape(Partition(tuple(outer)), Partition(tuple(inner)))
-    return Tableau(shape, tuple(tuple(row) for row in rows))
+    k = len(inner)
+    while k and inner[k - 1] == 0:
+        k -= 1
+    shape = SkewShape._trusted(Partition._trusted(tuple(outer)), Partition._trusted(tuple(inner[:k])))
+    return Tableau._trusted(shape, tuple(tuple(row) for row in rows))
+
+
+def _checked(t: Tableau) -> Tableau:
+    """t rebuilt through the public constructors, which raise ValueError if
+    its outer or inner parts do not form a skew shape or a row does not fit."""
+    shape = SkewShape(Partition(t.shape.outer.parts), Partition(t.shape.inner.parts))
+    return Tableau(shape, t.rows)
 
 
 def _bump_in(outer: list[int], inner: list[int], rows: list[list[int]], v: int, start: int) -> list[Cell]:
@@ -130,7 +152,7 @@ def external_insert(t: Tableau, k: int) -> tuple[Tableau, BumpRecord]:
         raise ValueError(f"entries must be positive, got {k}")
     outer, inner, rows = _thaw(t)
     path = _bump_in(outer, inner, rows, k, 1)
-    return _freeze(outer, inner, rows), BumpRecord(tuple(path), k, 0, FORWARD)
+    return _checked(_freeze(outer, inner, rows)), BumpRecord(tuple(path), k, 0, FORWARD)
 
 
 def internal_insert(t: Tableau, r: int) -> tuple[Tableau, BumpRecord]:
@@ -147,7 +169,7 @@ def internal_insert(t: Tableau, r: int) -> tuple[Tableau, BumpRecord]:
     inner[r - 1] += 1
     vacated = Cell(r, inner[r - 1])
     path = [vacated] + _bump_in(outer, inner, rows, k, r + 1)
-    return _freeze(outer, inner, rows), BumpRecord(tuple(path), k, r, FORWARD)
+    return _checked(_freeze(outer, inner, rows)), BumpRecord(tuple(path), k, r, FORWARD)
 
 
 def reverse_insert(t: Tableau, c: Cell | tuple[int, int]) -> tuple[Tableau, BumpRecord]:
@@ -158,4 +180,4 @@ def reverse_insert(t: Tableau, c: Cell | tuple[int, int]) -> tuple[Tableau, Bump
         raise NotOutsideCorner(f"{tuple(c)} is not an outside corner of {t.shape}")
     outer, inner, rows = _thaw(t)
     path, final, landing = _reverse_from(outer, inner, rows, c.row)
-    return _freeze(outer, inner, rows), BumpRecord(tuple(path), final, landing, REVERSE)
+    return _checked(_freeze(outer, inner, rows)), BumpRecord(tuple(path), final, landing, REVERSE)

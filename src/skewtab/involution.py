@@ -7,11 +7,22 @@ to the inner strip; the upward slide moves one back. Off its fixed points,
 phi pairs each context with one of opposite inner-strip parity and equal
 content; its fixed points carry exactly one horizontal strip row and
 correspond to tableaux on the diagonal concatenation star(base, (n)).
+
+Each context is checked once. `SlideContext(...)` checks both strips and
+semistandardness: it is the public boundary, and every context that `phi`,
+`downward_slide`, `upward_slide` and `star_to_fixed_point` return is built
+through it. `SlideContext._trusted` skips the check; `enumerate_contexts`
+uses it for the contexts it builds valid by construction. Slides build their
+tableaux from scratch lists with the trusted `insertion._freeze`; only when
+a check fails, and for the states a trace records, are they rebuilt through
+the public constructors, so a slide applied off its domain fails with the
+same error as when every state was built through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 
 from .insertion import (
     FORWARD,
@@ -19,8 +30,9 @@ from .insertion import (
     BumpRecord,
     Scratch,
     _bump_in,
-    _reverse_from,
+    _checked,
     _freeze,
+    _reverse_from,
     _thaw,
 )
 from .shapes import (
@@ -28,6 +40,7 @@ from .shapes import (
     VERTICAL,
     Cell,
     SkewShape,
+    _require_nonnegative,
     enumerate_inner_strips,
     enumerate_outer_strips,
     skew_shapes_up_to,
@@ -44,6 +57,23 @@ class NotFixedPoint(ValueError):
     """Fixed-point conversion requested off the fixed-point locus."""
 
 
+def _is_horizontal_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
+    """big/small is a horizontal strip of partitions: the parts interlace,
+    big_1 >= small_1 >= big_2 >= small_2 >= ... (small a partition)."""
+    if not len(small) <= len(big) <= len(small) + 1:
+        return False
+    return all(map(ge, big, small)) and all(map(ge, small, big[1:]))
+
+
+def _is_vertical_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
+    """big/small is a vertical strip of partitions: 0 <= big_i - small_i <= 1
+    for every i, and small weakly decreases (big a partition)."""
+    if len(small) > len(big):
+        return False
+    padded = small + (0,) * (len(big) - len(small))
+    return all(0 <= b - s <= 1 for b, s in zip(big, padded)) and all(map(ge, small, small[1:]))
+
+
 @dataclass(frozen=True)
 class SlideContext:
     base: SkewShape
@@ -52,12 +82,21 @@ class SlideContext:
     def __post_init__(self) -> None:
         lam, mu = self.base.outer, self.base.inner
         lam_plus, mu_minus = self.tableau.shape.outer, self.tableau.shape.inner
-        if not lam_plus.contains(lam) or not SkewShape(lam_plus, lam).is_strip(HORIZONTAL):
+        if not _is_horizontal_strip(lam_plus.parts, lam.parts):
             raise ValueError(f"{lam_plus}/{lam} is not a horizontal strip")
-        if not mu.contains(mu_minus) or not SkewShape(mu, mu_minus).is_strip(VERTICAL):
+        if not _is_vertical_strip(mu.parts, mu_minus.parts):
             raise ValueError(f"{mu}/{mu_minus} is not a vertical strip")
         if not validate(self.tableau, SSYT):
             raise ValueError("tableau is not semistandard")
+
+    @classmethod
+    def _trusted(cls, base: SkewShape, tableau: Tableau) -> "SlideContext":
+        """Internal: tableau is already known to be an SSYT whose shape
+        decorates base with a horizontal and a vertical strip."""
+        ctx = object.__new__(cls)
+        object.__setattr__(ctx, "base", base)
+        object.__setattr__(ctx, "tableau", tableau)
+        return ctx
 
     @property
     def n(self) -> int:
@@ -65,11 +104,11 @@ class SlideContext:
 
     @property
     def outer_strip(self) -> SkewShape:
-        return SkewShape(self.tableau.shape.outer, self.base.outer)
+        return SkewShape._trusted(self.tableau.shape.outer, self.base.outer)
 
     @property
     def inner_strip(self) -> SkewShape:
-        return SkewShape(self.base.inner, self.tableau.shape.inner)
+        return SkewShape._trusted(self.base.inner, self.tableau.shape.inner)
 
 
 @dataclass(frozen=True)
@@ -80,13 +119,19 @@ class SlideStep:
 
 
 def outer_strip_cells(ctx: SlideContext) -> tuple[Cell, ...]:
-    """Cells of lam_plus/lam ordered right to left (columns descending)."""
-    return tuple(sorted(ctx.outer_strip.cells(), key=lambda c: -c.col))
+    """Cells of lam_plus/lam ordered right to left (columns descending).
+
+    In a horizontal strip each row's cells lie right of the next row's, so
+    this is row 1 upward, columns descending within a row."""
+    rows = zip(ctx.tableau.shape.outer.parts, ctx.base.outer.parts + (0,))
+    return tuple(Cell(r, c) for r, (hi, lo) in enumerate(rows, start=1) for c in range(hi, lo, -1))
 
 
 def inner_strip_cells(ctx: SlideContext) -> tuple[Cell, ...]:
     """Cells of mu/mu_minus ordered bottom to top."""
-    return ctx.inner_strip.cells()
+    mu = ctx.base.inner.parts
+    rows = zip(mu, ctx.tableau.shape.inner.parts + (0,) * len(mu))
+    return tuple(Cell(r, m) for r, (m, k) in enumerate(rows, start=1) if m > k)
 
 
 def _copy(scratch: Scratch) -> Scratch:
@@ -95,7 +140,23 @@ def _copy(scratch: Scratch) -> Scratch:
 
 
 def _snap(scratch: Scratch) -> Tableau:
-    return _freeze(*_copy(scratch))
+    """A trace step's state, checked as a user-built tableau would be: a
+    slide off its domain (`upward_slide` where phi slides down, say) can
+    leave a state that is no skew filling."""
+    return _checked(_freeze(*_copy(scratch)))
+
+
+def _slid(base: SkewShape, scratch: Scratch) -> SlideContext:
+    """The context whose tableau scratch holds, checked once by SlideContext.
+    If that check fails on a state that is no skew filling at all, the public
+    constructors' error is raised instead, as if the tableau had been built
+    through them."""
+    t = _freeze(*scratch)
+    try:
+        return SlideContext(base, t)
+    except ValueError:
+        _checked(t)
+        raise
 
 
 def _reverse_outer_strip(
@@ -189,7 +250,7 @@ def downward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> S
     scratch = _thaw(ctx.tableau)
     exited, _ = _reverse_outer_strip(ctx, scratch, steps)
     _reinsert_exited(scratch, exited, steps)
-    return SlideContext(ctx.base, _freeze(*scratch))
+    return _slid(ctx.base, scratch)
 
 
 def upward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> SlideContext:
@@ -219,13 +280,13 @@ def upward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> Sli
     if steps is not None:
         steps.append(SlideStep("internal", rec, _snap(scratch)))
     _reinsert_exited(scratch, exited, steps)
-    return SlideContext(ctx.base, _freeze(*scratch))
+    return _slid(ctx.base, scratch)
 
 
 def phi(ctx: SlideContext, steps: list[SlideStep] | None = None) -> SlideContext:
     """Downward slide when there is no upward path or the downward path
     exits right; upward slide otherwise."""
-    if upward_path(ctx) is None:
+    if ctx.tableau.shape.inner == ctx.base.inner:  # empty inner strip: no upward path
         return downward_slide(ctx, steps)
     down = downward_path(ctx)
     if down is not None and _exits_right(ctx, down):
@@ -257,16 +318,20 @@ def fixed_point_to_star(ctx: SlideContext) -> Tableau:
 
 
 def star_to_fixed_point(base: SkewShape, t: Tableau) -> SlideContext:
-    """Inverse of fixed_point_to_star: externally insert the bottom strip row."""
+    """Inverse of fixed_point_to_star: externally insert the bottom strip row.
+
+    Raises ValueError unless t is an SSYT on base or on star(base, (m))."""
     if t.shape == base:
         return SlideContext(base, t)
     strip_row = t.rows[0]
     if t.shape != star(base, SkewShape.of((len(strip_row),))):
         raise ValueError(f"{t.shape} is not {base} concatenated with one row")
-    scratch = _thaw(Tableau(base, t.rows[1:]))
+    if not validate(t, SSYT):
+        raise ValueError("tableau is not semistandard")
+    scratch = _thaw(Tableau._trusted(base, t.rows[1:]))
     for k in strip_row:
         _bump_in(*scratch, k, 1)
-    return SlideContext(base, _freeze(*scratch))
+    return _slid(base, scratch)
 
 
 def enumerate_contexts(base: SkewShape, n: int, max_entry: int):
@@ -278,16 +343,18 @@ def enumerate_contexts(base: SkewShape, n: int, max_entry: int):
     for k in range(n + 1):
         for lam_plus in enumerate_outer_strips(base.outer, n - k, HORIZONTAL):
             for mu_minus in enumerate_inner_strips(base.inner, k, VERTICAL):
-                stratum = SkewShape(lam_plus, mu_minus)
+                stratum = SkewShape._trusted(lam_plus, mu_minus)
                 for t in enumerate_ssyt(stratum, max_entry):
-                    yield SlideContext(base, t)
+                    yield SlideContext._trusted(base, t)
 
 
 def verify_involution(limit_outer: int, limit_n: int, max_entry: int) -> dict:
     """Exhaustively check phi over every base with |outer| <= limit_outer and
     every stratum with n <= limit_n: involutivity, content preservation, sign
     reversal off fixed points, and the fixed-point bijection with star
-    tableaux. Returns a JSON-ready report."""
+    tableaux. Returns a JSON-ready report. A negative limit raises
+    ValueError."""
+    _require_nonnegative(limit_outer=limit_outer, limit_n=limit_n, max_entry=max_entry)
     failures: list[str] = []
     contexts = 0
     cases = 0

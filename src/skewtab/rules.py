@@ -22,6 +22,7 @@ from .shapes import (
     VERTICAL,
     Partition,
     SkewShape,
+    _require_nonnegative,
     enumerate_inner_strips,
     enumerate_outer_strips,
     partitions_of_size,
@@ -287,11 +288,16 @@ def verify_skew_pieri(
     product with h_n; (ii) within monomial_limits, monomial-level equality
     in degree-many variables; (iii) within involution_limits, signed SSYT
     counts at bounded entries cancel down to the star-shape count and the
-    slide fixed points match it. Returns a JSON-ready report."""
-    failures: list[str] = []
-    schur_cases = monomial_cases = involution_cases = 0
+    slide fixed points match it. Returns a JSON-ready report. A negative
+    limit raises ValueError."""
     mono_outer, mono_n = monomial_limits
     inv_outer, inv_n = involution_limits
+    _require_nonnegative(
+        limit_outer=limit_outer, limit_n=limit_n, max_entry=max_entry,
+        monomial_outer=mono_outer, monomial_n=mono_n, involution_outer=inv_outer, involution_n=inv_n,
+    )
+    failures: list[str] = []
+    schur_cases = monomial_cases = involution_cases = 0
     for base in skew_shapes_up_to(limit_outer):
         m = base.outer.size
         for n in range(1, limit_n + 1):
@@ -345,7 +351,9 @@ def verify_skew_pieri(
 
 def verify_skew_lr(limit_outer_a: int, limit_outer_b: int) -> dict:
     """Sweep to_schur(skew_lr_product(a, b)) == skew_to_schur(a) *
-    skew_to_schur(b) over all skew a, b within the size limits."""
+    skew_to_schur(b) over all skew a, b within the size limits. A negative
+    limit raises ValueError."""
+    _require_nonnegative(limit_outer_a=limit_outer_a, limit_outer_b=limit_outer_b)
     failures: list[str] = []
     cases = 0
     shapes_b = tuple(skew_shapes_up_to(limit_outer_b))
@@ -365,7 +373,9 @@ def verify_skew_lr(limit_outer_a: int, limit_outer_b: int) -> dict:
 
 def verify_perp_range(max_deg: int, max_n: int) -> dict:
     """Sweep the four perp identities over all Schur pairs with degrees at
-    most max_deg and all n from 1 to max_n."""
+    most max_deg and all n from 1 to max_n. A negative limit raises
+    ValueError."""
+    _require_nonnegative(max_deg=max_deg, max_n=max_n)
     failures: list[str] = []
     cases = 0
     basis = [p for d in range(max_deg + 1) for p in partitions_of_size(d)]

@@ -4,6 +4,12 @@ Diagrams are drawn in French notation: rows are indexed bottom-up starting
 at 1, columns left-to-right starting at 1, so row r of the skew shape
 outer/inner occupies columns inner_r+1 .. outer_r. Row 0 is the virtual row
 below the diagram where reverse insertion terminates.
+
+`Partition(...)` and `SkewShape(...)` validate their input: they are the
+public boundary. `Partition._trusted` and `SkewShape._trusted` skip every
+check; internal code uses them only for values it built valid by
+construction (a trimmed, weakly decreasing tuple of positive ints; an inner
+partition contained in the outer one).
 """
 
 from __future__ import annotations
@@ -47,6 +53,14 @@ class Partition:
         if sorted(parts, reverse=True) != list(parts):
             raise ValueError(f"parts not weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
+
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """Internal: parts is already a trimmed weakly decreasing tuple of
+        positive ints, so no check runs."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "parts", parts)
+        return p
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":
@@ -99,6 +113,14 @@ class SkewShape:
     def __post_init__(self) -> None:
         if not self.outer.contains(self.inner):
             raise ValueError(f"inner {self.inner} not contained in outer {self.outer}")
+
+    @classmethod
+    def _trusted(cls, outer: Partition, inner: Partition) -> "SkewShape":
+        """Internal: inner is already known to lie inside outer."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "outer", outer)
+        object.__setattr__(s, "inner", inner)
+        return s
 
     @classmethod
     def of(cls, outer, inner=()) -> "SkewShape":
@@ -172,7 +194,9 @@ def star(a: SkewShape, b: SkewShape) -> SkewShape:
     shift = a.outer.parts[0] - b.inner.part(lb)
     outer = tuple(p + shift for p in b.outer.parts) + a.outer.parts
     inner = tuple(b.inner.part(i) + shift for i in range(1, lb + 1)) + a.inner.parts
-    return SkewShape(Partition(outer), Partition(inner))
+    # Valid by construction: every shifted row of b starts right of column
+    # a_1 (its top row at a_1 + 1) and ends no further left than it starts.
+    return SkewShape._trusted(Partition._trusted(outer), Partition._trusted(inner))
 
 
 def _strips_extending(base: Partition, n: int, direction: str) -> Iterator[tuple[int, ...]]:
@@ -298,6 +322,13 @@ def skew_shapes_up_to(limit_outer: int) -> Iterator[SkewShape]:
             for mu_size in range(m + 1):
                 for mu in subpartitions_of_size(lam, mu_size):
                     yield SkewShape(lam, mu)
+
+
+def _require_nonnegative(**limits: int) -> None:
+    """Raise ValueError naming the first negative sweep limit."""
+    for name, value in limits.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def format_partition(p: Partition) -> str:

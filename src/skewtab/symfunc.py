@@ -219,10 +219,11 @@ def skew_to_schur(s: SkewShape) -> SchurExpansion:
 
 
 def skew_expansion_to_schur(x: SkewExpansion) -> SchurExpansion:
-    out = SchurExpansion()
+    out: dict[Partition, int] = {}
     for s, c in x.terms.items():
-        out = out + lr_expand(s) * c
-    return out
+        for lam, d in lr_expand(s).terms.items():
+            out[lam] = out.get(lam, 0) + c * d
+    return SchurExpansion(out)
 
 
 def hall_inner(f: SchurExpansion, g: SchurExpansion) -> int:

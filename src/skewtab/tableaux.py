@@ -2,11 +2,19 @@
 
 A tableau stores one entry tuple per row of its shape, bottom row first,
 covering columns inner_r+1 .. outer_r. Entries are positive integers.
+
+`Tableau(...)` and `parse_tableau` check the row count, the row lengths and
+the entries' positivity: they are the public boundary. `Tableau._trusted`
+skips those checks; the enumerators here and the slide code in `involution`
+use it for fillings they built valid by construction. Neither constructor
+checks semistandardness; `validate` does, by comparing each row with itself
+and with the row above it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge, gt, le, lt
 from typing import Iterator
 
 from .shapes import Cell, ParseError, Partition, SkewShape, parse_shape
@@ -33,6 +41,14 @@ class Tableau:
                 raise ValueError(f"row {r} has a nonpositive entry")
 
     @classmethod
+    def _trusted(cls, shape: SkewShape, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
+        """Internal: rows already fit shape and hold positive entries."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "shape", shape)
+        object.__setattr__(t, "rows", rows)
+        return t
+
+    @classmethod
     def of(cls, outer, inner, *rows) -> "Tableau":
         return cls(SkewShape.of(outer, inner), tuple(tuple(r) for r in rows))
 
@@ -54,30 +70,30 @@ class Tableau:
         return format_tableau(self)
 
 
+# Per kind: the order each entry must have with its right neighbour, and
+# with the entry above it.
+_ORDERS = {SSYT: (le, lt), ASSYT: (gt, ge)}
+
+
 def validate(t: Tableau, kind: str) -> bool:
     """Row/column comparisons for the given convention.
 
     ssyt: rows weakly increase left-to-right, columns strictly increase upward.
     assyt: rows strictly decrease left-to-right, columns weakly decrease upward.
     """
-    if kind not in (SSYT, ASSYT):
+    if kind not in _ORDERS:
         raise ValueError(f"unknown tableau kind {kind!r}")
-    for r in range(1, t.shape.rows + 1):
-        lo, hi = t.shape.row_bounds(r)
-        for c in range(lo + 1, hi + 1):
-            x = t.entry(r, c)
-            right = t.entry(r, c + 1)
-            if right is not None:
-                if kind == SSYT and not x <= right:
-                    return False
-                if kind == ASSYT and not x > right:
-                    return False
-            above = t.entry(r + 1, c)
-            if above is not None:
-                if kind == SSYT and not above > x:
-                    return False
-                if kind == ASSYT and not above <= x:
-                    return False
+    along, up = _ORDERS[kind]
+    rows = t.rows
+    for row in rows:
+        if not all(map(along, row, row[1:])):
+            return False
+    inner = t.shape.inner.parts + (0,) * (len(rows) - len(t.shape.inner.parts))
+    for r in range(1, len(rows)):
+        # From column inner_r + 1 on, row r and the row above it line up cell
+        # by cell, and the row above ends first (map stops there).
+        if not all(map(up, rows[r - 1], rows[r][inner[r - 1] - inner[r] :])):
+            return False
     return True
 
 
@@ -132,7 +148,7 @@ def _fillings(
 
     def rec(i: int) -> Iterator[Tableau]:
         if i == len(cells):
-            yield Tableau(shape, tuple(tuple(row) for row in rows))
+            yield Tableau._trusted(shape, tuple(tuple(row) for row in rows))
             return
         r, c = cells[i]
         for v in range(1, max_entry + 1):
@@ -212,9 +228,7 @@ def lr_fillings(shape: SkewShape) -> Iterator[Tableau]:
 
     def rec(i: int) -> Iterator[Tableau]:
         if i == len(order):
-            yield Tableau(
-                shape, tuple(tuple(reversed(row)) for row in rows)
-            )
+            yield Tableau._trusted(shape, tuple(tuple(reversed(row)) for row in rows))
             return
         r, c = order[i]
         right = entry_of(r, c + 1)

@@ -23,3 +23,27 @@ def skew_shapes(draw, max_len=5, max_part=6):
         cap = draw(st.integers(0, min(cap, outer.part(i))))
         inner.append(cap)
     return SkewShape(outer, Partition(tuple(inner)))
+
+
+def validate_by_cells(t, kind):
+    """Reference semistandard test, sharing no code with tableaux.validate:
+    place every entry at its (row, column) cell, then compare each cell with
+    the cell right of it and the cell above it."""
+    entries = {}
+    for r, row in enumerate(t.rows, start=1):
+        for j, x in enumerate(row):
+            entries[(r, t.shape.inner.part(r) + j + 1)] = x
+    for (r, c), x in entries.items():
+        right = entries.get((r, c + 1))
+        above = entries.get((r + 1, c))
+        if kind == "ssyt":
+            if right is not None and not x <= right:
+                return False
+            if above is not None and not above > x:
+                return False
+        else:
+            if right is not None and not x > right:
+                return False
+            if above is not None and not above <= x:
+                return False
+    return True

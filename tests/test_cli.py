@@ -236,6 +236,27 @@ class TestErrors:
         assert run(["expand", "3,2/1", "--h", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "involution", "--max-n", "-1"],
+            ["verify", "involution", "--max-outer", "-1"],
+            ["verify", "skew-pieri", "--max-entry", "-1"],
+            ["verify", "perp", "--max-deg", "-1"],
+            ["verify", "skew-lr", "--max-outer-b", "-1"],
+        ],
+        ids=["involution-max-n", "involution-max-outer", "skew-pieri", "perp", "skew-lr"],
+    )
+    def test_negative_sweep_limit_exits_2(self, capsys, argv):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "must be nonnegative, got -1" in err
+
+    def test_slide_off_its_domain_exits_2(self, capsys):
+        assert run(["trace", "slide", "1,1/1,1", "1,1,1/1: [][1][2]", "--op", "U"]) == 2
+        assert capsys.readouterr().err == "error: parts not weakly decreasing: (0, 1)\n"
+
     def test_unknown_flag_exits_2(self, capsys):
         assert run(["expand", "2,1", "--h", "1", "--frobnicate"]) == 2
 

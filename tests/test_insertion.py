@@ -150,3 +150,12 @@ class TestInversionProperties:
                 else:
                     redone, _ = internal_insert(res, rec.landing_row)
                     assert redone == t
+
+
+def test_non_ssyt_input_still_rejected_on_a_bad_result_shape():
+    # Not semistandard: inserting 2 bumps 3 onto row 2, whose 1 it sits
+    # right of, so the outer parts become (1, 2).
+    t = parse_tableau("1,1: [3][1]")
+    with pytest.raises(ValueError) as exc:
+        external_insert(t, 2)
+    assert str(exc.value) == "parts not weakly decreasing: (1, 2)"

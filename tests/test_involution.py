@@ -26,11 +26,17 @@ from skewtab import (
     star,
     star_to_fixed_point,
     upward_path,
+    validate,
+    SSYT,
     upward_slide,
     verify_involution,
 )
 
-from conftest import partitions
+from skewtab.insertion import _thaw
+from skewtab.involution import _slid
+from skewtab.shapes import parse_shape, skew_shapes_up_to
+
+from conftest import partitions, validate_by_cells
 
 BIG_BASE = SkewShape.of((7, 5, 4, 1, 1), (3, 1))
 BIG_T = "7,6,4,4,1/3,1: [1,2,2,5][1,2,2,3,6][2,2,3,4][3,5,7,7][9]"
@@ -58,6 +64,164 @@ class TestSlideContext:
         t = Tableau.of((3, 2), (1,), [1, 1], [1, 2])
         ctx = SlideContext(base, t)
         assert inner_strip_cells(ctx) == (Cell(1, 2), Cell(2, 1))
+
+
+def _composed_check(base, outer, inner, rows):
+    """The checks a slide result went through when every value was built by
+    the public constructors: drop empty top rows, build Partition, SkewShape
+    and Tableau, then test containment, is_strip and the cell-by-cell SSYT
+    rule. Returns (tableau, error): tableau is None if construction failed,
+    error is None if every check passed."""
+    outer, inner, rows = list(outer), list(inner), [list(r) for r in rows]
+    while outer and outer[-1] == 0:
+        outer.pop(), inner.pop(), rows.pop()
+    try:
+        shape = SkewShape(Partition(tuple(outer)), Partition(tuple(inner)))
+        t = Tableau(shape, tuple(tuple(r) for r in rows))
+    except ValueError as exc:
+        return None, str(exc)
+    lam, mu = base.outer, base.inner
+    lam_plus, mu_minus = shape.outer, shape.inner
+    if not lam_plus.contains(lam) or not SkewShape(lam_plus, lam).is_strip(HORIZONTAL):
+        return t, f"{lam_plus}/{lam} is not a horizontal strip"
+    if not mu.contains(mu_minus) or not SkewShape(mu, mu_minus).is_strip(VERTICAL):
+        return t, f"{mu}/{mu_minus} is not a vertical strip"
+    if not validate_by_cells(t, SSYT):
+        return t, "tableau is not semistandard"
+    return t, None
+
+
+def _perturbations(ctx):
+    """Scratch states near ctx's tableau: one cell moved from the right end
+    of a row to the right end of another, or from a left end to a left end,
+    or one cell added or dropped at a left end. The moved or added entry is
+    kept, or set to 1 or 4. An empty row is padded on top so cells can move
+    up into it."""
+    outer, inner, rows = _thaw(ctx.tableau)
+    outer, inner, rows = outer + [0], inner + [0], rows + [[]]
+
+    def copy():
+        return list(outer), list(inner), [list(r) for r in rows]
+
+    for r in range(len(rows)):
+        for new in (None, 1, 4):
+            for dest in range(len(rows)):
+                if rows[r] and dest != r:
+                    o, i, t = copy()
+                    x = t[r].pop()
+                    o[r] -= 1
+                    t[dest].append(x if new is None else new)
+                    o[dest] += 1
+                    yield o, i, t
+                if rows[r] and dest != r and inner[dest] > 0:
+                    o, i, t = copy()
+                    x = t[r].pop(0)
+                    i[r] += 1
+                    t[dest].insert(0, x if new is None else new)
+                    i[dest] -= 1
+                    yield o, i, t
+            if inner[r] > 0:
+                o, i, t = copy()
+                t[r].insert(0, 1 if new is None else new)
+                i[r] -= 1
+                yield o, i, t
+        if rows[r]:
+            o, i, t = copy()
+            t[r].pop(0)
+            i[r] += 1
+            yield o, i, t
+
+
+def _outcome(build):
+    """(tableau, None) if build() returns a context, else (None, message)."""
+    try:
+        return build().tableau, None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+CONTEXT_ERRORS = ("a horizontal strip", "a vertical strip", "semistandard")
+
+
+class TestTrustedConstruction:
+    """Slides build tableaux without checks and check each resulting context
+    once, on part and row tuples; these tests hold that to the composition
+    of public constructors and cell-based checks it replaces."""
+
+    def test_context_check_matches_composed_checks(self):
+        seen = set()
+        for base in skew_shapes_up_to(3):
+            for n in range(3):
+                for ctx in enumerate_contexts(base, n, 2):
+                    for o, i, t in _perturbations(ctx):
+                        filling, error = _composed_check(base, o, i, t)
+                        want = (filling if error is None else None, error)
+                        assert _outcome(lambda: _slid(base, (o, i, t))) == want, (str(base), o, i, t)
+                        if filling is not None:
+                            # A skew filling also reaches SlideContext through
+                            # the public constructors.
+                            assert _outcome(lambda: SlideContext(base, filling)) == want
+                        kind = error.rpartition(" is not ")[2] if error else "ok"
+                        seen.add(kind if kind in CONTEXT_ERRORS or kind == "ok" else "shape")
+        assert seen == {"ok", "shape", *CONTEXT_ERRORS}
+
+    def test_non_decreasing_inner_is_rejected_as_before(self):
+        # (1, 2) inside (2, 2): row 2 keeps no cell.
+        base = SkewShape.of((2, 2), (2, 2))
+        with pytest.raises(ValueError) as exc:
+            _slid(base, ([2, 2], [1, 2], [[1], []]))
+        assert str(exc.value) == "parts not weakly decreasing: (1, 2)"
+
+    @pytest.mark.parametrize(
+        "base, tableau, message",
+        [
+            ("1", "2,2: [1,1][2,2]", "2,2/1 is not a horizontal strip"),
+            ("2,2/1", "3,3/1: [1,1][2,2,2]", "3,3/2,2 is not a horizontal strip"),
+            ("3", "2: [1,1]", "2/3 is not a horizontal strip"),
+            ("2,2/2", "2,2: [1,1][2,2]", "2/∅ is not a vertical strip"),
+            ("2,2/1", "2,2/1,1: [1][2]", "1/1,1 is not a vertical strip"),
+            ("2,2/1", "2,2/1: [2][1,1]", "tableau is not semistandard"),
+            ("2,2/1,1", "2,2/1: [2][1,2]", "tableau is not semistandard"),
+        ],
+    )
+    def test_rejection_messages(self, base, tableau, message):
+        with pytest.raises(ValueError) as exc:
+            SlideContext(parse_shape(base), parse_tableau(tableau))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "tableau, final_error, step_error",
+        [
+            # Sliding up empties row 2 below a nonempty row 3, which is no
+            # skew shape; a trace meets that state at its last step.
+            ("1,1,1/1: [][1][2]", "(0, 1)", "(0, 1)"),
+            # A trace meets a bad state at its first step, before the final
+            # state goes wrong another way.
+            ("2,1,1/1: [1][2][3]", "(1, 2, 1)", "(0, 1)"),
+        ],
+    )
+    def test_slide_off_its_domain_fails_as_before(self, tableau, final_error, step_error):
+        # phi slides these contexts down, not up.
+        ctx = SlideContext(SkewShape.of((1, 1), (1, 1)), parse_tableau(tableau))
+        for steps, error in ((None, final_error), ([], step_error)):
+            with pytest.raises(ValueError) as exc:
+                upward_slide(ctx, steps)
+            assert str(exc.value) == f"parts not weakly decreasing: {error}"
+
+    def test_enumerated_contexts_pass_the_public_check(self):
+        for base in skew_shapes_up_to(3):
+            for n in range(3):
+                for ctx in enumerate_contexts(base, n, 3):
+                    assert SlideContext(base, ctx.tableau) == ctx
+
+    def test_strip_cells_match_cell_enumeration(self):
+        for base in skew_shapes_up_to(4):
+            for n in range(4):
+                for ctx in enumerate_contexts(base, n, 3):
+                    outer = tuple(sorted(ctx.outer_strip.cells(), key=lambda c: -c.col))
+                    assert outer_strip_cells(ctx) == outer
+                    assert inner_strip_cells(ctx) == ctx.inner_strip.cells()
+                    assert (upward_path(ctx) is None) == (ctx.inner_strip.size == 0)
 
 
 class TestPaths:
@@ -250,6 +414,16 @@ class TestFixedPoints:
         base = SkewShape.of((2, 1))
         with pytest.raises(ValueError):
             star_to_fixed_point(base, parse_tableau("3,1: [1,1,1][2]"))
+
+
+    def test_star_to_fixed_point_rejects_non_ssyt(self):
+        # The strip row (2, 1) decreases; the image used to look valid.
+        base = SkewShape.of((2, 1), (1,))
+        t = Tableau(star(base, SkewShape.of((2,))), ((2, 1), (1,), (1,)))
+        assert not validate(t, SSYT)
+        with pytest.raises(ValueError) as exc:
+            star_to_fixed_point(base, t)
+        assert str(exc.value) == "tableau is not semistandard"
 
 
 class TestVerifyInvolution:

@@ -131,6 +131,14 @@ class TestStar:
     def test_size_additive(self, a, b):
         assert star(a, b).size == a.size + b.size
 
+    def test_result_passes_the_public_checks(self):
+        # star builds its result without checks; rebuild it with them.
+        shapes = list(skew_shapes_up_to(4))
+        for a in shapes:
+            for b in shapes:
+                s = star(a, b)
+                assert SkewShape(Partition(s.outer.parts), Partition(s.inner.parts)) == s
+
 
 def _brute_outer_strips(base, n, direction):
     """All lam_plus >= base with lam_plus/base an n-cell strip, by filtering."""

@@ -21,9 +21,9 @@ from skewtab import (
     reverse_reading_word,
     validate,
 )
-from skewtab.shapes import ParseError
+from skewtab.shapes import ParseError, skew_shapes_up_to
 
-from conftest import skew_shapes
+from conftest import skew_shapes, validate_by_cells
 
 
 def _brute_fillings(shape, kind, max_entry):
@@ -84,6 +84,39 @@ class TestTableau:
         assert validate(Tableau.of((2,), (), [1, 1]), SSYT)
         assert not validate(Tableau.of((2,), (), [1, 1]), ASSYT)      # row repeat
         assert validate(Tableau.of((1, 1), (), [1], [1]), ASSYT)      # column repeat ok
+
+
+class TestValidateAgainstCellReference:
+    def test_every_small_filling(self):
+        """Every filling with entries <= 3 of every skew shape with |outer|
+        <= 4, SSYT and ASSYT, against the cell-by-cell reference."""
+        fillings = 0
+        verdicts = set()
+        for shape in skew_shapes_up_to(4):
+            lengths = [shape.outer.part(r) - shape.inner.part(r) for r in range(1, shape.rows + 1)]
+            for entries in itertools.product(range(1, 4), repeat=shape.size):
+                it = iter(entries)
+                t = Tableau(shape, tuple(tuple(next(it) for _ in range(n)) for n in lengths))
+                for kind in (SSYT, ASSYT):
+                    verdict = validate(t, kind)
+                    assert verdict == validate_by_cells(t, kind), (str(t), kind)
+                    verdicts.add((kind, verdict))
+                fillings += 1
+        assert fillings == 792
+        assert verdicts == {(SSYT, True), (SSYT, False), (ASSYT, True), (ASSYT, False)}
+
+    def test_rows_that_share_no_column(self):
+        # Row 1 holds column 3 only, row 2 column 1 only: nothing to compare.
+        assert validate(Tableau.of((3, 1), (2,), [2], [1]), SSYT)
+        assert validate(Tableau.of((3, 1), (2,), [1], [2]), ASSYT)
+
+    def test_trusted_fillings_pass_the_public_checks(self):
+        for shape in skew_shapes_up_to(4):
+            for t in list(enumerate_ssyt(shape, 3)) + list(lr_fillings(shape)):
+                rebuilt = Tableau(
+                    SkewShape(Partition(t.shape.outer.parts), Partition(t.shape.inner.parts)), t.rows
+                )
+                assert rebuilt == t
 
 
 class TestEnumeration:
