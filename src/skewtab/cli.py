@@ -4,12 +4,20 @@ step-by-step slide traces.
 Output is deterministic: term lines are sorted lexicographically by shape
 and printed one per line, sign first. Exit status is 0 on success or a
 clean verification, 1 when a verification sweep reports failures, and 2 on
-usage errors (including unparseable shapes or tableaux).
+usage errors (including unparseable shapes or tableaux, and inputs too large
+to compute, such as a shape with about a thousand rows).
+
+`run` can be called any number of times in one process. It builds one
+argument parser on its first call and reuses it for every later request:
+parsing does not change the parser, and the handlers look up the functions
+they call at call time. `build_parser()` still returns a new parser on every
+call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -165,16 +173,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    """Serve one request and return its exit status.
+
+    One parser is built on the first call and shared by every later call in
+    the process, so repeated calls pay only for parsing and the work itself;
+    `build_parser()` still returns a new parser on every call.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
     except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # The strip and pair backtrackers recurse once or twice per row.
+        print("error: input too large: maximum recursion depth exceeded", file=sys.stderr)
         return 2
 
 

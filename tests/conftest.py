@@ -1,7 +1,10 @@
+import contextlib
+import io
+
 import hypothesis
 from hypothesis import strategies as st
 
-from skewtab import Partition, SkewShape
+from skewtab import Partition, SkewShape, Tableau
 
 hypothesis.settings.register_profile("suite", max_examples=60, deadline=None)
 hypothesis.settings.load_profile("suite")
@@ -23,6 +26,18 @@ def skew_shapes(draw, max_len=5, max_part=6):
         cap = draw(st.integers(0, min(cap, outer.part(i))))
         inner.append(cap)
     return SkewShape(outer, Partition(tuple(inner)))
+
+
+@st.composite
+def tableaux(draw, max_len=4, max_part=4, max_entry=4):
+    """Any filling of a skew shape by positive entries, semistandard or not."""
+    shape = draw(skew_shapes(max_len=max_len, max_part=max_part))
+    rows = []
+    for r in range(1, shape.rows + 1):
+        lo, hi = shape.row_bounds(r)
+        entries = st.lists(st.integers(1, max_entry), min_size=hi - lo, max_size=hi - lo)
+        rows.append(tuple(draw(entries)))
+    return Tableau(shape, tuple(rows))
 
 
 def validate_by_cells(t, kind):
@@ -47,3 +62,11 @@ def validate_by_cells(t, kind):
             if above is not None and not above <= x:
                 return False
     return True
+
+
+def capture(serve, argv):
+    """(exit code, stdout, stderr) of one command line served by serve."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = serve(argv)
+    return code, out.getvalue(), err.getvalue()

@@ -1,9 +1,12 @@
 import json
+import sys
 
 import pytest
 
 from skewtab import expansion_from_json, skew_pieri, parse_shape
 from skewtab.cli import build_parser, run, term_lines
+
+from conftest import capture
 
 EXPAND_LINES = [
     "+ s[3,2,2]",
@@ -279,3 +282,65 @@ class TestErrors:
     def test_term_lines_rejects_other_types(self):
         with pytest.raises(TypeError):
             term_lines(42)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", ",".join(["1"] * 1200), "--h", "1"],
+            ["product", ",".join(["1"] * 600), "1"],
+        ],
+        ids=["expand", "product"],
+    )
+    def test_too_tall_shape_exits_2(self, capsys, argv):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: input too large: maximum recursion depth exceeded\n"
+
+
+def run_with_fresh_parser(argv):
+    """Reference for run: the same request served by a newly built parser."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+REUSE_SEQUENCE = [
+    ["--help"],
+    ["expand", "--help"],
+    ["expand", "2,1", "--h", "1", "--frobnicate"],
+    [],
+    ["expand", "bogus/shape", "--h", "1"],
+    ["expand", "3,2,2/1,1", "--h", "2"],
+    ["expand", "3,2,2/1,1", "--h", "2", "--dual", "--format", "json"],
+    ["expand", "2,1", "--h", "2", "--dual"],
+    ["product", "3,2,1/1", "2,2/1"],
+    ["product", "3,2,1/1", "2,2/1", "--format", "json"],
+    ["product", "2,1", "2,1", "--rule", "schur"],
+    ["product", "2,1/1", "2", "--rule", "schur", "--format", "json"],
+    ["verify", "perp", "--max-deg", "1"],
+    ["verify", "perp", "--max-deg", "1", "--format", "json"],
+    *(
+        ["trace", "slide", BIG_BASE, tableau, "--op", op, *fmt]
+        for op, tableau in [("D", BIG_T), ("U", BIG_DT), ("phi", BIG_T)]
+        for fmt in ([], ["--format", "json"])
+    ),
+]
+
+
+class TestParserReuse:
+    def test_repeated_requests_match_a_fresh_parser(self):
+        want = [capture(run_with_fresh_parser, argv) for argv in REUSE_SEQUENCE]
+        assert {code for code, _, _ in want} == {0, 2}
+        for _ in range(2):
+            got = [capture(run, argv) for argv in REUSE_SEQUENCE]
+            assert got == want
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()

@@ -46,9 +46,9 @@ BIG_DT = "7,6,4,3,1/2,1: [1,1,2,2,5][2,2,2,3,6][2,3,4,7][3,5,7][9]"
 class TestSlideContext:
     def test_strip_validation(self):
         base = SkewShape.of((2, 2), (1,))
-        with pytest.raises(ValueError):
-            # (4,4)/(2,2) over base (2,2): two outer cells share a column
-            SlideContext(base, parse_tableau("2,2,2,2/1,2,2: [1][][][1]"))
+        with pytest.raises(ValueError, match="not a horizontal strip"):
+            # 2,2,1,1/2,2: the two outer cells below the base share column 1
+            SlideContext(base, parse_tableau("2,2,1,1/1: [1][1,2][2][3]"))
         with pytest.raises(ValueError):
             # inner strip (1)/() is fine but tableau must be SSYT
             SlideContext(base, parse_tableau("2,2/1: [2][1,1]"))
