@@ -1,24 +1,23 @@
 """Exact integer symmetric-function algebra in the Schur basis.
 
 Products and skew expansions go through Littlewood-Richardson filling
-enumeration. A second route through monomial expansions (enumerate the
-semistandard tableaux, collect exponent vectors, peel greedily) exists for
-cross-checking and shares no code with the filling enumeration. Two
-homogeneous symmetric functions of degree d are equal iff their monomial
-expansions in d variables agree, so every monomial-level check fixes
-num_vars at the degree at hand. All coefficients are exact ints.
+enumeration. A product of two Schur functions is read off one LR table, that
+of the concatenated shape: s_mu * s_nu = s_{mu * nu} (`star`), the identity
+the skew Pieri rule is proved through. `perp` reads the same products through
+a table inverted by the partition they produce. A second route through
+monomial expansions (enumerate the semistandard tableaux, collect exponent
+vectors, peel greedily) exists for cross-checking and shares no code with the
+filling enumeration. Two homogeneous symmetric functions of degree d are
+equal iff their monomial expansions in d variables agree, so every
+monomial-level check fixes num_vars at the degree at hand. All coefficients
+are exact ints.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .shapes import (
-    Partition,
-    SkewShape,
-    partitions_of_size,
-    superpartitions,
-)
+from .shapes import EMPTY, Partition, SkewShape, partitions_of_size, star
 from .tableaux import enumerate_ssyt, lr_fillings
 
 
@@ -194,13 +193,10 @@ def lr_coefficient(nu: Partition, lam: Partition, mu: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def _basis_product(mu: Partition, nu: Partition) -> tuple[tuple[Partition, int], ...]:
-    """s_mu * s_nu in the Schur basis."""
-    out = []
-    for lam in superpartitions(mu, nu.size):
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            out.append((lam, c))
-    return tuple(out)
+    """s_mu * s_nu in the Schur basis, as the LR table of the concatenated
+    shape: s_mu * s_nu = s_{mu * nu}, so one filling enumeration gives every
+    coefficient."""
+    return _lr_pairs(star(SkewShape._trusted(mu, EMPTY), SkewShape._trusted(nu, EMPTY)))
 
 
 def schur_product(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
@@ -233,12 +229,16 @@ def hall_inner(f: SchurExpansion, g: SchurExpansion) -> int:
     return sum(c * g.terms.get(p, 0) for p, c in f.terms.items())
 
 
-def _product_coefficient(mu: Partition, nu: Partition, lam: Partition) -> int:
-    """Coefficient of s_lam in s_mu * s_nu, read off the product."""
-    for p, c in _basis_product(mu, nu):
-        if p == lam:
-            return c
-    return 0
+@lru_cache(maxsize=None)
+def _perp_table(mu: Partition, d: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
+    """The products s_mu * s_nu over all nu of size d, inverted: lam maps to
+    the pairs (nu, c) with c = <s_mu * s_nu, s_lam> nonzero, nu in
+    partitions_of_size order. Read-only; it is shared by every caller."""
+    table: dict[Partition, list[tuple[Partition, int]]] = {}
+    for nu in partitions_of_size(d):
+        for lam, c in _basis_product(mu, nu):
+            table.setdefault(lam, []).append((nu, c))
+    return {lam: tuple(pairs) for lam, pairs in table.items()}
 
 
 def perp(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
@@ -252,10 +252,8 @@ def perp(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
             d = lam.size - mu.size
             if d < 0:
                 continue
-            for nu in partitions_of_size(d):
-                c = _product_coefficient(mu, nu, lam)
-                if c:
-                    out[nu] = out.get(nu, 0) + a * b * c
+            for nu, c in _perp_table(mu, d).get(lam, ()):
+                out[nu] = out.get(nu, 0) + a * b * c
     return SchurExpansion(out)
 
 

@@ -87,6 +87,24 @@ SKEW_PRODUCT_JSON = (
     '{"coeff": 1, "outer": [5, 3, 1], "inner": [1]}]}\n'
 )
 
+# s[12,12] * s[12,12], captured from the default skew-LR rule. Products of
+# two rectangles are multiplicity-free, so every coefficient is 1.
+RECTANGLE_PRODUCT = """
+12,12,12,12 13,12,12,11 13,13,11,11 14,12,12,10 14,13,11,10 14,14,10,10
+15,12,12,9 15,13,11,9 15,14,10,9 15,15,9,9 16,12,12,8 16,13,11,8 16,14,10,8
+16,15,9,8 16,16,8,8 17,12,12,7 17,13,11,7 17,14,10,7 17,15,9,7 17,16,8,7
+17,17,7,7 18,12,12,6 18,13,11,6 18,14,10,6 18,15,9,6 18,16,8,6 18,17,7,6
+18,18,6,6 19,12,12,5 19,13,11,5 19,14,10,5 19,15,9,5 19,16,8,5 19,17,7,5
+19,18,6,5 19,19,5,5 20,12,12,4 20,13,11,4 20,14,10,4 20,15,9,4 20,16,8,4
+20,17,7,4 20,18,6,4 20,19,5,4 20,20,4,4 21,12,12,3 21,13,11,3 21,14,10,3
+21,15,9,3 21,16,8,3 21,17,7,3 21,18,6,3 21,19,5,3 21,20,4,3 21,21,3,3
+22,12,12,2 22,13,11,2 22,14,10,2 22,15,9,2 22,16,8,2 22,17,7,2 22,18,6,2
+22,19,5,2 22,20,4,2 22,21,3,2 22,22,2,2 23,12,12,1 23,13,11,1 23,14,10,1
+23,15,9,1 23,16,8,1 23,17,7,1 23,18,6,1 23,19,5,1 23,20,4,1 23,21,3,1
+23,22,2,1 23,23,1,1 24,12,12 24,13,11 24,14,10 24,15,9 24,16,8 24,17,7
+24,18,6 24,19,5 24,20,4 24,21,3 24,22,2 24,23,1 24,24
+""".split()
+
 BIG_BASE = "7,5,4,1,1/3,1"
 BIG_T = "7,6,4,4,1/3,1: [1,2,2,5][1,2,2,3,6][2,2,3,4][3,5,7,7][9]"
 BIG_DT = "7,6,4,3,1/2,1: [1,1,2,2,5][2,2,2,3,6][2,3,4,7][3,5,7][9]"
@@ -151,6 +169,21 @@ class TestProduct:
         assert run(["product", "2,1/1", "2", "--rule", "schur", "--format", "json"]) == 0
         want = expansion_from_json(json.loads(capsys.readouterr().out))
         assert got == want
+
+    def test_schur_rule_matches_default_on_rectangles(self, capsys):
+        argv = ["product", "12,12", "12,12"]
+        lines = "".join(f"+ s[{p}]\n" for p in RECTANGLE_PRODUCT)
+        parts = [[int(x) for x in p.split(",")] for p in RECTANGLE_PRODUCT]
+        skew = [{"coeff": 1, "outer": q, "inner": []} for q in parts]
+        straight = [{"coeff": 1, "partition": q} for q in parts]
+        assert len(parts) == 91
+        for rule in ([], ["--rule", "schur"]):
+            assert run(argv + rule) == 0
+            assert capsys.readouterr().out == lines
+        assert run(argv + ["--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps({"basis": "skew", "terms": skew}) + "\n"
+        assert run(argv + ["--rule", "schur", "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps({"basis": "schur", "terms": straight}) + "\n"
 
 
     def test_skew_lr_skew_factor_golden(self, capsys):

@@ -17,11 +17,14 @@ from skewtab.cli import run
 
 from conftest import capture, skew_shapes, tableaux
 
-# Junk alphabets. Product operands get single digits and at most three
-# characters, so no drawn product is larger than 3,3,3 times 3,3,3; expand
-# and trace stay cheap at any size the other alphabet can spell.
+# Junk alphabets. Product operands are shapes of at most 4 rows of at most 4,
+# or junk of single digits up to 4 and at most three characters (four could
+# spell a part of 44, as in "44,4"), so no drawn product is larger than
+# 4,4,4,4 times 4,4,4,4. Straight products that size take either rule under
+# 0.1 s, skew ones up to about 0.6 s under the default rule. Expand and trace
+# stay cheap at any size the other alphabet can spell.
 JUNK = "0123456789,/:[]- x∅"
-SMALL_JUNK = "0123,/:- x"
+SMALL_JUNK = "01234,/:- x"
 
 CONTEXTS = [
     ctx
@@ -38,8 +41,8 @@ def compact(s: SkewShape) -> str:
     return f"{outer}/{inner}" if inner else outer
 
 
-def shape_texts(junk=JUNK, max_junk=8):
-    small = skew_shapes(max_len=3, max_part=3)
+def shape_texts(junk=JUNK, max_junk=8, max_side=3):
+    small = skew_shapes(max_len=max_side, max_part=max_side)
     return st.one_of(
         small.map(format_shape), small.map(compact), st.text(junk, max_size=max_junk)
     )
@@ -73,7 +76,7 @@ def argvs(draw):
         head = ["expand", draw(shape_texts()), "--h", draw(int_texts(-1, 3))]
         options = [["--dual"], fmt]
     elif command == "product":
-        small = shape_texts(SMALL_JUNK, 3)
+        small = shape_texts(SMALL_JUNK, 3, max_side=4)
         head = ["product", draw(small), draw(small)]
         options = [["--rule", draw(choice("skew-lr", "schur", invalid="other"))], fmt]
     elif command == "verify":

@@ -29,11 +29,13 @@ from skewtab import (
     skew_expansion_to_schur,
     skew_monomials,
     skew_to_schur,
+    superpartitions,
     verify_perp_identities,
     HORIZONTAL,
     VERTICAL,
 )
 from skewtab.shapes import partitions_of_size
+from skewtab.symfunc import _basis_product
 
 from conftest import partitions, skew_shapes
 
@@ -173,6 +175,61 @@ class TestHallInnerAndPerp:
                     if lam.contains(mu) and SkewShape(lam, mu).is_strip(VERTICAL):
                         wante = wante + schur(mu)
                 assert gote == wante
+
+
+def product_by_superpartitions(mu, nu):
+    """Reference product that builds no star shape: one LR coefficient per
+    partition containing mu with |nu| more cells."""
+    out = []
+    for lam in superpartitions(mu, nu.size):
+        c = lr_coefficient(lam, mu, nu)
+        if c:
+            out.append((lam, c))
+    return tuple(out)
+
+
+def perp_by_scan(f, g):
+    """Reference perp with no inverted table: for each nu of the right size,
+    scan the reference product s_mu * s_nu for lam."""
+    out = {}
+    for mu, a in f.terms.items():
+        for lam, b in g.terms.items():
+            d = lam.size - mu.size
+            if d < 0:
+                continue
+            for nu in partitions_of_size(d):
+                for p, c in product_by_superpartitions(mu, nu):
+                    if p == lam:
+                        out[nu] = out.get(nu, 0) + a * b * c
+    return SchurExpansion(out)
+
+
+def partitions_up_to(n):
+    return [p for d in range(n + 1) for p in partitions_of_size(d)]
+
+
+class TestProductRoutes:
+    def test_star_product_matches_superpartition_scan(self):
+        pairs = [(mu, nu) for mu in partitions_up_to(9) for nu in partitions_up_to(9 - mu.size)]
+        assert len(pairs) == 734
+        for mu, nu in pairs:
+            assert _basis_product(mu, nu) == product_by_superpartitions(mu, nu), (mu, nu)
+
+    def test_perp_table_matches_scan_on_schur_pairs(self):
+        for mu in partitions_up_to(6):
+            for lam in partitions_up_to(6):
+                f, g = schur(mu), schur(lam)
+                assert perp(f, g) == perp_by_scan(f, g), (mu, lam)
+
+    @pytest.mark.parametrize("f,g", [
+        ({(2,): 1, (1, 1): -3}, {(2, 1): 2, (1,): 1}),
+        ({(): 2, (1,): -1, (2, 1): 1}, {(3, 2, 1): 3, (4, 1, 1): -1, (2, 2): 1, (1, 1): 5}),
+        ({(1,): 1, (2,): 1, (3,): -1}, {(3, 3): -2, (4, 2): 1, (2, 2, 1, 1): 4}),
+    ])
+    def test_perp_table_matches_scan_on_signed_sums(self, f, g):
+        f, g = SchurExpansion(f), SchurExpansion(g)
+        assert perp(f, g) == perp_by_scan(f, g)
+        assert perp(f, g)
 
 
 class TestOmegaHE:
