@@ -35,17 +35,7 @@ from .insertion import (
     _reverse_from,
     _thaw,
 )
-from .shapes import (
-    HORIZONTAL,
-    VERTICAL,
-    Cell,
-    SkewShape,
-    _require_nonnegative,
-    enumerate_inner_strips,
-    enumerate_outer_strips,
-    skew_shapes_up_to,
-    star,
-)
+from .shapes import Cell, SkewShape, _require_nonnegative, _strata, skew_shapes_up_to, star
 from .tableaux import SSYT, Tableau, enumerate_ssyt, validate
 
 
@@ -338,14 +328,12 @@ def enumerate_contexts(base: SkewShape, n: int, max_entry: int):
     """All contexts over base with strip sizes summing to n, entries bounded.
 
     Strata are visited with the outer strip taking n, n-1, ..., 0 cells;
-    within a stratum tableaux follow enumerate_ssyt order.
+    within a stratum tableaux follow enumerate_ssyt order. A negative n
+    raises ValueError.
     """
-    for k in range(n + 1):
-        for lam_plus in enumerate_outer_strips(base.outer, n - k, HORIZONTAL):
-            for mu_minus in enumerate_inner_strips(base.inner, k, VERTICAL):
-                stratum = SkewShape._trusted(lam_plus, mu_minus)
-                for t in enumerate_ssyt(stratum, max_entry):
-                    yield SlideContext._trusted(base, t)
+    for _, lam_plus, mu_minus in _strata(base, n):
+        for t in enumerate_ssyt(SkewShape._trusted(lam_plus, mu_minus), max_entry):
+            yield SlideContext._trusted(base, t)
 
 
 def verify_involution(limit_outer: int, limit_n: int, max_entry: int) -> dict:

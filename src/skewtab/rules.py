@@ -23,7 +23,7 @@ from .shapes import (
     Partition,
     SkewShape,
     _require_nonnegative,
-    enumerate_inner_strips,
+    _strata,
     enumerate_outer_strips,
     partitions_of_size,
     skew_shapes_up_to,
@@ -64,16 +64,10 @@ def skew_pieri(s: SkewShape, n: int, dual: bool = False) -> SkewExpansion:
     """s_{lam/mu} * h_n as the signed sum over adding an (n-k)-horizontal
     strip outside and removing a k-vertical strip inside, sign (-1)^k
     (strip directions swap when dual, giving the e_n product)."""
-    if n < 0:
-        raise ValueError("strip size must be nonnegative")
-    out_dir, in_dir = (VERTICAL, HORIZONTAL) if dual else (HORIZONTAL, VERTICAL)
     terms: dict[SkewShape, int] = {}
-    for k in range(n + 1):
-        sign = -1 if k % 2 else 1
-        for lam_plus in enumerate_outer_strips(s.outer, n - k, out_dir):
-            for mu_minus in enumerate_inner_strips(s.inner, k, in_dir):
-                shape = SkewShape(lam_plus, mu_minus)
-                terms[shape] = terms.get(shape, 0) + sign
+    for k, lam_plus, mu_minus in _strata(s, n, dual):
+        shape = SkewShape._trusted(lam_plus, mu_minus)
+        terms[shape] = terms.get(shape, 0) + (-1) ** k
     return SkewExpansion(terms)
 
 
@@ -317,13 +311,10 @@ def verify_skew_pieri(
                     failures.append(f"monomial-level mismatch at {base} * h_{n}")
             if m <= inv_outer and n <= inv_n:
                 involution_cases += 1
-                signed = 0
-                for k in range(n + 1):
-                    sign = -1 if k % 2 else 1
-                    for lam_plus in enumerate_outer_strips(base.outer, n - k, HORIZONTAL):
-                        for mu_minus in enumerate_inner_strips(base.inner, k, VERTICAL):
-                            stratum = SkewShape(lam_plus, mu_minus)
-                            signed += sign * len(enumerate_ssyt(stratum, max_entry))
+                signed = sum(
+                    (-1) ** k * len(enumerate_ssyt(SkewShape._trusted(lam_plus, mu_minus), max_entry))
+                    for k, lam_plus, mu_minus in _strata(base, n)
+                )
                 star_count = len(enumerate_ssyt(star(base, SkewShape.of((n,))), max_entry))
                 if signed != star_count:
                     failures.append(

@@ -199,28 +199,52 @@ def star(a: SkewShape, b: SkewShape) -> SkewShape:
     return SkewShape._trusted(Partition._trusted(outer), Partition._trusted(inner))
 
 
-def _strips_extending(base: Partition, n: int, direction: str) -> Iterator[tuple[int, ...]]:
-    if direction == HORIZONTAL:
-        max_rows = len(base) + 1
-    else:
-        max_rows = len(base) + n
+def _partitions_between(lo: tuple[int, ...], hi: tuple[int, ...], size: int) -> Iterator[Partition]:
+    """Every partition p of size with lo_i <= p_i <= hi_i in each row i and
+    no part beyond the rows of hi, in lexicographic order of parts. lo may
+    be shorter than hi; its missing rows are 0.
 
-    def rec(i: int, budget: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if i > max_rows:
-            if budget == 0:
-                yield acc
-            return
-        lo = base.part(i)
-        if direction == HORIZONTAL:
-            hi = lo + budget if i == 1 else min(base.part(i - 1), lo + budget)
+    Rows are filled bottom-up, each with its smallest value first, from an
+    explicit stack: parts[i] is row i's value and top[i] the largest it may
+    still take. A row's range is cut by what the rows above it can hold (the
+    suffix sums of lo and hi, and the part just placed times the rows left),
+    so a dead branch ends at the row where it appears.
+    """
+    rows = len(hi)
+    lo = (*lo, *(0,) * (rows - len(lo)))
+    lo_rest = [0] * (rows + 1)  # lo_rest[i]: the least rows i.. may hold
+    hi_rest = [0] * (rows + 1)  # hi_rest[i]: the most rows i.. may hold
+    for i in reversed(range(rows)):
+        lo_rest[i] = lo_rest[i + 1] + lo[i]
+        hi_rest[i] = hi_rest[i + 1] + hi[i]
+    if not lo_rest[0] <= size <= hi_rest[0]:
+        return
+    parts = [0] * rows
+    top = [0] * rows
+    left = [size] * (rows + 1)  # left[i]: the cells rows i.. must hold
+    i = 0
+    while True:
+        # Give rows i.. their smallest values until the rest must be empty,
+        # or stop at the first row left with no value.
+        while left[i]:
+            r = left[i]
+            v = max(lo[i], r - hi_rest[i + 1], -(-r // (rows - i)))
+            cap = min(hi[i], r - lo_rest[i + 1], parts[i - 1] if i else r)
+            if v > cap:
+                break
+            parts[i], top[i], left[i + 1] = v, cap, r - v
+            i += 1
         else:
-            hi = min(lo + 1, lo + budget)
-        if i > 1:
-            hi = min(hi, acc[-1])
-        for v in range(lo, hi + 1):
-            yield from rec(i + 1, budget - (v - lo), acc + (v,))
-
-    yield from rec(1, n, ())
+            yield Partition._trusted(tuple(parts[:i]))
+        # Back up to the last row that can still grow, and grow it by one.
+        i -= 1
+        while i >= 0 and parts[i] == top[i]:
+            i -= 1
+        if i < 0:
+            return
+        parts[i] += 1
+        left[i + 1] -= 1
+        i += 1
 
 
 def enumerate_outer_strips(base: Partition, n: int, direction: str) -> tuple[Partition, ...]:
@@ -232,8 +256,12 @@ def enumerate_outer_strips(base: Partition, n: int, direction: str) -> tuple[Par
         raise ValueError(f"unknown direction {direction!r}")
     if n < 0:
         raise ValueError("strip size must be nonnegative")
-    found = {Partition(parts) for parts in _strips_extending(base, n, direction)}
-    return tuple(sorted(found, key=lambda p: p.parts))
+    b = base.parts
+    if direction == HORIZONTAL:  # the parts interlace: p_1 >= b_1 >= p_2 >= b_2 ...
+        hi = (base.part(1) + n, *b)
+    else:  # b_i <= p_i <= b_i + 1, in at most n new rows
+        hi = (*(p + 1 for p in b), *(1,) * n)
+    return tuple(_partitions_between(b, hi, base.size + n))
 
 
 def enumerate_inner_strips(base: Partition, k: int, direction: str) -> tuple[Partition, ...]:
@@ -245,72 +273,43 @@ def enumerate_inner_strips(base: Partition, k: int, direction: str) -> tuple[Par
         raise ValueError(f"unknown direction {direction!r}")
     if k < 0:
         raise ValueError("strip size must be nonnegative")
+    b = base.parts
+    lo = b[1:] if direction == HORIZONTAL else tuple(p - 1 for p in b)
+    return tuple(_partitions_between(lo, b, base.size - k))
 
-    def rec(i: int, budget: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if i > len(base):
-            if budget == 0:
-                yield acc
+
+def _strata(base: SkewShape, n: int, dual: bool = False) -> Iterator[tuple[int, Partition, Partition]]:
+    """Every (k, lam_plus, mu_minus) with lam_plus/lam a strip of n - k cells
+    and mu/mu_minus a strip of k cells, for base = lam/mu: horizontal outside
+    and vertical inside, or the other way round when dual. k ascends, then
+    lam_plus and mu_minus each go in lexicographic order."""
+    if n < 0:
+        raise ValueError("strip size must be nonnegative")
+    out_dir, in_dir = (VERTICAL, HORIZONTAL) if dual else (HORIZONTAL, VERTICAL)
+    for k in range(n + 1):
+        inner = enumerate_inner_strips(base.inner, k, in_dir)
+        if not inner:  # mu holds no strip of k cells, so none of more cells
             return
-        hi = base.part(i)
-        lo = base.part(i + 1) if direction == HORIZONTAL else max(hi - 1, 0)
-        lo = max(lo, hi - budget)
-        if i > 1:
-            hi = min(hi, acc[-1])
-        for v in range(lo, hi + 1):
-            yield from rec(i + 1, budget - (base.part(i) - v), acc + (v,))
-
-    found = {Partition(parts) for parts in rec(1, k, ())}
-    return tuple(sorted(found, key=lambda p: p.parts))
+        for lam_plus in enumerate_outer_strips(base.outer, n - k, out_dir):
+            for mu_minus in inner:
+                yield k, lam_plus, mu_minus
 
 
 @lru_cache(maxsize=None)
 def partitions_of_size(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in lexicographic order of parts."""
-
-    def rec(budget: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if budget == 0:
-            yield ()
-            return
-        for first in range(min(cap, budget), 0, -1):
-            for rest in rec(budget - first, first):
-                yield (first,) + rest
-
-    return tuple(sorted((Partition(p) for p in rec(n, n)), key=lambda p: p.parts))
+    return tuple(_partitions_between((), (n,) * n, n))
 
 
 def subpartitions_of_size(p: Partition, size: int) -> tuple[Partition, ...]:
     """All partitions of the given size contained in p, lexicographic order."""
-
-    def rec(i: int, budget: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if i > len(p):
-            if budget == 0:
-                yield acc
-            return
-        hi = min(p.part(i), budget) if i == 1 else min(p.part(i), acc[-1], budget)
-        for v in range(hi + 1):
-            yield from rec(i + 1, budget - v, acc + (v,))
-
-    found = {Partition(parts) for parts in rec(1, size, ())}
-    return tuple(sorted(found, key=lambda q: q.parts))
+    return tuple(_partitions_between((), p.parts, size))
 
 
 def superpartitions(p: Partition, added: int) -> tuple[Partition, ...]:
     """All partitions containing p with exactly `added` extra cells."""
-
-    max_rows = len(p) + added
-
-    def rec(i: int, budget: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if i > max_rows:
-            if budget == 0:
-                yield acc
-            return
-        lo = p.part(i)
-        hi = lo + budget if i == 1 else min(acc[-1], lo + budget)
-        for v in range(lo, hi + 1):
-            yield from rec(i + 1, budget - (v - lo), acc + (v,))
-
-    found = {Partition(parts) for parts in rec(1, added, ())}
-    return tuple(sorted(found, key=lambda q: q.parts))
+    hi = (*(x + added for x in p.parts), *(added,) * added)
+    return tuple(_partitions_between(p.parts, hi, p.size + added))
 
 
 def skew_shapes_up_to(limit_outer: int) -> Iterator[SkewShape]:

@@ -102,24 +102,19 @@ def enumerate_ssyt(shape: SkewShape, max_entry: int) -> tuple[Tableau, ...]:
 
     Emitted in lexicographic order of the row-concatenated entry sequences.
     """
-    return tuple(_fillings(shape, SSYT, max_entry, None))
+    return tuple(_fillings(shape, SSYT, max_entry))
 
 
-def enumerate_fillings(
-    shape: SkewShape, kind: str, max_entry: int, content_cap: tuple[int, ...] | None = None
-) -> Iterator[Tableau]:
-    """Fillings of the given kind, optionally capped componentwise in content."""
-    return _fillings(shape, kind, max_entry, content_cap)
+def enumerate_fillings(shape: SkewShape, kind: str, max_entry: int) -> Iterator[Tableau]:
+    """Fillings of the given kind with entries in 1..max_entry."""
+    return _fillings(shape, kind, max_entry)
 
 
-def _fillings(
-    shape: SkewShape, kind: str, max_entry: int, cap: tuple[int, ...] | None
-) -> Iterator[Tableau]:
+def _fillings(shape: SkewShape, kind: str, max_entry: int) -> Iterator[Tableau]:
     if kind not in (SSYT, ASSYT):
         raise ValueError(f"unknown tableau kind {kind!r}")
     bounds = [shape.row_bounds(r) for r in range(1, shape.rows + 1)]
     rows: list[list[int]] = [[] for _ in bounds]
-    budget = list(cap) if cap is not None else None
 
     def entry_at(r: int, c: int) -> int | None:
         if not 1 <= r <= len(bounds):
@@ -152,17 +147,11 @@ def _fillings(
             return
         r, c = cells[i]
         for v in range(1, max_entry + 1):
-            if budget is not None and (v > len(budget) or budget[v - 1] == 0):
-                continue
             if not ok(r, c, v):
                 continue
             rows[r - 1].append(v)
-            if budget is not None:
-                budget[v - 1] -= 1
             yield from rec(i + 1)
             rows[r - 1].pop()
-            if budget is not None:
-                budget[v - 1] += 1
 
     return rec(0)
 

@@ -258,6 +258,11 @@ class TestTrace:
         assert step["landing_row"] == 0
 
 
+def _ones(k):
+    """The column partition 1^k as CLI text."""
+    return ",".join(["1"] * k)
+
+
 class TestErrors:
     def test_bad_shape_exits_2(self, capsys):
         assert run(["expand", "bogus/shape", "--h", "1"]) == 2
@@ -319,16 +324,47 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["expand", ",".join(["1"] * 1200), "--h", "1"],
             ["product", ",".join(["1"] * 600), "1"],
         ],
-        ids=["expand", "product"],
+        ids=["product"],
     )
     def test_too_tall_shape_exits_2(self, capsys, argv):
+        # The pair backtracker behind product still recurses per row.
         assert run(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: input too large: maximum recursion depth exceeded\n"
+
+    @pytest.mark.parametrize(
+        "shape,flags,terms",
+        [
+            (_ones(2000), [], [f"+ s[2,{_ones(2000)}]", f"+ s[3,{_ones(1999)}]"]),
+            (
+                _ones(2000),
+                ["--dual"],
+                [f"+ s[{_ones(2002)}]", f"+ s[2,{_ones(2000)}]", f"+ s[2,2,{_ones(1998)}]"],
+            ),
+            (
+                f"{_ones(2000)}/{_ones(1000)}",
+                [],
+                [
+                    f"+ s[{_ones(2000)}/{_ones(998)}]",
+                    f"- s[{_ones(2001)}/{_ones(999)}]",
+                    f"- s[2,{_ones(1999)}/{_ones(999)}]",
+                    f"+ s[2,{_ones(2000)}/{_ones(1000)}]",
+                    f"+ s[3,{_ones(1999)}/{_ones(1000)}]",
+                ],
+            ),
+        ],
+        ids=["column", "column-dual", "skew-column"],
+    )
+    def test_tall_shape_expands(self, capsys, shape, flags, terms):
+        # The strip enumerators loop over rows instead of recursing, so a tall
+        # shape has no recursion limit to hit.
+        assert run(["expand", shape, "--h", "2", *flags]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines() == terms
 
 
 def run_with_fresh_parser(argv):

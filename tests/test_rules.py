@@ -205,29 +205,33 @@ class TestSkewLR:
         assert target == (2, 2, 3, 3, 3, 1)
         minus_content = t_minus.content() + (0,) * (len(target) - len(t_minus.content()))
         remaining = tuple(t - c for t, c in zip(target, minus_content))
-        assert t_minus in list(
-            enumerate_fillings(t_minus.shape, ASSYT, len(target), content_cap=target)
-        )
-        assert t_plus in list(
-            enumerate_fillings(t_plus.shape, SSYT, len(target), content_cap=remaining)
-        )
+        assert t_minus in _capped_fillings(t_minus.shape, ASSYT, target)
+        assert t_plus in _capped_fillings(t_plus.shape, SSYT, remaining)
+
+
+def _capped_fillings(shape, kind, cap):
+    """The fillings of shape with entries in 1..len(cap) whose content is at
+    most cap, entry by entry."""
+    for t in enumerate_fillings(shape, kind, len(cap)):
+        if all(have <= most for have, most in zip(t.content(), cap)):
+            yield t
 
 
 def _reference_pairs(a, target, tau):
-    """Generate-then-filter: every content-matching pair built from capped
-    fillings of each stratum, kept when tau is None or its reverse reading
-    word is tau-Yamanouchi."""
+    """Generate-then-filter: every content-matching pair built from the
+    fillings of each stratum whose content fits within target, kept when tau
+    is None or its reverse reading word is tau-Yamanouchi."""
     lam, mu = a.outer, a.inner
     total = sum(target)
     for k in range(min(mu.size, total) + 1):
         sign = -1 if k % 2 else 1
         for mu_minus in subpartitions_of_size(mu, mu.size - k):
-            for t_minus in enumerate_fillings(SkewShape(mu, mu_minus), ASSYT, len(target), target):
+            for t_minus in _capped_fillings(SkewShape(mu, mu_minus), ASSYT, target):
                 used = t_minus.content() + (0,) * len(target)
                 remaining = tuple(c - u for c, u in zip(target, used))
                 for lam_plus in superpartitions(lam, total - k):
                     outer_shape = SkewShape(lam_plus, lam)
-                    for t_plus in enumerate_fillings(outer_shape, SSYT, len(target), remaining):
+                    for t_plus in _capped_fillings(outer_shape, SSYT, remaining):
                         word = reverse_reading_word(t_minus, t_plus)
                         if tau is None or is_yamanouchi(word, tau):
                             yield t_minus, t_plus, SkewShape(lam_plus, mu_minus), sign

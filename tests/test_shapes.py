@@ -11,6 +11,7 @@ from skewtab import (
     Partition,
     SkewShape,
     VERTICAL,
+    enumerate_contexts,
     enumerate_inner_strips,
     enumerate_outer_strips,
     format_partition,
@@ -18,12 +19,13 @@ from skewtab import (
     parse_partition,
     parse_shape,
     partitions_of_size,
+    skew_pieri,
     star,
     subpartitions_of_size,
     superpartitions,
 )
 
-from skewtab.shapes import skew_shapes_up_to
+from skewtab.shapes import _strata, skew_shapes_up_to
 
 from conftest import partitions, skew_shapes
 
@@ -210,6 +212,161 @@ class TestPartitionEnumeration:
         for q in superpartitions(p, added):
             assert q.contains(p)
             assert q.size == p.size + added
+
+
+# The recursive enumerators that _partitions_between replaced, and the strata
+# loop that _strata replaced, kept as the reference for values and order.
+
+
+def _old_strips_extending(base, n, direction):
+    max_rows = len(base) + 1 if direction == HORIZONTAL else len(base) + n
+
+    def rec(i, budget, acc):
+        if i > max_rows:
+            if budget == 0:
+                yield acc
+            return
+        lo = base.part(i)
+        if direction == HORIZONTAL:
+            hi = lo + budget if i == 1 else min(base.part(i - 1), lo + budget)
+        else:
+            hi = min(lo + 1, lo + budget)
+        if i > 1:
+            hi = min(hi, acc[-1])
+        for v in range(lo, hi + 1):
+            yield from rec(i + 1, budget - (v - lo), acc + (v,))
+
+    yield from rec(1, n, ())
+
+
+def _old_outer_strips(base, n, direction):
+    found = {Partition(parts) for parts in _old_strips_extending(base, n, direction)}
+    return tuple(sorted(found, key=lambda p: p.parts))
+
+
+def _old_inner_strips(base, k, direction):
+    def rec(i, budget, acc):
+        if i > len(base):
+            if budget == 0:
+                yield acc
+            return
+        hi = base.part(i)
+        lo = base.part(i + 1) if direction == HORIZONTAL else max(hi - 1, 0)
+        lo = max(lo, hi - budget)
+        if i > 1:
+            hi = min(hi, acc[-1])
+        for v in range(lo, hi + 1):
+            yield from rec(i + 1, budget - (base.part(i) - v), acc + (v,))
+
+    found = {Partition(parts) for parts in rec(1, k, ())}
+    return tuple(sorted(found, key=lambda p: p.parts))
+
+
+def _old_partitions_of_size(n):
+    def rec(budget, cap):
+        if budget == 0:
+            yield ()
+            return
+        for first in range(min(cap, budget), 0, -1):
+            for rest in rec(budget - first, first):
+                yield (first,) + rest
+
+    return tuple(sorted((Partition(p) for p in rec(n, n)), key=lambda p: p.parts))
+
+
+def _old_subpartitions_of_size(p, size):
+    def rec(i, budget, acc):
+        if i > len(p):
+            if budget == 0:
+                yield acc
+            return
+        hi = min(p.part(i), budget) if i == 1 else min(p.part(i), acc[-1], budget)
+        for v in range(hi + 1):
+            yield from rec(i + 1, budget - v, acc + (v,))
+
+    found = {Partition(parts) for parts in rec(1, size, ())}
+    return tuple(sorted(found, key=lambda q: q.parts))
+
+
+def _old_superpartitions(p, added):
+    max_rows = len(p) + added
+
+    def rec(i, budget, acc):
+        if i > max_rows:
+            if budget == 0:
+                yield acc
+            return
+        lo = p.part(i)
+        hi = lo + budget if i == 1 else min(acc[-1], lo + budget)
+        for v in range(lo, hi + 1):
+            yield from rec(i + 1, budget - (v - lo), acc + (v,))
+
+    found = {Partition(parts) for parts in rec(1, added, ())}
+    return tuple(sorted(found, key=lambda q: q.parts))
+
+
+def _old_strata(base, n, dual):
+    out_dir, in_dir = (VERTICAL, HORIZONTAL) if dual else (HORIZONTAL, VERTICAL)
+    for k in range(n + 1):
+        for lam_plus in _old_outer_strips(base.outer, n - k, out_dir):
+            for mu_minus in _old_inner_strips(base.inner, k, in_dir):
+                yield k, lam_plus, mu_minus
+
+
+SMALL_PARTITIONS = [p for m in range(9) for p in _old_partitions_of_size(m)]
+
+
+class TestAgainstRecursiveReference:
+    """Every public enumerator and _strata give the old recursive code's
+    tuples, order included, on every partition of size <= 8."""
+
+    def test_partitions_of_size(self):
+        for n in range(-2, 13):
+            assert partitions_of_size(n) == _old_partitions_of_size(n), n
+
+    @pytest.mark.parametrize("direction", [HORIZONTAL, VERTICAL])
+    def test_strips(self, direction):
+        for base in SMALL_PARTITIONS:
+            for n in range(6):
+                got = enumerate_outer_strips(base, n, direction)
+                assert got == _old_outer_strips(base, n, direction), (base, n)
+            for k in range(base.size + 3):
+                got = enumerate_inner_strips(base, k, direction)
+                assert got == _old_inner_strips(base, k, direction), (base, k)
+
+    def test_sub_and_superpartitions(self):
+        for p in SMALL_PARTITIONS:
+            for size in range(-2, p.size + 3):
+                assert subpartitions_of_size(p, size) == _old_subpartitions_of_size(p, size), (p, size)
+            for added in range(-2, 6):
+                assert superpartitions(p, added) == _old_superpartitions(p, added), (p, added)
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_strata(self, dual):
+        for base in skew_shapes_up_to(6):
+            for n in range(4):
+                assert list(_strata(base, n, dual)) == list(_old_strata(base, n, dual)), (base, n)
+
+    def test_negative_sizes_raise(self):
+        for call in (
+            lambda: enumerate_outer_strips(Partition((1,)), -1, HORIZONTAL),
+            lambda: enumerate_inner_strips(Partition((1,)), -1, VERTICAL),
+            lambda: next(_strata(SkewShape.of((1,)), -1)),
+            lambda: skew_pieri(SkewShape.of((1,)), -1),
+            lambda: next(enumerate_contexts(SkewShape.of((1,)), -1, 2)),
+        ):
+            with pytest.raises(ValueError, match="^strip size must be nonnegative$"):
+                call()
+
+    def test_tall_column(self):
+        column = Partition((1,) * 5000)
+        assert enumerate_outer_strips(column, 2, HORIZONTAL) == (
+            Partition((2,) + (1,) * 5000),
+            Partition((3,) + (1,) * 4999),
+        )
+        assert len(enumerate_inner_strips(column, 1, VERTICAL)) == 1
+        assert len(subpartitions_of_size(column, 4999)) == 1
+        assert superpartitions(column, 1) == (Partition((1,) * 5001), Partition((2,) + (1,) * 4999))
 
 
 class TestParseFormat:

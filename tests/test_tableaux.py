@@ -141,12 +141,6 @@ class TestEnumeration:
         assert len([t for t in enumerate_ssyt(SkewShape.of((2, 1)), 3) if t.content() == (1, 1, 1)]) == 2
         assert len([t for t in enumerate_ssyt(SkewShape.of((1, 1, 1)), 3) if t.content() == (1, 1, 1)]) == 1
 
-    def test_content_cap(self):
-        shape = SkewShape.of((2, 1))
-        capped = list(enumerate_fillings(shape, SSYT, 3, content_cap=(1, 1, 1)))
-        assert all(all(k <= 1 for k in t.content()) for t in capped)
-        assert len(capped) == 2  # the standard tableaux of shape (2,1)
-
     def test_empty_shape(self):
         shape = SkewShape.of((1, 1), (1, 1))
         assert list(enumerate_fillings(shape, SSYT, 2)) == [Tableau(shape, ((), ()))]
