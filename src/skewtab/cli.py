@@ -5,9 +5,9 @@ Output is deterministic: term lines are sorted lexicographically by shape
 and printed one per line, sign first. Exit status is 0 on success or a
 clean verification, 1 when a verification sweep reports failures, and 2 on
 usage errors (including unparseable shapes or tableaux, and inputs too large
-to compute). Only `product` and the filling backtrackers (`_fillings`,
-`lr_fillings`, `_signed_pairs`) still recurse, so a `product` factor of about
-500 rows is too large; `expand` takes a shape of any number of rows.
+to compute). Only the pair backtracker `_signed_pairs` still recurses, so a
+factor of about 500 rows is too large for the default `product` rule;
+`expand` and `product --rule schur` take shapes of any number of rows.
 
 `run` can be called any number of times in one process. It builds one
 argument parser on its first call and reuses it for every later request:
@@ -197,8 +197,8 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # The filling backtrackers recurse once per cell and the pair
-        # backtracker once or twice per row; the strip enumerators do not.
+        # The pair backtracker behind the default product rule recurses
+        # once or twice per row; no other engine recurses.
         print("error: input too large: maximum recursion depth exceeded", file=sys.stderr)
         return 2
 

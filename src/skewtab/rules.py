@@ -270,26 +270,22 @@ def skew_h_rho_product(a: SkewShape, rho: Partition) -> SkewExpansion:
     return _aggregate(_signed_pairs(a, rho.parts, None))
 
 
-def verify_skew_pieri(
-    limit_outer: int,
-    limit_n: int,
-    max_entry: int = 3,
-    monomial_limits: tuple[int, int] = (5, 2),
-    involution_limits: tuple[int, int] = (5, 2),
-) -> dict:
+# (|outer|, n) limits of verify_skew_pieri's monomial and involution checks.
+_MONOMIAL_LIMITS = (5, 2)
+_INVOLUTION_LIMITS = (5, 2)
+
+
+def verify_skew_pieri(limit_outer: int, limit_n: int, max_entry: int = 3) -> dict:
     """Sweep every skew shape with |outer| <= limit_outer and every n <=
     limit_n. Checks, per case: (i) the expansion equals the Schur-basis
-    product with h_n; (ii) within monomial_limits, monomial-level equality
-    in degree-many variables; (iii) within involution_limits, signed SSYT
+    product with h_n; (ii) within _MONOMIAL_LIMITS, monomial-level equality
+    in degree-many variables; (iii) within _INVOLUTION_LIMITS, signed SSYT
     counts at bounded entries cancel down to the star-shape count and the
     slide fixed points match it. Returns a JSON-ready report. A negative
     limit raises ValueError."""
-    mono_outer, mono_n = monomial_limits
-    inv_outer, inv_n = involution_limits
-    _require_nonnegative(
-        limit_outer=limit_outer, limit_n=limit_n, max_entry=max_entry,
-        monomial_outer=mono_outer, monomial_n=mono_n, involution_outer=inv_outer, involution_n=inv_n,
-    )
+    mono_outer, mono_n = _MONOMIAL_LIMITS
+    inv_outer, inv_n = _INVOLUTION_LIMITS
+    _require_nonnegative(limit_outer=limit_outer, limit_n=limit_n, max_entry=max_entry)
     failures: list[str] = []
     schur_cases = monomial_cases = involution_cases = 0
     for base in skew_shapes_up_to(limit_outer):
@@ -311,18 +307,16 @@ def verify_skew_pieri(
                     failures.append(f"monomial-level mismatch at {base} * h_{n}")
             if m <= inv_outer and n <= inv_n:
                 involution_cases += 1
-                signed = sum(
-                    (-1) ** k * len(enumerate_ssyt(SkewShape._trusted(lam_plus, mu_minus), max_entry))
-                    for k, lam_plus, mu_minus in _strata(base, n)
-                )
+                # A context's sign is (-1)^k, k = |mu| - |mu_minus|.
+                signed = fixed = 0
+                for ctx in enumerate_contexts(base, n, max_entry):
+                    signed += (-1) ** (base.inner.size - ctx.tableau.shape.inner.size)
+                    fixed += is_fixed_point(ctx)
                 star_count = len(enumerate_ssyt(star(base, SkewShape.of((n,))), max_entry))
                 if signed != star_count:
                     failures.append(
                         f"signed count {signed} != star count {star_count} at {base}, n={n}"
                     )
-                fixed = sum(
-                    1 for ctx in enumerate_contexts(base, n, max_entry) if is_fixed_point(ctx)
-                )
                 if fixed != star_count:
                     failures.append(
                         f"fixed points {fixed} != star count {star_count} at {base}, n={n}"
@@ -331,8 +325,8 @@ def verify_skew_pieri(
         "limit_outer": limit_outer,
         "limit_n": limit_n,
         "max_entry": max_entry,
-        "monomial_limits": list(monomial_limits),
-        "involution_limits": list(involution_limits),
+        "monomial_limits": list(_MONOMIAL_LIMITS),
+        "involution_limits": list(_INVOLUTION_LIMITS),
         "schur_cases": schur_cases,
         "monomial_cases": monomial_cases,
         "involution_cases": involution_cases,

@@ -9,15 +9,20 @@ skips those checks; the enumerators here and the slide code in `involution`
 use it for fillings they built valid by construction. Neither constructor
 checks semistandardness; `validate` does, by comparing each row with itself
 and with the row above it.
+
+`_fillings` and `lr_fillings` are two explicit-slot loops with no helper in
+common: `_fillings` feeds the monomial oracle and `lr_fillings` the LR route,
+and the checks that compare those routes rely on them sharing no code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import ge, gt, le, lt
 from typing import Iterator
 
-from .shapes import Cell, ParseError, Partition, SkewShape, parse_shape
+from .shapes import ParseError, Partition, SkewShape, parse_shape
 
 SSYT = "ssyt"
 ASSYT = "assyt"
@@ -107,53 +112,49 @@ def enumerate_ssyt(shape: SkewShape, max_entry: int) -> tuple[Tableau, ...]:
 
 def enumerate_fillings(shape: SkewShape, kind: str, max_entry: int) -> Iterator[Tableau]:
     """Fillings of the given kind with entries in 1..max_entry."""
+    if kind not in (SSYT, ASSYT):
+        raise ValueError(f"unknown tableau kind {kind!r}")
     return _fillings(shape, kind, max_entry)
 
 
 def _fillings(shape: SkewShape, kind: str, max_entry: int) -> Iterator[Tableau]:
-    if kind not in (SSYT, ASSYT):
-        raise ValueError(f"unknown tableau kind {kind!r}")
-    bounds = [shape.row_bounds(r) for r in range(1, shape.rows + 1)]
-    rows: list[list[int]] = [[] for _ in bounds]
-
-    def entry_at(r: int, c: int) -> int | None:
-        if not 1 <= r <= len(bounds):
-            return None
-        lo, hi = bounds[r - 1]
-        if not (lo < c <= hi) or c - lo > len(rows[r - 1]):
-            return None
-        return rows[r - 1][c - lo - 1]
-
-    def ok(r: int, c: int, v: int) -> bool:
-        left = entry_at(r, c - 1)
-        below = entry_at(r - 1, c)
-        if kind == SSYT:
-            if left is not None and not left <= v:
-                return False
-            if below is not None and not below < v:
-                return False
-        else:
-            if left is not None and not left > v:
-                return False
-            if below is not None and not below >= v:
-                return False
-        return True
-
+    """Cells go row by row from row 1, left to right, each smallest value
+    first, so fillings come in lexicographic order of their rows. left[i]
+    and below[i] are the slots of cell i's neighbours, or the sentinel slot
+    n, whose value bounds nothing. A cell's values form one range, so a
+    placed cell grows by one until it reaches top[i].
+    """
+    ssyt = kind == SSYT
     cells = shape.cells()
-
-    def rec(i: int) -> Iterator[Tableau]:
-        if i == len(cells):
-            yield Tableau._trusted(shape, tuple(tuple(row) for row in rows))
+    n = len(cells)
+    slot = {cell: i for i, cell in enumerate(cells)}
+    left = [slot.get((r, c - 1), n) for r, c in cells]
+    below = [slot.get((r - 1, c), n) for r, c in cells]
+    widths = [hi - lo for lo, hi in map(shape.row_bounds, range(1, shape.rows + 1))]
+    spans = [(end - w, end) for w, end in zip(widths, accumulate(widths))]
+    vals = [0] * n + [0 if ssyt else max_entry + 1]
+    top = [0] * n
+    i = 0
+    while True:
+        # Give cells i.. their smallest values, or stop at the first cell
+        # left with no value.
+        while i < n:
+            a, b = vals[left[i]], vals[below[i]]
+            v, cap = (max(a, b + 1), max_entry) if ssyt else (1, min(a - 1, b))
+            if v > cap:
+                break
+            vals[i], top[i] = v, cap
+            i += 1
+        else:
+            yield Tableau._trusted(shape, tuple(tuple(vals[s:e]) for s, e in spans))
+        # Back up to the last cell that can still grow, and grow it by one.
+        i -= 1
+        while i >= 0 and vals[i] == top[i]:
+            i -= 1
+        if i < 0:
             return
-        r, c = cells[i]
-        for v in range(1, max_entry + 1):
-            if not ok(r, c, v):
-                continue
-            rows[r - 1].append(v)
-            yield from rec(i + 1)
-            rows[r - 1].pop()
-
-    return rec(0)
+        vals[i] += 1
+        i += 1
 
 
 def reading_word(t: Tableau) -> tuple[int, ...]:
@@ -199,41 +200,44 @@ def lr_fillings(shape: SkewShape) -> Iterator[Tableau]:
 
     Cells are filled in reading-word order (row 1 right-to-left, then row 2,
     ...), so the Yamanouchi condition prunes each placement immediately.
+    Cell i in row r takes a value in below + 1 .. min(right, r), skipping any
+    that would outnumber its predecessor in the word so far. right[i] and
+    below[i] are the slots of its neighbours, or sentinel slots holding
+    shape.rows (no right) and 0 (no below).
     """
-    bounds = [shape.row_bounds(r) for r in range(1, shape.rows + 1)]
-    rows: list[list[int]] = [[] for _ in bounds]
-    counts = [0] * (shape.size + 1)
-    order: list[Cell] = []
-    for r in range(1, shape.rows + 1):
-        lo, hi = bounds[r - 1]
-        order.extend(Cell(r, c) for c in range(hi, lo, -1))
-
-    def entry_of(r: int, c: int) -> int | None:
-        lo, hi = bounds[r - 1] if 1 <= r <= len(bounds) else (0, 0)
-        idx = hi - c
-        if not (lo < c <= hi) or idx >= len(rows[r - 1]):
-            return None
-        return rows[r - 1][idx]
-
-    def rec(i: int) -> Iterator[Tableau]:
-        if i == len(order):
-            yield Tableau._trusted(shape, tuple(tuple(reversed(row)) for row in rows))
-            return
-        r, c = order[i]
-        right = entry_of(r, c + 1)
-        below = entry_of(r - 1, c) if r > 1 else None
-        lo_v = 1 if below is None else below + 1
-        hi_v = shape.size if right is None else right
-        for v in range(lo_v, hi_v + 1):
-            if v > 1 and counts[v] + 1 > counts[v - 1]:
-                continue
+    bounds = list(map(shape.row_bounds, range(1, shape.rows + 1)))
+    order = [(r, c) for r, (lo, hi) in enumerate(bounds, start=1) for c in range(hi, lo, -1)]
+    n = len(order)
+    slot = {cell: i for i, cell in enumerate(order)}
+    right = [slot.get((r, c + 1), n + 1) for r, c in order]
+    below = [slot.get((r - 1, c), n) for r, c in order]
+    widths = [hi - lo for lo, hi in bounds]
+    spans = [(end - w, end) for w, end in zip(widths, accumulate(widths))]
+    vals = [0] * n + [0, shape.rows]
+    counts = [n + 1] + [0] * shape.rows  # counts[0] outnumbers any count: 1 is never skipped
+    i = v = 0
+    while True:
+        # Give cells i.. their smallest admissible values, from v on for cell
+        # i, or stop at the first cell left with none.
+        while i < n:
+            v = max(v, vals[below[i]] + 1)
+            cap = min(vals[right[i]], order[i][0])
+            while v <= cap and counts[v] >= counts[v - 1]:
+                v += 1
+            if v > cap:
+                break
+            vals[i] = v
             counts[v] += 1
-            rows[r - 1].append(v)
-            yield from rec(i + 1)
-            rows[r - 1].pop()
-            counts[v] -= 1
-
-    return rec(0)
+            i, v = i + 1, 0
+        else:
+            yield Tableau._trusted(shape, tuple(tuple(vals[s:e][::-1]) for s, e in spans))
+        # Take back the last placed value and resume that cell past it.
+        i -= 1
+        if i < 0:
+            return
+        v = vals[i]
+        counts[v] -= 1
+        v += 1
 
 
 def format_tableau(t: Tableau) -> str:

@@ -137,7 +137,7 @@ def test_criterion_05_involution_suite():
 
 
 def test_criterion_06_expansion_equals_product():
-    report = verify_skew_pieri(6, 3, max_entry=3, monomial_limits=(5, 2), involution_limits=(5, 2))
+    report = verify_skew_pieri(6, 3, max_entry=3)
     assert report["failures"] == []
     assert report["schur_cases"] == 690
     assert report["monomial_cases"] == 220

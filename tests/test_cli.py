@@ -329,7 +329,8 @@ class TestErrors:
         ids=["product"],
     )
     def test_too_tall_shape_exits_2(self, capsys, argv):
-        # The pair backtracker behind product still recurses per row.
+        # Only the pair backtracker behind the default product rule,
+        # rules._signed_pairs, still recurses, once or twice per row.
         assert run(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -365,6 +366,15 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert err == ""
         assert out.splitlines() == terms
+
+
+    def test_tall_schur_product(self, capsys):
+        # The LR filling loop behind --rule schur keeps no call per cell, so
+        # the product of a column with h_2 prints expand's two lines.
+        assert run(["product", _ones(2000), "2", "--rule", "schur"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines() == [f"+ s[2,{_ones(2000)}]", f"+ s[3,{_ones(1999)}]"]
 
 
 def run_with_fresh_parser(argv):

@@ -304,7 +304,7 @@ class TestHRho:
 
 class TestVerifiers:
     def test_skew_pieri_report(self):
-        rep = verify_skew_pieri(3, 2, max_entry=3, monomial_limits=(3, 2), involution_limits=(3, 2))
+        rep = verify_skew_pieri(3, 2, max_entry=3)
         assert rep["failures"] == []
         assert rep["schur_cases"] > 0
         assert rep["monomial_cases"] > 0

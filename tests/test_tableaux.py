@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -19,9 +20,10 @@ from skewtab import (
     parse_tableau,
     reading_word,
     reverse_reading_word,
+    star,
     validate,
 )
-from skewtab.shapes import ParseError, skew_shapes_up_to
+from skewtab.shapes import Cell, ParseError, partitions_of_size, skew_shapes_up_to
 
 from conftest import skew_shapes, validate_by_cells
 
@@ -53,6 +55,89 @@ def _brute_fillings(shape, kind, max_entry):
             )
             found.append(Tableau(shape, rows))
     return found
+
+
+def _recursive_fillings(shape, kind, max_entry):
+    """Reference: the per-cell recursive backtracker the slot loop replaced."""
+    bounds = [shape.row_bounds(r) for r in range(1, shape.rows + 1)]
+    rows = [[] for _ in bounds]
+
+    def entry_at(r, c):
+        if not 1 <= r <= len(bounds):
+            return None
+        lo, hi = bounds[r - 1]
+        if not (lo < c <= hi) or c - lo > len(rows[r - 1]):
+            return None
+        return rows[r - 1][c - lo - 1]
+
+    def ok(r, c, v):
+        left = entry_at(r, c - 1)
+        below = entry_at(r - 1, c)
+        if kind == SSYT:
+            if left is not None and not left <= v:
+                return False
+            if below is not None and not below < v:
+                return False
+        else:
+            if left is not None and not left > v:
+                return False
+            if below is not None and not below >= v:
+                return False
+        return True
+
+    cells = shape.cells()
+
+    def rec(i):
+        if i == len(cells):
+            yield Tableau(shape, tuple(tuple(row) for row in rows))
+            return
+        r, c = cells[i]
+        for v in range(1, max_entry + 1):
+            if not ok(r, c, v):
+                continue
+            rows[r - 1].append(v)
+            yield from rec(i + 1)
+            rows[r - 1].pop()
+
+    return rec(0)
+
+
+def _recursive_lr_fillings(shape):
+    """Reference: the per-cell recursive LR backtracker the slot loop replaced."""
+    bounds = [shape.row_bounds(r) for r in range(1, shape.rows + 1)]
+    rows = [[] for _ in bounds]
+    counts = [0] * (shape.size + 1)
+    order = []
+    for r in range(1, shape.rows + 1):
+        lo, hi = bounds[r - 1]
+        order.extend(Cell(r, c) for c in range(hi, lo, -1))
+
+    def entry_of(r, c):
+        lo, hi = bounds[r - 1] if 1 <= r <= len(bounds) else (0, 0)
+        idx = hi - c
+        if not (lo < c <= hi) or idx >= len(rows[r - 1]):
+            return None
+        return rows[r - 1][idx]
+
+    def rec(i):
+        if i == len(order):
+            yield Tableau(shape, tuple(tuple(reversed(row)) for row in rows))
+            return
+        r, c = order[i]
+        right = entry_of(r, c + 1)
+        below = entry_of(r - 1, c) if r > 1 else None
+        lo_v = 1 if below is None else below + 1
+        hi_v = shape.size if right is None else right
+        for v in range(lo_v, hi_v + 1):
+            if v > 1 and counts[v] + 1 > counts[v - 1]:
+                continue
+            counts[v] += 1
+            rows[r - 1].append(v)
+            yield from rec(i + 1)
+            rows[r - 1].pop()
+            counts[v] -= 1
+
+    return rec(0)
 
 
 class TestTableau:
@@ -152,6 +237,38 @@ class TestEnumeration:
         for t in have:
             assert validate(t, SSYT)
             assert all(x <= m for row in t.rows for x in row)
+
+
+class TestSlotLoops:
+    """The explicit-slot enumerators against the recursive ones they replaced."""
+
+    @pytest.mark.parametrize("kind", [SSYT, ASSYT])
+    def test_fillings_match_recursive_reference(self, kind):
+        for shape in skew_shapes_up_to(7):
+            for m in range(4):
+                want = list(_recursive_fillings(shape, kind, m))
+                assert list(enumerate_fillings(shape, kind, m)) == want, (shape, m)
+
+    def test_lr_fillings_match_recursive_reference(self):
+        for shape in skew_shapes_up_to(8):
+            assert Counter(lr_fillings(shape)) == Counter(_recursive_lr_fillings(shape)), shape
+
+    def test_star_lr_fillings_match_recursive_reference(self):
+        for size in range(9):
+            for size_mu in range(size + 1):
+                for mu in partitions_of_size(size_mu):
+                    for nu in partitions_of_size(size - size_mu):
+                        shape = star(SkewShape(mu), SkewShape(nu))
+                        assert Counter(lr_fillings(shape)) == Counter(_recursive_lr_fillings(shape))
+
+    def test_unknown_kind_raises_at_call(self):
+        with pytest.raises(ValueError, match="unknown tableau kind 'bad'"):
+            enumerate_fillings(SkewShape.of((2, 1)), "bad", 2)
+
+    def test_long_row_has_no_depth_limit(self):
+        # 2 000 cells, far past the interpreter's recursion limit.
+        shape = SkewShape.of((2000,))
+        assert enumerate_ssyt(shape, 1) == (Tableau(shape, ((1,) * 2000,)),)
 
 
 class TestWords:
