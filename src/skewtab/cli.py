@@ -5,9 +5,8 @@ Output is deterministic: term lines are sorted lexicographically by shape
 and printed one per line, sign first. Exit status is 0 on success or a
 clean verification, 1 when a verification sweep reports failures, and 2 on
 usage errors (including unparseable shapes or tableaux, and inputs too large
-to compute). Only the pair backtracker `_signed_pairs` still recurses, so a
-factor of about 500 rows is too large for the default `product` rule;
-`expand` and `product --rule schur` take shapes of any number of rows.
+to compute). No engine recurses, so every command takes shapes of any number
+of rows.
 
 `run` can be called any number of times in one process. It builds one
 argument parser on its first call and reuses it for every later request:
@@ -197,8 +196,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # The pair backtracker behind the default product rule recurses
-        # once or twice per row; no other engine recurses.
+        # A backstop: no engine recurses, so no input is known to reach it.
         print("error: input too large: maximum recursion depth exceeded", file=sys.stderr)
         return 2
 

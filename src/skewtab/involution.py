@@ -16,7 +16,8 @@ uses it for the contexts it builds valid by construction. Slides build their
 tableaux from scratch lists with the trusted `insertion._freeze`; only when
 a check fails, and for the states a trace records, are they rebuilt through
 the public constructors, so a slide applied off its domain fails with the
-same error as when every state was built through them.
+same error as when every state was built through them, or, for an upward
+slide about to move a cell that is no inside corner, with `NoUpwardPath`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from .tableaux import SSYT, Tableau, enumerate_ssyt, validate
 
 
 class NoUpwardPath(ValueError):
-    """Upward slide requested but the inner strip is empty."""
+    """Upward slide requested but the inner strip is empty, or the slide would
+    move a cell that is no inside corner (phi slides such a context down)."""
 
 
 class NotFixedPoint(ValueError):
@@ -246,7 +248,8 @@ def downward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> S
 def upward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> SlideContext:
     """Reverse-insert outer strip cells while their paths stay weakly right of
     the upward path (fixed from the input), internally insert the inner
-    strip's bottom entry, then re-insert the exited entries."""
+    strip's bottom entry, then re-insert the exited entries. Raises
+    NoUpwardPath if that entry's cell is then no inside corner."""
     up_rec = upward_path(ctx)
     if up_rec is None:
         raise NoUpwardPath(f"inner strip of {ctx.base} is already empty")
@@ -266,7 +269,10 @@ def upward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> Sli
             break
         exited.append(final)
 
-    rec = _internal_from_bottom(scratch, up_rec.landing_row)
+    r, inner = up_rec.landing_row, scratch[1]
+    if r > 1 and inner[r - 2] <= inner[r - 1]:  # row r's first cell has a cell below it
+        raise NoUpwardPath(f"upward slide does not apply: row {r} has no inside corner")
+    rec = _internal_from_bottom(scratch, r)
     if steps is not None:
         steps.append(SlideStep("internal", rec, _snap(scratch)))
     _reinsert_exited(scratch, exited, steps)
@@ -293,12 +299,10 @@ def fixed_point_to_star(ctx: SlideContext) -> Tableau:
     """Send a fixed point to the SSYT on star(base, (n)) whose new bottom row
     holds the exited entries in weakly increasing order and whose upper rows
     are the residual tableau."""
-    if not is_fixed_point(ctx):
-        raise NotFixedPoint(f"phi moves this context (base {ctx.base})")
     scratch = _thaw(ctx.tableau)
     exited, landed = _reverse_outer_strip(ctx, scratch)
-    if landed is not None:
-        raise NotFixedPoint("a reverse insertion landed inside the shape")
+    if ctx.inner_strip.size or landed is not None:  # not is_fixed_point(ctx)
+        raise NotFixedPoint(f"phi moves this context (base {ctx.base})")
     residual = _freeze(*scratch)
     strip_row = tuple(reversed(exited))
     if not strip_row:

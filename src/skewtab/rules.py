@@ -73,10 +73,11 @@ def skew_pieri(s: SkewShape, n: int, dual: bool = False) -> SkewExpansion:
 
 def skew_pieri_linear(x: SkewExpansion, n: int, dual: bool = False) -> SkewExpansion:
     """skew_pieri extended linearly over a signed sum of skew shapes."""
-    out = SkewExpansion()
+    terms: dict[SkewShape, int] = {}
     for s, c in x.terms.items():
-        out = out + skew_pieri(s, n, dual) * c
-    return out
+        for shape, d in skew_pieri(s, n, dual).terms.items():
+            terms[shape] = terms.get(shape, 0) + c * d
+    return SkewExpansion(terms)
 
 
 def iterated_skew_pieri(a: SkewShape, rho: Partition, dual: bool = False) -> SkewExpansion:
@@ -94,6 +95,9 @@ def _difference(b: SkewShape) -> tuple[int, ...]:
     return tuple(sigma.part(i) - tau.part(i) for i in range(1, len(sigma) + 1))
 
 
+_COLUMN, _MINUS, _ROW, _PLUS = range(4)  # _signed_pairs' decisions; odd kinds place an entry
+
+
 def _signed_pairs(a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | None):
     """All pairs (T-, T+) for the factor a = lam/mu: T- anti-semistandard on
     mu/mu_minus, T+ semistandard on lam_plus/lam, combined content exactly
@@ -103,17 +107,15 @@ def _signed_pairs(a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | 
     mu_minus, sign): the entry rows of T- and T+, bottom row first, the parts
     of lam_plus and mu_minus, and the sign (-1)^(cells removed).
 
-    One backtracker fills the cells in reverse reading word order and picks
-    the two shapes as it goes: T- column by column, rightmost column first
-    and bottom to top within a column (choosing first how much of the column
-    of mu stays in mu_minus), then T+ row by row, bottom row first and right
-    to left within a row (choosing first the length of that row of
-    lam_plus). The neighbours that bound a cell, to its right and below it,
-    are then already placed. Each placement must fit what target has left
-    of its entry and keep the word so far tau-Yamanouchi, so a dead prefix
-    is cut as soon as it appears and only admissible pairs are built. Pairs
-    come out in this fill order: the shortest column of mu_minus, the
-    shortest row of lam_plus and the smallest entry first at each step."""
+    One explicit-slot loop, with no call per row or cell, fills the cells in
+    reverse reading word order: T- column by column, rightmost first and
+    bottom to top, then T+ row by row, bottom first and right to left, so a
+    cell's right and lower neighbours come first. Each level of its stack is
+    one decision (a column height of mu_minus, a T- cell, a row length of
+    lam_plus, a T+ cell): kind, row, column, value, least value and cap. A
+    placement must fit what target has left of its entry and keep the word
+    tau-Yamanouchi, so only admissible pairs are built. Pairs come out in
+    this fill order, the smallest value first at each decision."""
     lam, mu = a.outer.parts, a.inner.parts
     m = len(target)
     total = sum(target)
@@ -125,83 +127,79 @@ def _signed_pairs(a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | 
     counts = [total + sum(tau) + 1, *tau, *(0,) * (m - len(tau))]
     mu_cols = [0, *a.inner.conjugate().parts, 0]  # column heights of mu, 1-indexed
     heights = [0] * len(mu_cols)  # heights[c]: height of column c of mu_minus
-    minus_grid = [[0] * p for p in mu]
-    minus = ()  # (minus_rows, mu_minus, sign) of the finished T-
-    # The rows of T+ so far, each as long as its row of lam_plus; cells of lam
-    # hold 0, so they bound nothing above them.
-    plus_rows: list[list[int]] = []
+    minus_grid = [[0] * (p + 1) for p in mu]  # the 0 past each row bounds nothing
+    # plus_rows[r]: row r of T+ once placed, as long as its row of lam_plus,
+    # cells of lam holding 0; row 0 is all 0, as wide as row 1 may grow.
     lam_at = (*lam, *(0,) * (total + 1))
-
-    def place(x: int) -> bool:
-        if not budget[x] or counts[x] >= counts[x - 1]:
-            return False
-        budget[x] -= 1
-        counts[x] += 1
-        return True
-
-    def unplace(x: int) -> None:
-        budget[x] += 1
-        counts[x] -= 1
-
-    def minus_column(c: int, k: int):
-        # Choose the height of column c of mu_minus, then fill the cells above.
-        nonlocal minus
-        if c == 0:
-            inner = [sum(h >= r for h in heights) for r in range(1, len(mu) + 1)]
-            minus_rows = tuple(tuple(row[i:]) for row, i in zip(minus_grid, inner))
-            minus = (minus_rows, tuple(i for i in inner if i), -1 if k % 2 else 1)
-            yield from plus_row(1, lam_at[0] + total, total - k)
-            return
-        top = mu_cols[c]
-        for h in range(max(heights[c + 1], top - (total - k)), top + 1):
-            heights[c] = h
-            yield from minus_cell(c, h + 1, k)
-
-    def minus_cell(c: int, r: int, k: int):
-        # Cell (r, c) of T-: above its right neighbour, at most the cell below.
-        if r > mu_cols[c]:
-            yield from minus_column(c - 1, k)
-            return
-        row = minus_grid[r - 1]
-        right = row[c] if c < len(row) else 0
-        below = minus_grid[r - 2][c - 1] if r - 1 > heights[c] else m
-        for x in range(right + 1, below + 1):
-            if place(x):
-                row[c - 1] = x
-                yield from minus_cell(c, r + 1, k + 1)
-                unplace(x)
-
-    def plus_row(r: int, widest: int, left: int):
-        # Choose the length of row r of lam_plus, then fill its new cells.
-        if not left:
-            minus_rows, mu_minus, sign = minus
-            rows = tuple(tuple(row[base:]) for row, base in zip(plus_rows, lam_at))
+    plus_rows = [[0] * (lam_at[0] + total)]
+    left = total  # entries still to place
+    levels: list[list[int]] = []  # [kind, r, c, value, least, cap] per decision
+    kind, r, c = _COLUMN, 0, len(mu_cols) - 2
+    while True:
+        # The decision after (kind, r, c): a filled column passes to the one
+        # on its left, a finished T- to row 1 of T+, a finished row of T+ to
+        # the row above, and a finished T+ to a pair.
+        if kind == _MINUS and r > mu_cols[c]:
+            kind, c = _COLUMN, c - 1
+        if kind == _COLUMN and not c:
+            inner = [sum(h >= i for h in heights) for i in range(1, len(mu) + 1)]
+            minus_rows = tuple(tuple(row[i:-1]) for row, i in zip(minus_grid, inner))
+            mu_minus, sign = tuple(i for i in inner if i), -1 if (total - left) % 2 else 1
+            kind, r = _ROW, 1
+        elif kind == _PLUS and c == lam_at[r - 1]:
+            kind, r = _ROW, r + 1
+        if kind == _ROW and not left:
+            rows = tuple(tuple(row[base:]) for row, base in zip(plus_rows[1:r], lam_at))
             rows += ((),) * (len(lam) - len(rows))
-            lam_plus = tuple(map(len, plus_rows)) + lam[len(plus_rows):]
+            lam_plus = tuple(map(len, plus_rows[1:r])) + lam[r - 1:]
             yield minus_rows, rows, lam_plus, mu_minus, sign
+        else:  # open the decision at its least value less one
+            if kind == _COLUMN:
+                least, cap = max(heights[c + 1], mu_cols[c] - left), mu_cols[c]
+            elif kind == _MINUS:  # above its right neighbour, at most the cell below
+                least = minus_grid[r - 1][c] + 1
+                cap = minus_grid[r - 2][c - 1] if r - 1 > heights[c] else m
+            elif kind == _ROW:  # rows above lam are not empty, nor wider than the one below
+                base = lam_at[r - 1]
+                least, cap = max(base, 1), min(base + left, len(plus_rows[r - 1]))
+            else:  # at most its right neighbour, above the cell below
+                row = plus_rows[r]
+                least, cap = plus_rows[r - 1][c - 1] + 1, row[c] if c < len(row) else m
+            levels.append([kind, r, c, least - 1, least, cap])
+        # Grow the last decision: take back its entry, move it to its next
+        # admissible value, and drop the decisions that have none left.
+        while levels:
+            level = levels[-1]
+            kind, r, c, v, least, cap = level
+            if kind & 1 and v >= least:
+                budget[v] += 1
+                counts[v] -= 1
+                left += 1
+            v += 1
+            while kind & 1 and v <= cap and (not budget[v] or counts[v] >= counts[v - 1]):
+                v += 1
+            if v <= cap:
+                break
+            levels.pop()
+        else:
             return
-        base = lam_at[r - 1]
-        # A row above lam left empty would leave every later row empty too.
-        for width in range(max(base, 1), min(widest, base + left) + 1):
-            plus_rows.append([0] * width)
-            yield from plus_cell(r, width, base, left)
-            plus_rows.pop()
-
-    def plus_cell(r: int, c: int, base: int, left: int):
-        # Cell (r, c) of T+: at most its right neighbour, above the cell below.
-        row = plus_rows[-1]
-        if c == base:
-            yield from plus_row(r + 1, len(row), left)
-            return
-        right = row[c] if c < len(row) else m
-        below = plus_rows[-2][c - 1] if r > 1 else 0
-        for x in range(below + 1, right + 1):
-            if place(x):
-                row[c - 1] = x
-                yield from plus_cell(r, c - 1, base, left - 1)
-                unplace(x)
-
-    return minus_column(len(mu_cols) - 2, 0)
+        level[3] = v
+        if kind & 1:
+            budget[v] -= 1
+            counts[v] += 1
+            left -= 1
+        if kind == _COLUMN:
+            heights[c] = v
+            kind, r = _MINUS, v + 1
+        elif kind == _MINUS:
+            minus_grid[r - 1][c - 1] = v
+            r += 1
+        elif kind == _ROW:
+            plus_rows[r:] = [[0] * v]
+            kind, c = _PLUS, v
+        else:
+            plus_rows[r][c - 1] = v
+            c -= 1
 
 
 def skew_lr_pairs(a: SkewShape, b: SkewShape):
@@ -222,14 +220,13 @@ def skew_lr_pairs(a: SkewShape, b: SkewShape):
 
 
 def _aggregate(pairs) -> SkewExpansion:
-    """Sum the signs of raw pairs sharing a shape lam_plus/mu_minus."""
+    """Sum the signs of raw pairs sharing a shape lam_plus/mu_minus, whose
+    parts _signed_pairs built valid."""
     terms: dict[tuple, int] = {}
     for _, _, lam_plus, mu_minus, sign in pairs:
-        key = (lam_plus, mu_minus)
-        terms[key] = terms.get(key, 0) + sign
-    return SkewExpansion(
-        {SkewShape(Partition(outer), Partition(inner)): c for (outer, inner), c in terms.items()}
-    )
+        terms[lam_plus, mu_minus] = terms.get((lam_plus, mu_minus), 0) + sign
+    part = Partition._trusted
+    return SkewExpansion({SkewShape._trusted(part(o), part(i)): c for (o, i), c in terms.items()})
 
 
 def skew_lr_product(a: SkewShape, b: SkewShape) -> SkewExpansion:

@@ -296,7 +296,8 @@ class TestErrors:
 
     def test_slide_off_its_domain_exits_2(self, capsys):
         assert run(["trace", "slide", "1,1/1,1", "1,1,1/1: [][1][2]", "--op", "U"]) == 2
-        assert capsys.readouterr().err == "error: parts not weakly decreasing: (0, 1)\n"
+        err = capsys.readouterr().err
+        assert err == "error: upward slide does not apply: row 2 has no inside corner\n"
 
     def test_unknown_flag_exits_2(self, capsys):
         assert run(["expand", "2,1", "--h", "1", "--frobnicate"]) == 2
@@ -320,21 +321,6 @@ class TestErrors:
     def test_term_lines_rejects_other_types(self):
         with pytest.raises(TypeError):
             term_lines(42)
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["product", ",".join(["1"] * 600), "1"],
-        ],
-        ids=["product"],
-    )
-    def test_too_tall_shape_exits_2(self, capsys, argv):
-        # Only the pair backtracker behind the default product rule,
-        # rules._signed_pairs, still recurses, once or twice per row.
-        assert run(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: input too large: maximum recursion depth exceeded\n"
 
     @pytest.mark.parametrize(
         "shape,flags,terms",
@@ -369,12 +355,19 @@ class TestErrors:
 
 
     def test_tall_schur_product(self, capsys):
-        # The LR filling loop behind --rule schur keeps no call per cell, so
+        # Neither the LR filling loop behind --rule schur nor the pair loop
+        # behind the default rule keeps a call per cell, so under both rules
         # the product of a column with h_2 prints expand's two lines.
-        assert run(["product", _ones(2000), "2", "--rule", "schur"]) == 0
+        for rule in ([], ["--rule", "schur"]):
+            assert run(["product", _ones(2000), "2", *rule]) == 0, rule
+            out, err = capsys.readouterr()
+            assert err == ""
+            assert out.splitlines() == [f"+ s[2,{_ones(2000)}]", f"+ s[3,{_ones(1999)}]"]
+        # The factor that once hit the recursion limit.
+        assert run(["product", _ones(600), "1"]) == 0
         out, err = capsys.readouterr()
         assert err == ""
-        assert out.splitlines() == [f"+ s[2,{_ones(2000)}]", f"+ s[3,{_ones(1999)}]"]
+        assert out.splitlines() == [f"+ s[{_ones(601)}]", f"+ s[2,{_ones(599)}]"]
 
 
 def run_with_fresh_parser(argv):

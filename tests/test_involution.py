@@ -189,24 +189,17 @@ class TestTrustedConstruction:
             SlideContext(parse_shape(base), parse_tableau(tableau))
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize(
-        "tableau, final_error, step_error",
-        [
-            # Sliding up empties row 2 below a nonempty row 3, which is no
-            # skew shape; a trace meets that state at its last step.
-            ("1,1,1/1: [][1][2]", "(0, 1)", "(0, 1)"),
-            # A trace meets a bad state at its first step, before the final
-            # state goes wrong another way.
-            ("2,1,1/1: [1][2][3]", "(1, 2, 1)", "(0, 1)"),
-        ],
-    )
-    def test_slide_off_its_domain_fails_as_before(self, tableau, final_error, step_error):
-        # phi slides these contexts down, not up.
+    @pytest.mark.parametrize("tableau", ["1,1,1/1: [][1][2]", "2,1,1/1: [1][2][3]"])
+    def test_slide_off_its_domain_fails_as_before(self, tableau):
+        # phi slides these contexts down, not up. Sliding up would move cell
+        # (2, 1) while cell (1, 1) lies below it and leave no skew shape
+        # (the error was once "parts not weakly decreasing"); traced or not,
+        # the slide stops before that move with the same typed error.
         ctx = SlideContext(SkewShape.of((1, 1), (1, 1)), parse_tableau(tableau))
-        for steps, error in ((None, final_error), ([], step_error)):
-            with pytest.raises(ValueError) as exc:
+        for steps in (None, []):
+            with pytest.raises(NoUpwardPath) as exc:
                 upward_slide(ctx, steps)
-            assert str(exc.value) == f"parts not weakly decreasing: {error}"
+            assert str(exc.value) == "upward slide does not apply: row 2 has no inside corner"
 
     def test_enumerated_contexts_pass_the_public_check(self):
         for base in skew_shapes_up_to(3):
@@ -320,6 +313,31 @@ class TestUpwardSlide:
         assert out.tableau.content() == ctx.tableau.content()
 
 
+    def test_every_upward_slide_applies_or_raises_no_upward_path(self):
+        # Over every context of the involution sweep, an upward slide either
+        # succeeds or raises NoUpwardPath, traced or not; where phi slides up,
+        # it is phi. Of the contexts with a nonempty inner strip, 193 lie off
+        # its domain.
+        refused = 0
+        for base in skew_shapes_up_to(5):
+            for n in range(3):
+                for ctx in enumerate_contexts(base, n, 3):
+                    outcomes = []
+                    for steps in (None, []):
+                        try:
+                            outcomes.append(upward_slide(ctx, steps))
+                        except NoUpwardPath:
+                            outcomes.append(None)
+                    up, traced = outcomes
+                    image = phi(ctx)
+                    where = (str(base), str(ctx.tableau))
+                    assert up == traced, where
+                    if image.inner_strip.size < ctx.inner_strip.size:
+                        assert up == image, where
+                    refused += up is None and ctx.inner_strip.size > 0
+        assert refused == 193
+
+
 class TestPhiRegressions:
     def test_landing_path_left_of_upward_path_is_rejected(self):
         # The rejected reversal lies strictly left of the upward path's
@@ -409,6 +427,17 @@ class TestFixedPoints:
         assert not is_fixed_point(ctx)
         with pytest.raises(NotFixedPoint):
             fixed_point_to_star(ctx)
+
+    def test_not_fixed_point_raises_exactly_off_the_fixed_points(self):
+        for base in skew_shapes_up_to(4):
+            for n in range(3):
+                for ctx in enumerate_contexts(base, n, 3):
+                    if is_fixed_point(ctx):
+                        assert star_to_fixed_point(base, fixed_point_to_star(ctx)) == ctx
+                        continue
+                    with pytest.raises(NotFixedPoint) as exc:
+                        fixed_point_to_star(ctx)
+                    assert str(exc.value) == f"phi moves this context (base {base})"
 
     def test_star_to_fixed_point_rejects_wrong_shape(self):
         base = SkewShape.of((2, 1))

@@ -41,6 +41,7 @@ from skewtab import (
     verify_skew_pieri,
 )
 
+from skewtab.rules import _difference, _signed_pairs
 from skewtab.shapes import skew_shapes_up_to
 
 from conftest import partitions, skew_shapes
@@ -272,6 +273,127 @@ class TestPrunedPairsAgainstGenerateThenFilter:
                 assert skew_h_rho_product(a, rho).same_terms(want), (a, rho)
 
 
+def _recursive_signed_pairs(a, target, tau):
+    """The recursive backtracker that rules._signed_pairs replaced: four
+    mutually recursive generators, one call per column, cell and row."""
+    lam, mu = a.outer.parts, a.inner.parts
+    m = len(target)
+    total = sum(target)
+    budget = [0, *target]  # copies of each entry 1..m still to place
+    if tau is None:  # a seed so steep that no word of this content breaks it
+        tau = tuple((total + 1) * (m - i) for i in range(m))
+    # Entry counts of the word so far, seeded from tau; counts[0] exceeds any
+    # count, so every 1 passes the lattice test.
+    counts = [total + sum(tau) + 1, *tau, *(0,) * (m - len(tau))]
+    mu_cols = [0, *a.inner.conjugate().parts, 0]  # column heights of mu, 1-indexed
+    heights = [0] * len(mu_cols)  # heights[c]: height of column c of mu_minus
+    minus_grid = [[0] * p for p in mu]
+    minus = ()  # (minus_rows, mu_minus, sign) of the finished T-
+    # The rows of T+ so far, each as long as its row of lam_plus; cells of lam
+    # hold 0, so they bound nothing above them.
+    plus_rows: list[list[int]] = []
+    lam_at = (*lam, *(0,) * (total + 1))
+
+    def place(x: int) -> bool:
+        if not budget[x] or counts[x] >= counts[x - 1]:
+            return False
+        budget[x] -= 1
+        counts[x] += 1
+        return True
+
+    def unplace(x: int) -> None:
+        budget[x] += 1
+        counts[x] -= 1
+
+    def minus_column(c: int, k: int):
+        # Choose the height of column c of mu_minus, then fill the cells above.
+        nonlocal minus
+        if c == 0:
+            inner = [sum(h >= r for h in heights) for r in range(1, len(mu) + 1)]
+            minus_rows = tuple(tuple(row[i:]) for row, i in zip(minus_grid, inner))
+            minus = (minus_rows, tuple(i for i in inner if i), -1 if k % 2 else 1)
+            yield from plus_row(1, lam_at[0] + total, total - k)
+            return
+        top = mu_cols[c]
+        for h in range(max(heights[c + 1], top - (total - k)), top + 1):
+            heights[c] = h
+            yield from minus_cell(c, h + 1, k)
+
+    def minus_cell(c: int, r: int, k: int):
+        # Cell (r, c) of T-: above its right neighbour, at most the cell below.
+        if r > mu_cols[c]:
+            yield from minus_column(c - 1, k)
+            return
+        row = minus_grid[r - 1]
+        right = row[c] if c < len(row) else 0
+        below = minus_grid[r - 2][c - 1] if r - 1 > heights[c] else m
+        for x in range(right + 1, below + 1):
+            if place(x):
+                row[c - 1] = x
+                yield from minus_cell(c, r + 1, k + 1)
+                unplace(x)
+
+    def plus_row(r: int, widest: int, left: int):
+        # Choose the length of row r of lam_plus, then fill its new cells.
+        if not left:
+            minus_rows, mu_minus, sign = minus
+            rows = tuple(tuple(row[base:]) for row, base in zip(plus_rows, lam_at))
+            rows += ((),) * (len(lam) - len(rows))
+            lam_plus = tuple(map(len, plus_rows)) + lam[len(plus_rows):]
+            yield minus_rows, rows, lam_plus, mu_minus, sign
+            return
+        base = lam_at[r - 1]
+        # A row above lam left empty would leave every later row empty too.
+        for width in range(max(base, 1), min(widest, base + left) + 1):
+            plus_rows.append([0] * width)
+            yield from plus_cell(r, width, base, left)
+            plus_rows.pop()
+
+    def plus_cell(r: int, c: int, base: int, left: int):
+        # Cell (r, c) of T+: at most its right neighbour, above the cell below.
+        row = plus_rows[-1]
+        if c == base:
+            yield from plus_row(r + 1, len(row), left)
+            return
+        right = row[c] if c < len(row) else m
+        below = plus_rows[-2][c - 1] if r > 1 else 0
+        for x in range(below + 1, right + 1):
+            if place(x):
+                row[c - 1] = x
+                yield from plus_cell(r, c - 1, base, left - 1)
+                unplace(x)
+
+    return minus_column(len(mu_cols) - 2, 0)
+
+
+class TestSlotLoopAgainstRecursiveReference:
+    """rules._signed_pairs against the recursive backtracker it replaced:
+    the same pairs in the same order."""
+
+    def test_skew_lr_targets(self):
+        # The pairs of the skew-lr sweep, verify_skew_lr(5, 4).
+        shapes_b = tuple(skew_shapes_up_to(4))
+        pairs = 0
+        for a in skew_shapes_up_to(5):
+            for b in shapes_b:
+                args = (a, _difference(b), b.inner.parts)
+                got = list(_signed_pairs(*args))
+                assert got == list(_recursive_signed_pairs(*args)), (a, b)
+                pairs += len(got)
+        assert pairs == 44986
+
+    def test_h_rho_targets(self):
+        rhos = [rho for d in range(5) for rho in partitions_of_size(d)]
+        pairs = 0
+        for a in skew_shapes_up_to(5):
+            for rho in rhos:
+                args = (a, rho.parts, None)
+                got = list(_signed_pairs(*args))
+                assert got == list(_recursive_signed_pairs(*args)), (a, rho)
+                pairs += len(got)
+        assert pairs == 65205
+
+
 class TestHRho:
     @pytest.mark.parametrize(
         "a_parts,rho",
@@ -300,6 +422,14 @@ class TestHRho:
         a = SkewShape.of((2, 2), (1,))
         direct = skew_h_rho_product(a, Partition((2,)))
         assert direct.same_terms(skew_pieri(a, 2))
+
+    def test_tall_factor(self):
+        # The pair loop keeps no call per row, so a 600-row skew column
+        # (once past the recursion limit) takes h_{2,1} like a short one.
+        a = SkewShape.of((1,) * 600, (1,) * 300)
+        direct = skew_h_rho_product(a, Partition((2, 1)))
+        assert len(direct) == 12
+        assert direct.same_terms(iterated_skew_pieri(a, Partition((2, 1))))
 
 
 class TestVerifiers:
