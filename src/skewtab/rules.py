@@ -10,14 +10,23 @@ then the added cells row by row (bottom first, right to left): the order of
 the reverse reading word, so the content budget and the Yamanouchi test cut
 each dead prefix as it appears and only admissible pairs are built. The
 multi-row rule for h_rho runs the same backtracker with the word test off.
+The products build no pair: the T+ completions of a finished T- depend only
+on lam, the content still unspent and the entry counts of the word so far,
+so skew_lr_product and skew_h_rho_product fill T- alone (cached per inner
+shape mu), collect it by that residual state, and read the number of T+ per
+lam_plus off a table cached per (lam, state). skew_lr_pairs still yields
+every pair, in fill order, for auditing.
 Harnesses cross-check the rules against the Schur-basis product, against
 monomial expansions, and against signed tableau counting.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .involution import enumerate_contexts, is_fixed_point
 from .shapes import (
+    EMPTY,
     HORIZONTAL,
     VERTICAL,
     Partition,
@@ -95,7 +104,7 @@ def _difference(b: SkewShape) -> tuple[int, ...]:
     return tuple(sigma.part(i) - tau.part(i) for i in range(1, len(sigma) + 1))
 
 
-_COLUMN, _MINUS, _ROW, _PLUS = range(4)  # _signed_pairs' decisions; odd kinds place an entry
+_COLUMN, _MINUS, _ROW, _PLUS = range(4)  # _pair_loop's decisions; odd kinds place an entry
 
 
 def _signed_pairs(a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | None):
@@ -105,7 +114,20 @@ def _signed_pairs(a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | 
     a reverse reading word that is tau-Yamanouchi; tau=None switches the
     word test off. Yields raw tuples (minus_rows, plus_rows, lam_plus,
     mu_minus, sign): the entry rows of T- and T+, bottom row first, the parts
-    of lam_plus and mu_minus, and the sign (-1)^(cells removed).
+    of lam_plus and mu_minus, and the sign (-1)^(cells removed), in the fill
+    order of _pair_loop."""
+    return _pair_loop(a, target, tau, False)
+
+
+def _pair_loop(
+    a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | None, removed_only: bool
+):
+    """The backtracker behind _signed_pairs. With removed_only it stops each
+    branch where T- is finished and yields that residual state instead:
+    (mu_minus, sign, budget, counts), the copies of each entry 1..m still to
+    place and the entry counts of the word so far, seeded from tau. The T+
+    completions of a state are the pairs of lam/() for that budget and tau
+    counts, which is how _plus_table counts them.
 
     One explicit-slot loop, with no call per row or cell, fills the cells in
     reverse reading word order: T- column by column, rightmost first and
@@ -137,8 +159,9 @@ def _signed_pairs(a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | 
     kind, r, c = _COLUMN, 0, len(mu_cols) - 2
     while True:
         # The decision after (kind, r, c): a filled column passes to the one
-        # on its left, a finished T- to row 1 of T+, a finished row of T+ to
-        # the row above, and a finished T+ to a pair.
+        # on its left, a finished T- to row 1 of T+ (or, removed_only, to its
+        # residual state), a finished row of T+ to the row above, and a
+        # finished T+ to a pair.
         if kind == _MINUS and r > mu_cols[c]:
             kind, c = _COLUMN, c - 1
         if kind == _COLUMN and not c:
@@ -148,7 +171,9 @@ def _signed_pairs(a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | 
             kind, r = _ROW, 1
         elif kind == _PLUS and c == lam_at[r - 1]:
             kind, r = _ROW, r + 1
-        if kind == _ROW and not left:
+        if kind == _ROW and removed_only:
+            yield mu_minus, sign, tuple(budget[1:]), tuple(counts[1:])
+        elif kind == _ROW and not left:
             rows = tuple(tuple(row[base:]) for row, base in zip(plus_rows[1:r], lam_at))
             rows += ((),) * (len(lam) - len(rows))
             lam_plus = tuple(map(len, plus_rows[1:r])) + lam[r - 1:]
@@ -219,12 +244,37 @@ def skew_lr_pairs(a: SkewShape, b: SkewShape):
         )
 
 
-def _aggregate(pairs) -> SkewExpansion:
-    """Sum the signs of raw pairs sharing a shape lam_plus/mu_minus, whose
-    parts _signed_pairs built valid."""
+@lru_cache(maxsize=None)
+def _plus_table(lam: Partition, budget: tuple[int, ...], tau: tuple[int, ...] | None):
+    """(lam_plus, number) over the T+ completions of a finished T-: the
+    pairs of lam/() with content budget and word test seeded from tau, so
+    every product with outer shape lam shares them."""
+    counts: dict[tuple[int, ...], int] = {}
+    for _, _, lam_plus, _, _ in _signed_pairs(SkewShape._trusted(lam, EMPTY), budget, tau):
+        counts[lam_plus] = counts.get(lam_plus, 0) + 1
+    return tuple(counts.items())
+
+
+@lru_cache(maxsize=None)
+def _minus_table(mu: Partition, target: tuple[int, ...], tau: tuple[int, ...] | None):
+    """((mu_minus, budget, counts), signed number) over the finished T- of
+    every factor with inner shape mu; counts is None when tau is. T- never
+    reads the outer shape, so mu/mu stands in for the factor."""
+    states: dict[tuple, int] = {}
+    for mu_minus, sign, budget, counts in _pair_loop(SkewShape._trusted(mu, mu), target, tau, True):
+        key = mu_minus, budget, None if tau is None else counts
+        states[key] = states.get(key, 0) + sign
+    return tuple(states.items())
+
+
+def _signed_terms(a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | None):
+    """The signs of the pairs of _signed_pairs summed by shape
+    lam_plus/mu_minus, with no pair built: each state of _minus_table times
+    the T+ that _plus_table counts for it."""
     terms: dict[tuple, int] = {}
-    for _, _, lam_plus, mu_minus, sign in pairs:
-        terms[lam_plus, mu_minus] = terms.get((lam_plus, mu_minus), 0) + sign
+    for (mu_minus, budget, counts), n in _minus_table(a.inner, target, tau):
+        for lam_plus, k in _plus_table(a.outer, budget, counts):
+            terms[lam_plus, mu_minus] = terms.get((lam_plus, mu_minus), 0) + n * k
     part = Partition._trusted
     return SkewExpansion({SkewShape._trusted(part(o), part(i)): c for (o, i), c in terms.items()})
 
@@ -232,7 +282,7 @@ def _aggregate(pairs) -> SkewExpansion:
 def skew_lr_product(a: SkewShape, b: SkewShape) -> SkewExpansion:
     """s_a * s_b as a signed sum of skew Schur functions, coefficients
     aggregated over admissible pairs sharing a shape."""
-    return _aggregate(_signed_pairs(a, _difference(b), b.inner.parts))
+    return _signed_terms(a, _difference(b), b.inner.parts)
 
 
 def is_admissible_pair(a: SkewShape, b: SkewShape, t_minus: Tableau, t_plus: Tableau) -> bool:
@@ -264,7 +314,7 @@ def is_admissible_pair(a: SkewShape, b: SkewShape, t_minus: Tableau, t_plus: Tab
 def skew_h_rho_product(a: SkewShape, rho: Partition) -> SkewExpansion:
     """s_{lam/mu} * h_rho: the signed sum over pairs of combined content rho
     with no word condition."""
-    return _aggregate(_signed_pairs(a, rho.parts, None))
+    return _signed_terms(a, rho.parts, None)
 
 
 # (|outer|, n) limits of verify_skew_pieri's monomial and involution checks.

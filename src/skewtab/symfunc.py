@@ -29,7 +29,9 @@ class _Expansion:
     """Finite integer combination of basis elements keyed by shape.
 
     No zero coefficients are stored, and every coefficient is an int (bools
-    are rejected). Iteration and printing go in lexicographic shape order.
+    are rejected). Sums and differences take the same expansion type and
+    scalars are ints; any other operand is a TypeError. Iteration and
+    printing go in lexicographic shape order.
     Subclasses fix the key type `_basis`, and `_coerce` turns any other key
     into one or raises TypeError.
     """
@@ -65,19 +67,23 @@ class _Expansion:
         return iter(sorted(self.terms.items()))
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
         return type(self)(out)
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):
         return type(self)({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:  # a bool is refused here as in the constructor
             return type(self)({k: c * other for k, c in self.terms.items()})
         return self._product(other)
 
@@ -215,9 +221,11 @@ def skew_to_schur(s: SkewShape) -> SchurExpansion:
 
 
 def skew_expansion_to_schur(x: SkewExpansion) -> SchurExpansion:
+    """The Schur image of a signed sum of skew Schur functions, read off
+    each term's LR table."""
     out: dict[Partition, int] = {}
     for s, c in x.terms.items():
-        for lam, d in lr_expand(s).terms.items():
+        for lam, d in _lr_pairs(s):
             out[lam] = out.get(lam, 0) + c * d
     return SchurExpansion(out)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -136,6 +137,21 @@ class TestExpand:
 
 
 class TestProduct:
+    def test_large_skew_product_golden(self):
+        # 634 terms, past the skew-lr sweep's sizes: the digest pins the
+        # text byte for byte, and the Schur image must match the Schur rule.
+        argv = ["product", "5,4,3,2/3,2,1", "4,3,1/2"]
+        code, out, _ = capture(run, argv)
+        assert code == 0
+        assert len(out.splitlines()) == 634
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "96c2d4177b7b86484f4de09009ebad42de5a4035409e01faa8a4ad89f579ac60"
+        )
+        _, skew_json, _ = capture(run, [*argv, "--format", "json"])
+        _, schur_json, _ = capture(run, [*argv, "--rule", "schur", "--format", "json"])
+        want = expansion_from_json(json.loads(schur_json))
+        assert expansion_from_json(json.loads(skew_json)).to_schur() == want
+
     def test_schur_rule_golden(self, capsys):
         assert run(["product", "2,1", "2,1", "--rule", "schur"]) == 0
         out = capsys.readouterr().out.splitlines()

@@ -394,6 +394,41 @@ class TestSlotLoopAgainstRecursiveReference:
         assert pairs == 65205
 
 
+def _pair_terms(pairs):
+    """The signs of raw pairs from _signed_pairs summed by shape
+    lam_plus/mu_minus: the terms skew_lr_product and skew_h_rho_product
+    count without building the pairs."""
+    terms = {}
+    for _, _, lam_plus, mu_minus, sign in pairs:
+        shape = SkewShape.of(lam_plus, mu_minus)
+        terms[shape] = terms.get(shape, 0) + sign
+    return SkewExpansion(terms)
+
+
+class TestCountedTermsAgainstPairs:
+    """The products count T+ completions per residual state of a finished
+    T-; summing the signs of every pair _signed_pairs builds must give the
+    same terms."""
+
+    def test_skew_lr_sweep(self):
+        # Every product of the skew-lr sweep, verify_skew_lr(5, 4).
+        shapes_b = tuple(skew_shapes_up_to(4))
+        cases = 0
+        for a in skew_shapes_up_to(5):
+            for b in shapes_b:
+                want = _pair_terms(_signed_pairs(a, _difference(b), b.inner.parts))
+                assert skew_lr_product(a, b).same_terms(want), (a, b)
+                cases += 1
+        assert cases == 5720
+
+    def test_h_rho(self):
+        rhos = [rho for d in range(5) for rho in partitions_of_size(d)]
+        for a in skew_shapes_up_to(5):
+            for rho in rhos:
+                want = _pair_terms(_signed_pairs(a, rho.parts, None))
+                assert skew_h_rho_product(a, rho).same_terms(want), (a, rho)
+
+
 class TestHRho:
     @pytest.mark.parametrize(
         "a_parts,rho",

@@ -64,6 +64,28 @@ class TestSchurExpansion:
         assert not SchurExpansion({})
         assert bool(a)
 
+    @pytest.mark.parametrize("other", [1, 0, 1.5, None])
+    def test_sum_with_another_type_is_a_type_error(self, other):
+        a = schur((2, 1))
+        for op in (lambda: a + other, lambda: other + a, lambda: a - other, lambda: other - a):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op()
+
+    def test_schur_plus_skew_is_a_type_error(self):
+        a, s = schur((2, 1)), SkewExpansion({SkewShape.of((2, 1), (1,)): 1})
+        for op in (lambda: a + s, lambda: s + a, lambda: a - s, lambda: s - a):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op()
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_scalar_is_rejected(self, flag):
+        for x in (schur((2, 1)), SkewExpansion({SkewShape.of((2, 1), (1,)): 1})):
+            with pytest.raises(TypeError):
+                x * flag
+            with pytest.raises(TypeError):
+                flag * x
+        assert schur((2, 1)) * 1 == schur((2, 1))
+
     def test_degree_and_str(self):
         x = schur((3, 2)) - 2 * schur((1,))
         assert x.degree() == 5
