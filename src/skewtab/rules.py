@@ -31,6 +31,7 @@ from .shapes import (
     VERTICAL,
     Partition,
     SkewShape,
+    _canonical,
     _require_nonnegative,
     _strata,
     enumerate_outer_strips,
@@ -252,7 +253,7 @@ def _plus_table(lam: Partition, budget: tuple[int, ...], tau: tuple[int, ...] | 
     counts: dict[tuple[int, ...], int] = {}
     for _, _, lam_plus, _, _ in _signed_pairs(SkewShape._trusted(lam, EMPTY), budget, tau):
         counts[lam_plus] = counts.get(lam_plus, 0) + 1
-    return tuple(counts.items())
+    return tuple((_canonical(lam_plus), n) for lam_plus, n in counts.items())
 
 
 @lru_cache(maxsize=None)
@@ -264,19 +265,18 @@ def _minus_table(mu: Partition, target: tuple[int, ...], tau: tuple[int, ...] | 
     for mu_minus, sign, budget, counts in _pair_loop(SkewShape._trusted(mu, mu), target, tau, True):
         key = mu_minus, budget, None if tau is None else counts
         states[key] = states.get(key, 0) + sign
-    return tuple(states.items())
+    return tuple(((_canonical(mu_minus), budget, counts), n) for (mu_minus, budget, counts), n in states.items())
 
 
 def _signed_terms(a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | None):
     """The signs of the pairs of _signed_pairs summed by shape
     lam_plus/mu_minus, with no pair built: each state of _minus_table times
     the T+ that _plus_table counts for it."""
-    terms: dict[tuple, int] = {}
+    terms: dict[tuple[Partition, Partition], int] = {}
     for (mu_minus, budget, counts), n in _minus_table(a.inner, target, tau):
         for lam_plus, k in _plus_table(a.outer, budget, counts):
             terms[lam_plus, mu_minus] = terms.get((lam_plus, mu_minus), 0) + n * k
-    part = Partition._trusted
-    return SkewExpansion({SkewShape._trusted(part(o), part(i)): c for (o, i), c in terms.items()})
+    return SkewExpansion._of({SkewShape._trusted(o, i): c for (o, i), c in terms.items()})
 
 
 def skew_lr_product(a: SkewShape, b: SkewShape) -> SkewExpansion:

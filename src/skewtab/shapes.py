@@ -10,11 +10,20 @@ public boundary. `Partition._trusted` and `SkewShape._trusted` skip every
 check; internal code uses them only for values it built valid by
 construction (a trimmed, weakly decreasing tuple of positive ints; an inner
 partition contained in the outer one).
+
+Shapes are values. Equality holds exactly when the part tuples are equal,
+the hash is that of the part tuples, and ordering and `repr` read the parts
+alone. `__eq__` returns at once when both sides are the same object, and the
+hash is computed on first use and kept in a `_hash` slot that takes no part
+in equality, order, `repr` or pickling. The cached tables hand out
+partitions from `_canonical`, one object per part tuple while it stays in
+that bounded cache, so their dict and cache lookups mostly match by
+identity; an eviction costs only that shortcut, never a result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -31,7 +40,7 @@ class Cell(NamedTuple):
     col: int
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Partition:
     """A weakly decreasing tuple of positive integers; () is the empty partition.
 
@@ -41,6 +50,7 @@ class Partition:
     """
 
     parts: tuple[int, ...] = ()
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         parts = tuple(self.parts)
@@ -60,7 +70,21 @@ class Partition:
         positive ints, so no check runs."""
         p = object.__new__(cls)
         object.__setattr__(p, "parts", parts)
+        object.__setattr__(p, "_hash", None)
         return p
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.parts == other.parts
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.parts))
+        return self._hash
+
+    def __reduce__(self):
+        return self.__class__, (self.parts,)
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":
@@ -97,8 +121,12 @@ class Partition:
 
 EMPTY = Partition()
 
+# How many partitions _canonical keeps; a fixed bound on its memory.
+_CANONICAL_SIZE = 4096
+_canonical = lru_cache(maxsize=_CANONICAL_SIZE)(Partition._trusted)
 
-@dataclass(frozen=True, order=True)
+
+@dataclass(frozen=True, order=True, slots=True)
 class SkewShape:
     """The diagram outer/inner; equality is componentwise on the two partitions.
 
@@ -109,8 +137,12 @@ class SkewShape:
 
     outer: Partition
     inner: Partition = EMPTY
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("outer", "inner"):
+            if not isinstance(getattr(self, name), Partition):
+                raise TypeError(f"{name} {getattr(self, name)!r} is not a Partition")
         if not self.outer.contains(self.inner):
             raise ValueError(f"inner {self.inner} not contained in outer {self.outer}")
 
@@ -120,7 +152,23 @@ class SkewShape:
         s = object.__new__(cls)
         object.__setattr__(s, "outer", outer)
         object.__setattr__(s, "inner", inner)
+        object.__setattr__(s, "_hash", None)
         return s
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self.outer.parts == other.outer.parts and self.inner.parts == other.inner.parts
+        )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.outer.parts, self.inner.parts)))
+        return self._hash
+
+    def __reduce__(self):
+        return self.__class__, (self.outer, self.inner)
 
     @classmethod
     def of(cls, outer, inner=()) -> "SkewShape":

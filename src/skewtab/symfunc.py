@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .shapes import EMPTY, Partition, SkewShape, partitions_of_size, star
+from .shapes import EMPTY, Partition, SkewShape, _canonical, partitions_of_size, star
 from .tableaux import enumerate_ssyt, lr_fillings
 
 
@@ -33,7 +33,10 @@ class _Expansion:
     scalars are ints; any other operand is a TypeError. Iteration and
     printing go in lexicographic shape order.
     Subclasses fix the key type `_basis`, and `_coerce` turns any other key
-    into one or raises TypeError.
+    into one or raises TypeError. The constructor checks all of this: it is
+    the public boundary. Internal producers build through `_of`, which
+    trusts that the keys are of the basis type and the coefficients ints and
+    only drops zero coefficients.
     """
 
     __slots__ = ("terms",)
@@ -49,6 +52,13 @@ class _Expansion:
             if c:
                 data[k] = c
         self.terms = data
+
+    @classmethod
+    def _of(cls, data: dict):
+        """Internal: an expansion of data with no check but zeros dropped."""
+        x = object.__new__(cls)
+        x.terms = {k: c for k, c in data.items() if c}
+        return x
 
     __hash__ = None
 
@@ -72,7 +82,7 @@ class _Expansion:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
-        return type(self)(out)
+        return self._of(out)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -80,11 +90,11 @@ class _Expansion:
         return self + (-other)
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
+        return self._of({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if type(other) is int:  # a bool is refused here as in the constructor
-            return type(self)({k: c * other for k, c in self.terms.items()})
+            return self._of({k: c * other for k, c in self.terms.items()})
         return self._product(other)
 
     __rmul__ = __mul__
@@ -168,22 +178,22 @@ def schur(p) -> SchurExpansion:
     """The single Schur function s_p as an expansion."""
     if not isinstance(p, Partition):
         p = Partition(tuple(p))
-    return SchurExpansion({p: 1})
+    return SchurExpansion._of({p: 1})
 
 
 @lru_cache(maxsize=None)
 def _lr_pairs(shape: SkewShape) -> tuple[tuple[Partition, int], ...]:
     """Content partitions of the LR fillings of shape, with multiplicity."""
-    counts: dict[Partition, int] = {}
+    counts: dict[tuple[int, ...], int] = {}
     for t in lr_fillings(shape):
-        nu = Partition(t.content())
+        nu = t.content()  # a partition: an LR filling's word is a lattice word
         counts[nu] = counts.get(nu, 0) + 1
-    return tuple(sorted(counts.items()))
+    return tuple((_canonical(nu), n) for nu, n in sorted(counts.items()))
 
 
 def lr_expand(shape: SkewShape) -> SchurExpansion:
     """s_{outer/inner} as a sum of straight Schur functions."""
-    return SchurExpansion(dict(_lr_pairs(shape)))
+    return SchurExpansion._of(dict(_lr_pairs(shape)))
 
 
 def lr_coefficient(nu: Partition, lam: Partition, mu: Partition) -> int:
@@ -212,7 +222,7 @@ def schur_product(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
         for nu, b in g.terms.items():
             for lam, c in _basis_product(mu, nu):
                 out[lam] = out.get(lam, 0) + a * b * c
-    return SchurExpansion(out)
+    return SchurExpansion._of(out)
 
 
 def skew_to_schur(s: SkewShape) -> SchurExpansion:
@@ -227,7 +237,7 @@ def skew_expansion_to_schur(x: SkewExpansion) -> SchurExpansion:
     for s, c in x.terms.items():
         for lam, d in _lr_pairs(s):
             out[lam] = out.get(lam, 0) + c * d
-    return SchurExpansion(out)
+    return SchurExpansion._of(out)
 
 
 def hall_inner(f: SchurExpansion, g: SchurExpansion) -> int:
@@ -255,14 +265,15 @@ def perp(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
     perp(schur(mu), schur(lam)) equals skew_to_schur(lam/mu) is a theorem
     checked in the tests, not a shortcut taken here."""
     out: dict[Partition, int] = {}
+    g_terms = [(lam, b, lam.size) for lam, b in g.terms.items()]
     for mu, a in f.terms.items():
-        for lam, b in g.terms.items():
-            d = lam.size - mu.size
-            if d < 0:
+        m = mu.size
+        for lam, b, n in g_terms:
+            if n < m:
                 continue
-            for nu, c in _perp_table(mu, d).get(lam, ()):
+            for nu, c in _perp_table(mu, n - m).get(lam, ()):
                 out[nu] = out.get(nu, 0) + a * b * c
-    return SchurExpansion(out)
+    return SchurExpansion._of(out)
 
 
 def h(n: int) -> SchurExpansion:

@@ -55,6 +55,12 @@ class TestSchurExpansion:
         with pytest.raises(TypeError):
             SkewExpansion({SkewShape.of((1,)): False})
 
+    def test_rejects_bad_keys(self):
+        with pytest.raises(ValueError, match="not weakly decreasing"):
+            SchurExpansion({(1, 2): 1})
+        with pytest.raises(TypeError, match="is not a skew shape"):
+            SkewExpansion({(1,): 1})
+
     def test_arithmetic(self):
         a, b = schur((2, 1)), schur((3,))
         assert a + b - a == b
