@@ -10,12 +10,12 @@ then the added cells row by row (bottom first, right to left): the order of
 the reverse reading word, so the content budget and the Yamanouchi test cut
 each dead prefix as it appears and only admissible pairs are built. The
 multi-row rule for h_rho runs the same backtracker with the word test off.
-The products build no pair: the T+ completions of a finished T- depend only
-on lam, the content still unspent and the entry counts of the word so far,
-so skew_lr_product and skew_h_rho_product fill T- alone (cached per inner
-shape mu), collect it by that residual state, and read the number of T+ per
-lam_plus off a table cached per (lam, state). skew_lr_pairs still yields
-every pair, in fill order, for auditing.
+The products build no pair and fill no T+: skew_lr_product and
+skew_h_rho_product fill T- alone (cached per inner shape mu), sum
+s_{sigma/kappa} per mu_minus over it (kappa the word's entry counts where T-
+ends, sigma = kappa + the content unspent) and multiply by s_lam, which
+counts the T+ by the kappa-lattice LR rule. skew_lr_pairs still runs the
+whole backtracker and yields every pair, in fill order, for auditing.
 Harnesses cross-check the rules against the Schur-basis product, against
 monomial expansions, and against signed tableau counting.
 """
@@ -26,7 +26,6 @@ from functools import lru_cache
 
 from .involution import enumerate_contexts, is_fixed_point
 from .shapes import (
-    EMPTY,
     HORIZONTAL,
     VERTICAL,
     Partition,
@@ -47,6 +46,7 @@ from .symfunc import (
     monomial_product,
     schur,
     schur_product,
+    skew_expansion_to_schur,
     skew_monomials,
     skew_to_schur,
     verify_perp_identities,
@@ -126,9 +126,8 @@ def _pair_loop(
     """The backtracker behind _signed_pairs. With removed_only it stops each
     branch where T- is finished and yields that residual state instead:
     (mu_minus, sign, budget, counts), the copies of each entry 1..m still to
-    place and the entry counts of the word so far, seeded from tau. The T+
-    completions of a state are the pairs of lam/() for that budget and tau
-    counts, which is how _plus_table counts them.
+    place and the entry counts of the word so far, seeded from tau, from
+    which _minus_table counts the T+ completions with no T+ filled.
 
     One explicit-slot loop, with no call per row or cell, fills the cells in
     reverse reading word order: T- column by column, rightmost first and
@@ -246,37 +245,32 @@ def skew_lr_pairs(a: SkewShape, b: SkewShape):
 
 
 @lru_cache(maxsize=None)
-def _plus_table(lam: Partition, budget: tuple[int, ...], tau: tuple[int, ...] | None):
-    """(lam_plus, number) over the T+ completions of a finished T-: the
-    pairs of lam/() with content budget and word test seeded from tau, so
-    every product with outer shape lam shares them."""
-    counts: dict[tuple[int, ...], int] = {}
-    for _, _, lam_plus, _, _ in _signed_pairs(SkewShape._trusted(lam, EMPTY), budget, tau):
-        counts[lam_plus] = counts.get(lam_plus, 0) + 1
-    return tuple((_canonical(lam_plus), n) for lam_plus, n in counts.items())
-
-
-@lru_cache(maxsize=None)
 def _minus_table(mu: Partition, target: tuple[int, ...], tau: tuple[int, ...] | None):
-    """((mu_minus, budget, counts), signed number) over the finished T- of
-    every factor with inner shape mu; counts is None when tau is. T- never
-    reads the outer shape, so mu/mu stands in for the factor."""
-    states: dict[tuple, int] = {}
+    """(mu_minus, f) over the finished T- of every factor with inner shape
+    mu, f the Schur image of the signed sum of s_{sigma/kappa} over its T-:
+    kappa the word's entry counts where T- ends, sigma = kappa + the content
+    unspent (with tau None, disjoint rows: a product of h's). T- never reads
+    the outer shape, so mu/mu stands in for the factor. Read-only."""
+    sums: dict[tuple[int, ...], dict[SkewShape, int]] = {}
     for mu_minus, sign, budget, counts in _pair_loop(SkewShape._trusted(mu, mu), target, tau, True):
-        key = mu_minus, budget, None if tau is None else counts
-        states[key] = states.get(key, 0) + sign
-    return tuple(((_canonical(mu_minus), budget, counts), n) for (mu_minus, budget, counts), n in states.items())
+        shape = SkewShape.of(tuple(k + b for k, b in zip(counts, budget)), counts)
+        terms = sums.setdefault(mu_minus, {})
+        terms[shape] = terms.get(shape, 0) + sign
+    return tuple((_canonical(m), skew_expansion_to_schur(SkewExpansion._of(t))) for m, t in sums.items())
 
 
 def _signed_terms(a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | None):
     """The signs of the pairs of _signed_pairs summed by shape
-    lam_plus/mu_minus, with no pair built: each state of _minus_table times
-    the T+ that _plus_table counts for it."""
-    terms: dict[tuple[Partition, Partition], int] = {}
-    for (mu_minus, budget, counts), n in _minus_table(a.inner, target, tau):
-        for lam_plus, k in _plus_table(a.outer, budget, counts):
-            terms[lam_plus, mu_minus] = terms.get((lam_plus, mu_minus), 0) + n * k
-    return SkewExpansion._of({SkewShape._trusted(o, i): c for (o, i), c in terms.items()})
+    lam_plus/mu_minus, with no pair built: for each (mu_minus, f) of
+    _minus_table, the coefficient of s_lam_plus in s_lam * f, since the T+
+    of lam_plus/lam after a T- number <s_lam * s_{sigma/kappa}, s_lam_plus>
+    (the kappa-lattice form of the LR rule)."""
+    lam = schur(a.outer)
+    terms: dict[SkewShape, int] = {}
+    for mu_minus, f in _minus_table(a.inner, target, tau):
+        for lam_plus, c in schur_product(lam, f).terms.items():
+            terms[SkewShape._trusted(lam_plus, mu_minus)] = c
+    return SkewExpansion._of(terms)
 
 
 def skew_lr_product(a: SkewShape, b: SkewShape) -> SkewExpansion:

@@ -186,6 +186,16 @@ class TestProduct:
         want = expansion_from_json(json.loads(capsys.readouterr().out))
         assert got == want
 
+    @pytest.mark.parametrize("k", [30, 60])
+    def test_large_rectangles_match_schur_rule(self, k):
+        # The default rule fills no T+, so s[k,k] * s[k,k] stays quick far
+        # past the rectangles whose T+ backtracking took minutes.
+        argv = ["product", f"{k},{k}", f"{k},{k}"]
+        code, out, _ = capture(run, argv)
+        assert code == 0
+        assert len(out.splitlines()) == (k + 1) * (k + 2) // 2
+        assert out == capture(run, [*argv, "--rule", "schur"])[1]
+
     def test_schur_rule_matches_default_on_rectangles(self, capsys):
         argv = ["product", "12,12", "12,12"]
         lines = "".join(f"+ s[{p}]\n" for p in RECTANGLE_PRODUCT)

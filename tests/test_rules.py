@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -41,7 +42,7 @@ from skewtab import (
     verify_skew_pieri,
 )
 
-from skewtab.rules import _difference, _signed_pairs
+from skewtab.rules import _difference, _pair_loop, _signed_pairs
 from skewtab.shapes import skew_shapes_up_to
 
 from conftest import partitions, skew_shapes
@@ -427,6 +428,135 @@ class TestCountedTermsAgainstPairs:
             for rho in rhos:
                 want = _pair_terms(_signed_pairs(a, rho.parts, None))
                 assert skew_h_rho_product(a, rho).same_terms(want), (a, rho)
+
+
+def _residual_states():
+    """Every state (lam, sigma, kappa, word test) at which a finished T-
+    leaves the products of the skew-lr sweep, verify_skew_lr(5, 4), and of
+    the h_rho grid (|a| <= 5, |rho| <= 4) to count their T+: one per lam,
+    content still unspent and, under a word test, the word's entry counts
+    (with none, states that differ only in the seed have the same T+)."""
+    jobs = [(_difference(b), b.inner.parts) for b in skew_shapes_up_to(4)]
+    jobs += [(rho.parts, None) for d in range(5) for rho in partitions_of_size(d)]
+    states = {}
+    for a in skew_shapes_up_to(5):
+        for target, tau in dict.fromkeys(jobs):
+            mu = SkewShape(a.inner, a.inner)
+            for _, _, budget, counts in _pair_loop(mu, target, tau, True):
+                sigma = tuple(k + b for k, b in zip(counts, budget))
+                key = a.outer, budget, None if tau is None else counts
+                states.setdefault(key, (a.outer, sigma, counts, tau is not None))
+    return states.values()
+
+
+class TestKappaLatticeIdentity:
+    """The products read the T+ completions of a finished T- off a Schur
+    product: with kappa the word's entry counts where T- ends and sigma =
+    kappa + the content still unspent, the T+ of lam_plus/lam number
+    <s_lam * s_{sigma/kappa}, s_lam_plus>. The pair loop's own T+ half, run
+    on lam/() from that state, is the reference; with no word test the
+    steep seed's sigma/kappa is disjoint rows, a product of h's."""
+
+    def test_every_state_of_the_sweeps(self):
+        states = list(_residual_states())
+        assert len(states) == 1773
+        assert sum(word for *_, word in states) == 988
+        for lam, sigma, kappa, word in states:
+            budget = tuple(s - k for s, k in zip(sigma, kappa))
+            pairs = _signed_pairs(SkewShape(lam), budget, kappa if word else None)
+            tally = Counter(Partition(lam_plus) for _, _, lam_plus, _, _ in pairs)
+            want = SchurExpansion(dict(tally))
+            shape = SkewShape.of(sigma, kappa)
+            assert schur_product(schur(lam), skew_to_schur(shape)) == want, (lam, sigma, kappa)
+
+
+def _h_times(poly, k, sign):
+    """sign * h_k * poly, for a polynomial in the h's keyed by the sorted
+    tuple of its h indices (h_0 = 1 adds no index)."""
+    if k == 0:
+        return {mono: sign * c for mono, c in poly.items()}
+    return {tuple(sorted((*mono, k))): sign * c for mono, c in poly.items()}
+
+
+def _poly_add(out, poly, scale=1):
+    for mono, c in poly.items():
+        out[mono] = out.get(mono, 0) + scale * c
+    return out
+
+
+def _poly_mul(f, g):
+    out = {}
+    for mf, cf in f.items():
+        for mg, cg in g.items():
+            mono = tuple(sorted(mf + mg))
+            out[mono] = out.get(mono, 0) + cf * cg
+    return {mono: c for mono, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _jt_minor(lam_shift, mu_shift, i, used):
+    """The Jacobi-Trudi minor on rows i.. and the columns not in the bit
+    mask used, expanded along row i; entry (i, j) is h_{lam_i - mu_j - i + j},
+    zero for a negative index."""
+    if i == len(lam_shift):
+        return {(): 1}
+    out = {}
+    sign = 1
+    for j, m in enumerate(mu_shift):
+        if used >> j & 1:
+            continue
+        k = lam_shift[i] - m
+        if k >= 0:
+            _poly_add(out, _h_times(_jt_minor(lam_shift, mu_shift, i + 1, used | 1 << j), k, sign))
+        sign = -sign
+    return {mono: c for mono, c in out.items() if c}
+
+
+def jacobi_trudi(shape):
+    """s_{lam/mu} = det(h_{lam_i - mu_j - i + j}) as an integer polynomial
+    in the h's: no tableau, LR table or pair is involved."""
+    n = len(shape.outer)
+    lam_shift = tuple(shape.outer.part(i) - i for i in range(1, n + 1))
+    mu_shift = tuple(shape.inner.part(j) - j for j in range(1, n + 1))
+    return _jt_minor(lam_shift, mu_shift, 0, 0)
+
+
+def _jt_of(x):
+    """A signed sum of skew Schur functions as a polynomial in the h's."""
+    out = {}
+    for shape, c in x.terms.items():
+        _poly_add(out, jacobi_trudi(shape), c)
+    return {mono: c for mono, c in out.items() if c}
+
+
+class TestJacobiTrudiOracle:
+    """The products against the Jacobi-Trudi determinant, a route that
+    shares no code with the rules: s_a * s_b and sum_c c * s_c must be the
+    same polynomial in the h's."""
+
+    def test_jacobi_trudi_agrees_with_lr(self):
+        assert jacobi_trudi(SkewShape.of((2, 1))) == {(1, 2): 1, (3,): -1}
+        for s in skew_shapes_up_to(4):
+            want = _jt_of(SkewExpansion({SkewShape(p): c for p, c in skew_to_schur(s).terms.items()}))
+            assert jacobi_trudi(s) == want, s
+
+    def test_skew_lr_sweep(self):
+        # Every product of the skew-lr sweep, verify_skew_lr(5, 4).
+        shapes_b = tuple(skew_shapes_up_to(4))
+        cases = 0
+        for a in skew_shapes_up_to(5):
+            for b in shapes_b:
+                want = _poly_mul(jacobi_trudi(a), jacobi_trudi(b))
+                assert _jt_of(skew_lr_product(a, b)) == want, (a, b)
+                cases += 1
+        assert cases == 5720
+
+    def test_h_rho(self):
+        rhos = [rho for d in range(5) for rho in partitions_of_size(d)]
+        for a in skew_shapes_up_to(5):
+            for rho in rhos:
+                want = {tuple(sorted(mono + rho.parts)): c for mono, c in jacobi_trudi(a).items()}
+                assert _jt_of(skew_h_rho_product(a, rho)) == want, (a, rho)
 
 
 class TestHRho:

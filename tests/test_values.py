@@ -29,7 +29,7 @@ from skewtab import (
     star,
 )
 from skewtab import shapes
-from skewtab.rules import _minus_table, _plus_table
+from skewtab.rules import _minus_table
 from skewtab.shapes import EMPTY, _canonical, partitions_of_size, skew_shapes_up_to
 from skewtab.symfunc import _lr_pairs
 
@@ -188,10 +188,14 @@ class TestIdentityIsOnlyASpeedUp:
         (nu,) = [p for p, _ in straight if p.parts == (2, 1)]
         (other,) = [p for p, _ in skew if p.parts == (2, 1)]
         assert nu is other
-        plus = dict(_plus_table.__wrapped__(Partition((1,)), (1, 1), None))
-        assert any(p is nu for p in plus)
-        states = _minus_table.__wrapped__(Partition((2, 1)), (1,), None)
-        assert any(mu_minus is _canonical((2,)) for (mu_minus, _, _), _ in states)
+        sums = dict(_minus_table.__wrapped__(Partition((2, 1)), (2, 1), None))
+        assert any(mu_minus is _canonical((2,)) for mu_minus in sums)
+        assert all(mu_minus is _canonical(mu_minus.parts) for mu_minus in sums)
+        assert any(p is nu for f in sums.values() for p in f.terms)
+        assert all(p is _canonical(p.parts) for f in sums.values() for p in f.terms)
+        product = skew_h_rho_product(SkewShape.of((1,)), Partition((1, 1)))
+        assert any(s.outer is nu for s in product.terms)
+        assert all(s.outer is _canonical(s.outer.parts) for s in product.terms)
 
     def test_results_survive_a_cleared_canonical_cache(self):
         shapes_a = tuple(skew_shapes_up_to(3))
