@@ -105,29 +105,23 @@ def _difference(b: SkewShape) -> tuple[int, ...]:
     return tuple(sigma.part(i) - tau.part(i) for i in range(1, len(sigma) + 1))
 
 
-_COLUMN, _MINUS, _ROW, _PLUS = range(4)  # _pair_loop's decisions; odd kinds place an entry
+_COLUMN, _MINUS, _ROW, _PLUS = range(4)  # _signed_pairs' decisions; odd kinds place an entry
 
 
-def _signed_pairs(a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | None):
+def _signed_pairs(
+    a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | None, removed_only: bool = False
+):
     """All pairs (T-, T+) for the factor a = lam/mu: T- anti-semistandard on
     mu/mu_minus, T+ semistandard on lam_plus/lam, combined content exactly
     the composition target (entries 1..len(target)) and, unless tau is None,
     a reverse reading word that is tau-Yamanouchi; tau=None switches the
     word test off. Yields raw tuples (minus_rows, plus_rows, lam_plus,
     mu_minus, sign): the entry rows of T- and T+, bottom row first, the parts
-    of lam_plus and mu_minus, and the sign (-1)^(cells removed), in the fill
-    order of _pair_loop."""
-    return _pair_loop(a, target, tau, False)
-
-
-def _pair_loop(
-    a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | None, removed_only: bool
-):
-    """The backtracker behind _signed_pairs. With removed_only it stops each
-    branch where T- is finished and yields that residual state instead:
-    (mu_minus, sign, budget, counts), the copies of each entry 1..m still to
-    place and the entry counts of the word so far, seeded from tau, from
-    which _minus_table counts the T+ completions with no T+ filled.
+    of lam_plus and mu_minus, and the sign (-1)^(cells removed). With
+    removed_only it stops each branch where T- is finished and yields that
+    residual state instead: (mu_minus, sign, budget, counts), the copies of
+    each entry 1..m still to place and the entry counts of the word so far,
+    seeded from tau, from which _minus_table counts the T+ with none filled.
 
     One explicit-slot loop, with no call per row or cell, fills the cells in
     reverse reading word order: T- column by column, rightmost first and
@@ -252,7 +246,8 @@ def _minus_table(mu: Partition, target: tuple[int, ...], tau: tuple[int, ...] | 
     unspent (with tau None, disjoint rows: a product of h's). T- never reads
     the outer shape, so mu/mu stands in for the factor. Read-only."""
     sums: dict[tuple[int, ...], dict[SkewShape, int]] = {}
-    for mu_minus, sign, budget, counts in _pair_loop(SkewShape._trusted(mu, mu), target, tau, True):
+    states = _signed_pairs(SkewShape._trusted(mu, mu), target, tau, True)
+    for mu_minus, sign, budget, counts in states:
         shape = SkewShape.of(tuple(k + b for k, b in zip(counts, budget)), counts)
         terms = sums.setdefault(mu_minus, {})
         terms[shape] = terms.get(shape, 0) + sign

@@ -186,14 +186,16 @@ class TestProduct:
         want = expansion_from_json(json.loads(capsys.readouterr().out))
         assert got == want
 
-    @pytest.mark.parametrize("k", [30, 60])
-    def test_large_rectangles_match_schur_rule(self, k):
-        # The default rule fills no T+, so s[k,k] * s[k,k] stays quick far
-        # past the rectangles whose T+ backtracking took minutes.
-        argv = ["product", f"{k},{k}", f"{k},{k}"]
+    def test_large_rectangle_product_is_quick(self):
+        # A timing guard: s[30,30] * s[30,30] took about 7 s when the default
+        # rule still backtracked over T+, and takes a few hundredths of a
+        # second now. For straight factors both rules reach the same Schur
+        # product, so the comparison checks only that the output agrees;
+        # the Jacobi-Trudi oracle in test_rules checks the values.
+        argv = ["product", "30,30", "30,30"]
         code, out, _ = capture(run, argv)
         assert code == 0
-        assert len(out.splitlines()) == (k + 1) * (k + 2) // 2
+        assert len(out.splitlines()) == 31 * 32 // 2
         assert out == capture(run, [*argv, "--rule", "schur"])[1]
 
     def test_schur_rule_matches_default_on_rectangles(self, capsys):

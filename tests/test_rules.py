@@ -42,7 +42,7 @@ from skewtab import (
     verify_skew_pieri,
 )
 
-from skewtab.rules import _difference, _pair_loop, _signed_pairs
+from skewtab.rules import _difference, _signed_pairs
 from skewtab.shapes import skew_shapes_up_to
 
 from conftest import partitions, skew_shapes
@@ -442,7 +442,7 @@ def _residual_states():
     for a in skew_shapes_up_to(5):
         for target, tau in dict.fromkeys(jobs):
             mu = SkewShape(a.inner, a.inner)
-            for _, _, budget, counts in _pair_loop(mu, target, tau, True):
+            for _, _, budget, counts in _signed_pairs(mu, target, tau, True):
                 sigma = tuple(k + b for k, b in zip(counts, budget))
                 key = a.outer, budget, None if tau is None else counts
                 states.setdefault(key, (a.outer, sigma, counts, tau is not None))
