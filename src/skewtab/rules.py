@@ -41,6 +41,7 @@ from .shapes import (
 from .symfunc import (
     SchurExpansion,
     SkewExpansion,
+    _basis_product,
     h,
     monomial_expansion,
     monomial_product,
@@ -257,14 +258,16 @@ def _minus_table(mu: Partition, target: tuple[int, ...], tau: tuple[int, ...] | 
 def _signed_terms(a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | None):
     """The signs of the pairs of _signed_pairs summed by shape
     lam_plus/mu_minus, with no pair built: for each (mu_minus, f) of
-    _minus_table, the coefficient of s_lam_plus in s_lam * f, since the T+
-    of lam_plus/lam after a T- number <s_lam * s_{sigma/kappa}, s_lam_plus>
-    (the kappa-lattice form of the LR rule)."""
-    lam = schur(a.outer)
+    _minus_table, the coefficient of s_lam_plus in s_lam * f, summed over the
+    LR tables of s_lam * s_nu into one dict, since the T+ of lam_plus/lam after
+    a T- number <s_lam * s_{sigma/kappa}, s_lam_plus> (kappa-lattice LR rule)."""
     terms: dict[SkewShape, int] = {}
     for mu_minus, f in _minus_table(a.inner, target, tau):
-        for lam_plus, c in schur_product(lam, f).terms.items():
-            terms[SkewShape._trusted(lam_plus, mu_minus)] = c
+        row: dict[Partition, int] = {}
+        for nu, b in f.terms.items():
+            for lam_plus, c in _basis_product(a.outer, nu):
+                row[lam_plus] = row.get(lam_plus, 0) + b * c
+        terms.update((SkewShape._trusted(lam_plus, mu_minus), c) for lam_plus, c in row.items())
     return SkewExpansion._of(terms)
 
 

@@ -23,7 +23,7 @@ identity; an eviction costs only that shortcut, never a result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -224,6 +224,15 @@ class SkewShape:
 
     def __str__(self) -> str:
         return format_shape(self)
+
+
+def _refuse(self, name, *value):
+    """__setattr__ and __delattr__ of both shape classes: those that dataclass(frozen=True,
+    slots=True) makes refer to the class from before the slots copy and raise TypeError."""
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+Partition.__setattr__ = Partition.__delattr__ = SkewShape.__setattr__ = SkewShape.__delattr__ = _refuse
 
 
 def star(a: SkewShape, b: SkewShape) -> SkewShape:

@@ -35,8 +35,8 @@ class _Expansion:
     Subclasses fix the key type `_basis`, and `_coerce` turns any other key
     into one or raises TypeError. The constructor checks all of this: it is
     the public boundary. Internal producers build through `_of`, which
-    trusts that the keys are of the basis type and the coefficients ints and
-    only drops zero coefficients.
+    trusts keys and coefficients and keeps the dict as `terms` unless it
+    holds a zero: each caller passes a dict it built and never touches again.
     """
 
     __slots__ = ("terms",)
@@ -55,9 +55,9 @@ class _Expansion:
 
     @classmethod
     def _of(cls, data: dict):
-        """Internal: an expansion of data with no check but zeros dropped."""
+        """Internal: an expansion that owns data, unchecked, zeros dropped."""
         x = object.__new__(cls)
-        x.terms = {k: c for k, c in data.items() if c}
+        x.terms = data if all(data.values()) else {k: c for k, c in data.items() if c}
         return x
 
     __hash__ = None
@@ -178,7 +178,9 @@ def schur(p) -> SchurExpansion:
     """The single Schur function s_p as an expansion."""
     if not isinstance(p, Partition):
         p = Partition(tuple(p))
-    return SchurExpansion._of({p: 1})
+    x = object.__new__(SchurExpansion)
+    x.terms = {p: 1}
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -265,14 +267,13 @@ def perp(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
     perp(schur(mu), schur(lam)) equals skew_to_schur(lam/mu) is a theorem
     checked in the tests, not a shortcut taken here."""
     out: dict[Partition, int] = {}
-    g_terms = [(lam, b, lam.size) for lam, b in g.terms.items()]
     for mu, a in f.terms.items():
-        m = mu.size
-        for lam, b, n in g_terms:
-            if n < m:
-                continue
-            for nu, c in _perp_table(mu, n - m).get(lam, ()):
-                out[nu] = out.get(nu, 0) + a * b * c
+        m = sum(mu.parts)
+        for lam, b in g.terms.items():
+            d = sum(lam.parts) - m
+            if d >= 0:
+                for nu, c in _perp_table(mu, d).get(lam, ()):
+                    out[nu] = out.get(nu, 0) + a * b * c
     return SchurExpansion._of(out)
 
 

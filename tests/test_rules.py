@@ -42,7 +42,7 @@ from skewtab import (
     verify_skew_pieri,
 )
 
-from skewtab.rules import _difference, _signed_pairs
+from skewtab.rules import _difference, _minus_table, _signed_pairs, _signed_terms
 from skewtab.shapes import skew_shapes_up_to
 
 from conftest import partitions, skew_shapes
@@ -428,6 +428,40 @@ class TestCountedTermsAgainstPairs:
             for rho in rhos:
                 want = _pair_terms(_signed_pairs(a, rho.parts, None))
                 assert skew_h_rho_product(a, rho).same_terms(want), (a, rho)
+
+
+def _terms_by_schur_product(a, target, tau):
+    """_signed_terms as it read s_lam * f before: one schur_product of
+    schur(lam) and f per (mu_minus, f) of _minus_table."""
+    lam = schur(a.outer)
+    terms = {}
+    for mu_minus, f in _minus_table(a.inner, target, tau):
+        for lam_plus, c in schur_product(lam, f).terms.items():
+            terms[SkewShape(lam_plus, mu_minus)] = c
+    return SkewExpansion(terms)
+
+
+class TestSignedTermsAgainstSchurProductRoute:
+    """rules._signed_terms, which sums each mu_minus's LR tables into one
+    dict, against the schur_product route it replaced: the same terms."""
+
+    def test_skew_lr_targets(self):
+        # The pairs of the skew-lr sweep, verify_skew_lr(5, 4).
+        shapes_b = tuple(skew_shapes_up_to(4))
+        cases = 0
+        for a in skew_shapes_up_to(5):
+            for b in shapes_b:
+                args = (a, _difference(b), b.inner.parts)
+                assert _signed_terms(*args).same_terms(_terms_by_schur_product(*args)), (a, b)
+                cases += 1
+        assert cases == 5720
+
+    def test_h_rho_targets(self):
+        rhos = [rho for d in range(5) for rho in partitions_of_size(d)]
+        for a in skew_shapes_up_to(5):
+            for rho in rhos:
+                args = (a, rho.parts, None)
+                assert _signed_terms(*args).same_terms(_terms_by_schur_product(*args)), (a, rho)
 
 
 def _residual_states():

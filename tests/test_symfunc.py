@@ -253,11 +253,25 @@ class TestProductRoutes:
         ({(2,): 1, (1, 1): -3}, {(2, 1): 2, (1,): 1}),
         ({(): 2, (1,): -1, (2, 1): 1}, {(3, 2, 1): 3, (4, 1, 1): -1, (2, 2): 1, (1, 1): 5}),
         ({(1,): 1, (2,): 1, (3,): -1}, {(3, 3): -2, (4, 2): 1, (2, 2, 1, 1): 4}),
+        # terms of g both smaller and larger than terms of f
+        ({(): -1, (2,): 3, (3, 1): 1}, {(1,): 2, (2, 1): -1, (3, 2): 1, (1, 1, 1, 1): -2}),
+        ({(4,): 2, (1,): -1}, {(3,): 1, (2, 1, 1): -3, (5, 1): 1}),
     ])
     def test_perp_table_matches_scan_on_signed_sums(self, f, g):
         f, g = SchurExpansion(f), SchurExpansion(g)
         assert perp(f, g) == perp_by_scan(f, g)
         assert perp(f, g)
+
+    @pytest.mark.parametrize("f,g", [
+        ({(1,): 1}, {(2,): 1, (1, 1): -1}),  # s_1 - s_1
+        ({(2,): 1, (1, 1): -1}, {(2,): 1, (1, 1): 1}),  # 1 - 1
+        ({(2,): 1, (1, 1): -1}, {(2,): 1, (1, 1): 1, (1,): 5}),  # 1 - 1, s_1 too small
+        ({(3,): 1, (2, 2): -2}, {(2,): 1, (1, 1): 4, (): 3}),  # every term too small
+    ])
+    def test_perp_cancelling_to_zero(self, f, g):
+        f, g = SchurExpansion(f), SchurExpansion(g)
+        assert perp_by_scan(f, g) == SchurExpansion({})
+        assert perp(f, g).terms == {}
 
 
 class TestOmegaHE:

@@ -8,12 +8,14 @@ exactly what the checked public one would.
 
 import copy
 import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
 
 from skewtab import (
     Partition,
+    SchurExpansion,
     SkewShape,
     h,
     lr_expand,
@@ -29,7 +31,7 @@ from skewtab import (
     star,
 )
 from skewtab import shapes
-from skewtab.rules import _minus_table
+from skewtab.rules import _difference, _minus_table
 from skewtab.shapes import EMPTY, _canonical, partitions_of_size, skew_shapes_up_to
 from skewtab.symfunc import _lr_pairs
 
@@ -127,13 +129,12 @@ class TestShapeValueContract:
     def test_slots_keep_no_instance_dict(self):
         for x, field in ((Partition((2, 1)), "parts"), (SkewShape.of((2, 1), (1,)), "outer")):
             assert not hasattr(x, "__dict__")
-            with pytest.raises(AttributeError):  # frozen
-                setattr(x, field, EMPTY)
-            # A name that is not a field raises too, as a TypeError: frozen
-            # dataclasses with slots build their __setattr__ on the class
-            # before the slots copy replaces it.
-            with pytest.raises((AttributeError, TypeError)):
-                x.color = "red"
+            # Fields and names that are not fields are refused alike.
+            for name in (field, "_hash", "color"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(x, name, EMPTY)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(x, name)
 
     @pytest.mark.parametrize("outer, inner", [((3, 2), ()), ("32", "1"), (Partition((3, 2)), (1,))])
     def test_non_partition_component_is_a_type_error(self, outer, inner):
@@ -179,6 +180,59 @@ class TestUncheckedConstructorLeaksNothing:
             assert not (z * 0).terms and not (0 * z).terms
             assert not (z - z).terms
             assert clean(z - z, basis)
+
+
+class TestResultsOwnTheirTerms:
+    """`_of` keeps the dict it is given as the result's terms, so every
+    producer must hand it one of its own: changing a result touches no cache
+    and no later result."""
+
+    def test_mutated_results_leave_repeat_calls_alone(self):
+        a, b = SkewShape.of((3, 2, 1), (1,)), SkewShape.of((2, 1), (1,))
+        f, g = schur((2,)) - schur((1, 1)), schur((3, 1)) + 2 * schur((2, 2)) + schur((1,))
+        calls = [
+            lambda: schur((2, 1)),
+            lambda: lr_expand(a),
+            lambda: skew_to_schur(a),
+            lambda: schur_product(f, g),
+            lambda: perp(f, g),
+            lambda: perp(schur((1,)), schur((2, 1))),
+            lambda: skew_expansion_to_schur(skew_lr_product(a, b)),
+            lambda: skew_lr_product(a, b),
+            lambda: skew_h_rho_product(a, Partition((2, 1))),
+        ]
+        for call in calls:
+            want = dict(call().terms)
+            assert want
+            call().terms.clear()
+            assert call().terms == want
+            changed = call()
+            for key in changed.terms:
+                changed.terms[key] += 5
+            changed.terms["extra"] = 1
+            assert call().terms == want
+
+    def test_shared_minus_tables_survive_a_sweep(self):
+        shapes_a = tuple(skew_shapes_up_to(4))
+        shapes_b = tuple(skew_shapes_up_to(3))
+        keys = {(a.inner, _difference(b), b.inner.parts) for a in shapes_a for b in shapes_b}
+        keys |= {(a.inner, (2, 1), None) for a in shapes_a}
+        before = {key: [(m, dict(f.terms)) for m, f in _minus_table(*key)] for key in keys}
+        for a in shapes_a:
+            for b in shapes_b:
+                skew_lr_product(a, b).terms.clear()
+                skew_lr_product(a, b).to_schur().terms.clear()
+            skew_h_rho_product(a, Partition((2, 1))).terms.clear()
+        after = {key: [(m, dict(f.terms)) for m, f in _minus_table(*key)] for key in keys}
+        assert after == before
+
+    def test_of_drops_zeros_and_keeps_a_clean_dict(self):
+        p, q = Partition((2,)), Partition((1, 1))
+        x = SchurExpansion._of({p: 1, q: 0})
+        assert x.terms == {p: 1} and clean(x, Partition)
+        assert not SchurExpansion._of({p: 0, q: 0}).terms
+        data = {p: 2, q: -1}
+        assert SchurExpansion._of(data).terms is data
 
 
 class TestIdentityIsOnlyASpeedUp:
