@@ -15,11 +15,11 @@ The three public operations (`external_insert`, `internal_insert`,
 `reverse_insert`) take a user-built tableau, which may not be semistandard,
 so each rebuilds its result through the public `Partition`, `SkewShape` and
 `Tableau` constructors and rejects a result that is not a valid filling of a
-skew shape. The scratch helpers (`_thaw`, `_bump_in`, `_reverse_from`,
-`_freeze`) are shared with the slides in `involution`; `_freeze` builds its
-tableau through the trusted constructors, because a slide runs only on a
-checked semistandard context, where every step keeps the shape and filling
-valid.
+skew shape. The scratch helpers (`_thaw`, `_bump_in`, `_internal_from`,
+`_reverse_from`, `_freeze`) are shared with the slides in `involution`;
+`_freeze` builds its tableau through the trusted constructors, because a
+slide runs only on a checked semistandard context, where every step keeps
+the shape and filling valid.
 """
 
 from __future__ import annotations
@@ -146,6 +146,14 @@ def _reverse_from(
     return path, v, 0
 
 
+def _internal_from(outer: list[int], inner: list[int], rows: list[list[int]], r: int) -> BumpRecord:
+    """Move row r's leftmost entry into row r+1; the path starts where it was."""
+    k = rows[r - 1].pop(0)
+    inner[r - 1] += 1
+    path = [Cell(r, inner[r - 1])] + _bump_in(outer, inner, rows, k, r + 1)
+    return BumpRecord(tuple(path), k, r, FORWARD)
+
+
 def external_insert(t: Tableau, k: int) -> tuple[Tableau, BumpRecord]:
     """Insert k into row 1 and bump upward."""
     if k < 1:
@@ -159,17 +167,13 @@ def internal_insert(t: Tableau, r: int) -> tuple[Tableau, BumpRecord]:
     """Remove the leftmost cell of row r (an inside corner) and insert its
     entry into row r+1."""
     shape = t.shape
-    lo, hi = shape.row_bounds(r)
-    if r < 1 or hi <= lo:
+    if r < 1 or (lo := shape.inner.part(r)) >= shape.outer.part(r):
         raise NoInsideCorner(f"row {r} has no cells")
     if shape.has_cell(r - 1, lo + 1):
         raise NoInsideCorner(f"cell ({r},{lo + 1}) has a cell below it")
-    outer, inner, rows = _thaw(t)
-    k = rows[r - 1].pop(0)
-    inner[r - 1] += 1
-    vacated = Cell(r, inner[r - 1])
-    path = [vacated] + _bump_in(outer, inner, rows, k, r + 1)
-    return _checked(_freeze(outer, inner, rows)), BumpRecord(tuple(path), k, r, FORWARD)
+    scratch = _thaw(t)
+    rec = _internal_from(*scratch, r)
+    return _checked(_freeze(*scratch)), rec
 
 
 def reverse_insert(t: Tableau, c: Cell | tuple[int, int]) -> tuple[Tableau, BumpRecord]:

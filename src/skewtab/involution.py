@@ -8,8 +8,8 @@ phi pairs each context with one of opposite inner-strip parity and equal
 content; its fixed points carry exactly one horizontal strip row and
 correspond to tableaux on the diagonal concatenation star(base, (n)).
 
-Each context is checked once. `SlideContext(...)` checks both strips and
-semistandardness: it is the public boundary, and every context that `phi`,
+Each context is checked once. `SlideContext(...)` checks its fields' types,
+both strips and semistandardness: the public boundary; every context that `phi`,
 `downward_slide`, `upward_slide` and `star_to_fixed_point` return is built
 through it. `SlideContext._trusted` skips the check; `enumerate_contexts`
 uses it for the contexts it builds valid by construction. Slides build their
@@ -33,6 +33,7 @@ from .insertion import (
     _bump_in,
     _checked,
     _freeze,
+    _internal_from,
     _reverse_from,
     _thaw,
 )
@@ -72,6 +73,10 @@ class SlideContext:
     tableau: Tableau
 
     def __post_init__(self) -> None:
+        if not isinstance(self.base, SkewShape):
+            raise TypeError(f"base {self.base!r} is not a SkewShape")
+        if not isinstance(self.tableau, Tableau):
+            raise TypeError(f"tableau {self.tableau!r} is not a Tableau")
         lam, mu = self.base.outer, self.base.inner
         lam_plus, mu_minus = self.tableau.shape.outer, self.tableau.shape.inner
         if not _is_horizontal_strip(lam_plus.parts, lam.parts):
@@ -170,16 +175,6 @@ def _reverse_outer_strip(
     return exited, None
 
 
-def _internal_from_bottom(scratch: Scratch, r: int) -> BumpRecord:
-    """Internally insert the leftmost entry of row r, the inner strip's
-    bottom cell, into scratch."""
-    outer, inner, rows = scratch
-    k = rows[r - 1].pop(0)
-    inner[r - 1] += 1
-    path = [Cell(r, inner[r - 1])] + _bump_in(outer, inner, rows, k, r + 1)
-    return BumpRecord(tuple(path), k, r, FORWARD)
-
-
 def _reinsert_exited(scratch: Scratch, exited: list[int], steps: list[SlideStep] | None) -> None:
     """Externally insert the exited entries, the last one exited first."""
     for k in reversed(exited):
@@ -200,19 +195,11 @@ def upward_path(ctx: SlideContext) -> BumpRecord | None:
     strip = inner_strip_cells(ctx)
     if not strip:
         return None
-    return _internal_from_bottom(_thaw(ctx.tableau), strip[0].row)
-
-
-def exits_right(ctx: SlideContext) -> bool:
-    """True when the downward path's bottom cell lies strictly below the
-    inner strip's bottom cell; vacuously true when the inner strip is empty."""
-    down = downward_path(ctx)
-    if down is None:
-        raise ValueError("context has no downward path")
-    return _exits_right(ctx, down)
+    return _internal_from(*_thaw(ctx.tableau), strip[0].row)
 
 
 def _exits_right(ctx: SlideContext, down: BumpRecord) -> bool:
+    """down ends strictly below the inner strip's bottom cell, or that strip is empty."""
     strip = inner_strip_cells(ctx)
     return not strip or down.path[0].row < strip[0].row
 
@@ -272,7 +259,7 @@ def upward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> Sli
     r, inner = up_rec.landing_row, scratch[1]
     if r > 1 and inner[r - 2] <= inner[r - 1]:  # row r's first cell has a cell below it
         raise NoUpwardPath(f"upward slide does not apply: row {r} has no inside corner")
-    rec = _internal_from_bottom(scratch, r)
+    rec = _internal_from(*scratch, r)
     if steps is not None:
         steps.append(SlideStep("internal", rec, _snap(scratch)))
     _reinsert_exited(scratch, exited, steps)

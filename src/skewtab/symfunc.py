@@ -421,14 +421,25 @@ def expansion_to_json(x: _Expansion) -> dict:
 
 
 def expansion_from_json(obj: dict):
-    """Inverse of expansion_to_json."""
-    basis = obj.get("basis")
+    """Inverse of expansion_to_json. Raises ValueError naming the problem on
+    input it cannot have written, a shape in two terms included."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expansion must be a JSON object, not {type(obj).__name__}")
+    basis, terms = obj.get("basis"), obj.get("terms")
+    if basis not in ("schur", "skew"):
+        raise ValueError(f"unknown basis {basis!r}")
+    if not isinstance(terms, list):
+        raise ValueError(f"'terms' must be a list, not {type(terms).__name__}")
+    for i, t in enumerate(terms):
+        if not isinstance(t, dict) or type(t.get("coeff")) is not int:
+            raise ValueError(f"term {i} has no integer 'coeff': {t!r}")
+        for name in ("partition",) if basis == "schur" else ("outer", "inner"):
+            if not isinstance(t.get(name), list):
+                raise ValueError(f"term {i} has no list {name!r}: {t!r}")
     if basis == "schur":
-        return SchurExpansion(
-            {Partition(tuple(t["partition"])): t["coeff"] for t in obj["terms"]}
-        )
-    if basis == "skew":
-        return SkewExpansion(
-            {SkewShape.of(t["outer"], t["inner"]): t["coeff"] for t in obj["terms"]}
-        )
-    raise ValueError(f"unknown basis {basis!r}")
+        cls, data = SchurExpansion, {Partition(tuple(t["partition"])): t["coeff"] for t in terms}
+    else:
+        cls, data = SkewExpansion, {SkewShape.of(t["outer"], t["inner"]): t["coeff"] for t in terms}
+    if len(data) != len(terms):
+        raise ValueError("a shape appears in more than one term")
+    return cls(data)

@@ -3,8 +3,8 @@
 A tableau stores one entry tuple per row of its shape, bottom row first,
 covering columns inner_r+1 .. outer_r. Entries are positive integers.
 
-`Tableau(...)` and `parse_tableau` check the row count, the row lengths and
-the entries' positivity: they are the public boundary. `Tableau._trusted`
+`Tableau(...)` and `parse_tableau` check the shape's type, the row count, the
+row lengths and the entries' positivity: the public boundary. `Tableau._trusted`
 skips those checks; the enumerators here and the slide code in `involution`
 use it for fillings they built valid by construction. Neither constructor
 checks semistandardness; `validate` does, by comparing each row with itself
@@ -34,10 +34,10 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.shape, SkewShape):
+            raise TypeError(f"shape {self.shape!r} is not a SkewShape")
         if len(self.rows) != self.shape.rows:
-            raise ValueError(
-                f"{len(self.rows)} entry rows for a {self.shape.rows}-row shape"
-            )
+            raise ValueError(f"{len(self.rows)} entry rows for a {self.shape.rows}-row shape")
         for r, row in enumerate(self.rows, start=1):
             lo, hi = self.shape.row_bounds(r)
             if len(row) != hi - lo:
@@ -188,11 +188,6 @@ def is_yamanouchi(word: tuple[int, ...], tau: Partition = Partition()) -> bool:
         if counts[x] > counts.get(x - 1, 0) and x > 1:
             return False
     return True
-
-
-def is_lr_filling(t: Tableau) -> bool:
-    """SSYT whose reading word is Yamanouchi; its content is then a partition."""
-    return validate(t, SSYT) and is_yamanouchi(reading_word(t))
 
 
 def lr_fillings(shape: SkewShape) -> Iterator[Tableau]:

@@ -17,36 +17,33 @@ from skewtab import (
     external_insert,
     fixed_point_to_star,
     internal_insert,
-    is_admissible_pair,
     is_fixed_point,
     is_yamanouchi,
-    iterated_skew_pieri,
     lr_coefficient,
-    monomial_product,
     parse_shape,
     parse_tableau,
     partitions_of_size,
     phi,
     pieri,
     reverse_insert,
-    reverse_reading_word,
     schur,
-    schur_from_monomials,
     schur_product,
     skew_expansion_to_schur,
     skew_h_rho_product,
     skew_lr_product,
-    skew_monomials,
     skew_pieri,
     star,
     star_to_fixed_point,
-    subpartitions_of_size,
     upward_slide,
     verify_perp_range,
     verify_involution,
     verify_skew_lr,
     verify_skew_pieri,
 )
+from skewtab.rules import is_admissible_pair, iterated_skew_pieri
+from skewtab.shapes import subpartitions_of_size
+from skewtab.symfunc import monomial_product, schur_from_monomials, skew_monomials
+from skewtab.tableaux import reverse_reading_word
 
 
 def _clock():

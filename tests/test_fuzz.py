@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from skewtab import (
     SkewShape,
     enumerate_contexts,
-    format_shape,
-    format_tableau,
     parse_shape,
     parse_tableau,
 )
+from skewtab.shapes import format_shape
+from skewtab.tableaux import format_tableau
 from skewtab.cli import run
 
 from conftest import capture, skew_shapes, tableaux

@@ -12,13 +12,13 @@ from skewtab import (
     REVERSE,
     SSYT,
     SkewShape,
-    enumerate_ssyt,
     external_insert,
     internal_insert,
     parse_tableau,
     reverse_insert,
     validate,
 )
+from skewtab.tableaux import enumerate_ssyt
 
 from conftest import skew_shapes
 
@@ -82,6 +82,12 @@ class TestInternalInsert:
             internal_insert(t, 2)  # (2,1) sits above (1,1)
         with pytest.raises(NoInsideCorner):
             internal_insert(t, 3)  # empty row
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_row_below_one_has_no_inside_corner(self, r):
+        t = parse_tableau("2,2: [1,1][2,2]")
+        with pytest.raises(NoInsideCorner, match=f"row {r} has no cells"):
+            internal_insert(t, r)
 
 
 class TestReverseInsert:

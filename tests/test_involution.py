@@ -12,28 +12,30 @@ from skewtab import (
     SlideContext,
     Tableau,
     VERTICAL,
-    downward_path,
     downward_slide,
     enumerate_contexts,
-    enumerate_ssyt,
-    exits_right,
     fixed_point_to_star,
-    inner_strip_cells,
     is_fixed_point,
-    outer_strip_cells,
     parse_tableau,
     phi,
     star,
     star_to_fixed_point,
-    upward_path,
     validate,
     SSYT,
     upward_slide,
     verify_involution,
 )
+from skewtab.tableaux import enumerate_ssyt
 
 from skewtab.insertion import _thaw
-from skewtab.involution import _slid
+from skewtab.involution import (
+    _exits_right,
+    _slid,
+    downward_path,
+    inner_strip_cells,
+    outer_strip_cells,
+    upward_path,
+)
 from skewtab.shapes import parse_shape, skew_shapes_up_to
 
 from conftest import partitions, validate_by_cells
@@ -52,6 +54,15 @@ class TestSlideContext:
         with pytest.raises(ValueError):
             # inner strip (1)/() is fine but tableau must be SSYT
             SlideContext(base, parse_tableau("2,2/1: [2][1,1]"))
+
+    def test_components_must_have_their_types(self):
+        base = SkewShape.of((2, 2), (1,))
+        t = parse_tableau("2,2/1: [1][1,2]")
+        assert SlideContext(base, t).tableau == t
+        with pytest.raises(TypeError, match="tableau 'x' is not a Tableau"):
+            SlideContext(base, "x")
+        with pytest.raises(TypeError, match=r"base \(\(2, 2\), \(1,\)\) is not a SkewShape"):
+            SlideContext(((2, 2), (1,)), t)
 
     def test_strip_cells(self):
         ctx = SlideContext(BIG_BASE, parse_tableau(BIG_T))
@@ -263,7 +274,7 @@ class TestPaths:
                         strictly_below = down.path[0].row < bottom.row
                         weakly_right = down.path[0].col >= bottom.col
                         assert strictly_below == weakly_right
-                        assert exits_right(ctx) == strictly_below
+                        assert _exits_right(ctx, down) == strictly_below
 
 
 class TestDownwardSlide:
@@ -348,7 +359,7 @@ class TestPhiRegressions:
             t = Tableau.of((2, 1, 1, 1), (1, 1, 1), [a], [], [], [b])
             ctx = SlideContext(base, t)
             down = downward_path(ctx)
-            assert down is not None and not exits_right(ctx)
+            assert down is not None and not _exits_right(ctx, down)
             image = phi(ctx)
             # the cell below-left must not move
             assert image.tableau.entry(4, 1) == b
@@ -361,7 +372,8 @@ class TestPhiRegressions:
         base = SkewShape.of((5, 2, 1), (3, 2, 1))
         t_hat = parse_tableau("6,3,2/3,2: [1,2,2][3][4,5]")
         ctx = SlideContext(base, t_hat)
-        assert exits_right(ctx)
+        down = downward_path(ctx)
+        assert down is not None and _exits_right(ctx, down)
         image = phi(ctx)
         assert image.tableau == parse_tableau("6,2,2/3,1: [1,2,2][3][4,5]")
         assert phi(image) == ctx

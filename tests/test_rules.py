@@ -16,15 +16,11 @@ from skewtab import (
     e,
     enumerate_fillings,
     h,
-    is_admissible_pair,
     is_yamanouchi,
-    iterated_skew_pieri,
-    lr_expand,
     omega,
     parse_tableau,
     partitions_of_size,
     pieri,
-    reverse_reading_word,
     schur,
     schur_product,
     skew_expansion_to_schur,
@@ -32,18 +28,25 @@ from skewtab import (
     skew_lr_pairs,
     skew_lr_product,
     skew_pieri,
-    skew_pieri_linear,
     skew_to_schur,
-    subpartitions_of_size,
-    superpartitions,
     validate,
     verify_perp_range,
     verify_skew_lr,
     verify_skew_pieri,
 )
+from skewtab.symfunc import lr_expand
+from skewtab.tableaux import reverse_reading_word
 
-from skewtab.rules import _difference, _minus_table, _signed_pairs, _signed_terms
-from skewtab.shapes import skew_shapes_up_to
+from skewtab.rules import (
+    _difference,
+    _minus_table,
+    _signed_pairs,
+    _signed_terms,
+    is_admissible_pair,
+    iterated_skew_pieri,
+    skew_pieri_linear,
+)
+from skewtab.shapes import skew_shapes_up_to, subpartitions_of_size, superpartitions
 
 from conftest import partitions, skew_shapes
 

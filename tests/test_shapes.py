@@ -14,18 +14,21 @@ from skewtab import (
     enumerate_contexts,
     enumerate_inner_strips,
     enumerate_outer_strips,
-    format_partition,
-    format_shape,
     parse_partition,
     parse_shape,
     partitions_of_size,
     skew_pieri,
     star,
+)
+
+from skewtab.shapes import (
+    _strata,
+    format_partition,
+    format_shape,
+    skew_shapes_up_to,
     subpartitions_of_size,
     superpartitions,
 )
-
-from skewtab.shapes import _strata, skew_shapes_up_to
 
 from conftest import partitions, skew_shapes
 

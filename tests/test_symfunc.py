@@ -1,12 +1,12 @@
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from skewtab import (
-    NotSymmetric,
     Partition,
     SchurExpansion,
     SkewExpansion,
@@ -18,24 +18,26 @@ from skewtab import (
     h,
     hall_inner,
     lr_coefficient,
-    lr_expand,
-    monomial_expansion,
-    monomial_product,
     omega,
     perp,
     schur,
-    schur_from_monomials,
     schur_product,
     skew_expansion_to_schur,
-    skew_monomials,
     skew_to_schur,
-    superpartitions,
-    verify_perp_identities,
     HORIZONTAL,
     VERTICAL,
 )
-from skewtab.shapes import partitions_of_size
-from skewtab.symfunc import _basis_product
+from skewtab.shapes import partitions_of_size, superpartitions
+from skewtab.symfunc import (
+    NotSymmetric,
+    _basis_product,
+    lr_expand,
+    monomial_expansion,
+    monomial_product,
+    schur_from_monomials,
+    skew_monomials,
+    verify_perp_identities,
+)
 
 from conftest import partitions, skew_shapes
 
@@ -423,3 +425,27 @@ class TestJson:
     def test_bad_basis_rejected(self):
         with pytest.raises(ValueError):
             expansion_from_json({"basis": "power", "terms": []})
+
+    @pytest.mark.parametrize(
+        "obj,problem",
+        [
+            ({"basis": "schur"}, "'terms' must be a list, not NoneType"),
+            ({"basis": "schur", "terms": {}}, "'terms' must be a list, not dict"),
+            ([{"basis": "schur", "terms": []}], "must be a JSON object, not list"),
+            ({"terms": []}, "unknown basis None"),
+            ({"basis": ["schur"], "terms": []}, "unknown basis"),
+            ({"basis": "schur", "terms": [{"coeff": 1}]}, "term 0 has no list 'partition'"),
+            ({"basis": "schur", "terms": [[1, [2]]]}, "term 0 has no integer 'coeff'"),
+            ({"basis": "schur", "terms": [{"partition": [2]}]}, "term 0 has no integer 'coeff'"),
+            ({"basis": "schur", "terms": [{"coeff": 1.0, "partition": [2]}]}, "no integer 'coeff'"),
+            ({"basis": "schur", "terms": [{"coeff": 1, "partition": 2}]}, "no list 'partition'"),
+            ({"basis": "skew", "terms": [{"coeff": 1, "outer": [2]}]}, "term 0 has no list 'inner'"),
+            (
+                {"basis": "schur", "terms": [{"coeff": 1, "partition": p} for p in ([1], [1, 0])]},
+                "a shape appears in more than one term",
+            ),
+        ],
+    )
+    def test_malformed_json_names_the_problem(self, obj, problem):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            expansion_from_json(obj)

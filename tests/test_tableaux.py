@@ -12,17 +12,14 @@ from skewtab import (
     SkewShape,
     Tableau,
     enumerate_fillings,
-    enumerate_ssyt,
-    format_tableau,
-    is_lr_filling,
     is_yamanouchi,
     lr_fillings,
     parse_tableau,
     reading_word,
-    reverse_reading_word,
     star,
     validate,
 )
+from skewtab.tableaux import enumerate_ssyt, format_tableau, reverse_reading_word
 from skewtab.shapes import Cell, ParseError, partitions_of_size, skew_shapes_up_to
 
 from conftest import skew_shapes, validate_by_cells
@@ -148,6 +145,10 @@ class TestTableau:
             Tableau.of((2, 1), (), [1, 2, 3], [1])
         with pytest.raises(ValueError):
             Tableau.of((1,), (), [0])
+
+    def test_shape_must_be_a_skew_shape(self):
+        with pytest.raises(TypeError, match=r"shape \(1,\) is not a SkewShape"):
+            Tableau((1,), ((1,),))
 
     def test_entry_and_content(self):
         t = parse_tableau("4,3,1/1: [1,2,7][3,3,5][5]")
@@ -301,9 +302,11 @@ class TestWords:
 class TestLittlewoodRichardson:
     def test_is_lr_filling(self):
         good = Tableau.of((3, 2), (1,), [1, 1], [1, 2])
-        assert is_lr_filling(good)
+        assert validate(good, SSYT) and is_yamanouchi(reading_word(good))
+        assert good in set(lr_fillings(good.shape))
         bad = Tableau.of((3, 2), (1,), [1, 2], [1, 2])
-        assert not is_lr_filling(bad)
+        assert validate(bad, SSYT) and not is_yamanouchi(reading_word(bad))
+        assert bad not in set(lr_fillings(bad.shape))
 
     @pytest.mark.parametrize(
         "outer,inner",
@@ -312,7 +315,11 @@ class TestLittlewoodRichardson:
     def test_lr_fillings_match_filter(self, outer, inner):
         shape = SkewShape.of(outer, inner)
         m = max(shape.size, 1)
-        brute = [t for t in enumerate_fillings(shape, SSYT, m) if is_lr_filling(t)]
+        brute = [
+            t
+            for t in enumerate_fillings(shape, SSYT, m)
+            if validate(t, SSYT) and is_yamanouchi(reading_word(t))
+        ]
         assert sorted(lr_fillings(shape), key=lambda t: t.rows) == sorted(
             brute, key=lambda t: t.rows
         )

@@ -18,7 +18,6 @@ from skewtab import (
     SchurExpansion,
     SkewShape,
     h,
-    lr_expand,
     parse_partition,
     parse_shape,
     perp,
@@ -33,7 +32,7 @@ from skewtab import (
 from skewtab import shapes
 from skewtab.rules import _difference, _minus_table
 from skewtab.shapes import EMPTY, _canonical, partitions_of_size, skew_shapes_up_to
-from skewtab.symfunc import _lr_pairs
+from skewtab.symfunc import _lr_pairs, lr_expand
 
 from conftest import partitions, skew_shapes
 
