@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Run the four exhaustive verification sweeps at their full limits and print
-one JSON report per line. Exits nonzero if any sweep records a failure.
+one JSON report per line to stdout, and each sweep's time in seconds to
+stderr, so stdout is byte-identical across runs of the same code. Exits
+nonzero if any sweep records a failure.
 
 Usage: python3 scripts/run_checks.py [--fast]
 
@@ -41,11 +43,12 @@ def main() -> int:
     for name, sweep in sweeps:
         start = time.perf_counter()
         report = sweep()
+        seconds = time.perf_counter() - start
         report["sweep"] = name
-        report["seconds"] = round(time.perf_counter() - start, 3)
         report["ok"] = not report["failures"]
         bad += len(report["failures"])
         print(json.dumps(report))
+        print(f"{name}: {seconds:.3f} s", file=sys.stderr)
     return 1 if bad else 0
 
 

@@ -16,9 +16,11 @@ The three public operations (`external_insert`, `internal_insert`,
 so each rebuilds its result through the public `Partition`, `SkewShape` and
 `Tableau` constructors and rejects a result that is not a valid filling of a
 skew shape. The scratch helpers (`_thaw`, `_bump_in`, `_internal_from`,
-`_reverse_from`, `_freeze`) are shared with the slides in `involution`;
-`_freeze` builds its tableau through the trusted constructors, because a
-slide runs only on a checked semistandard context, where every step keeps
+`_reverse_from`, `_freeze`), shared with the slides in `involution`, work on
+a mutable pair (inner, rows) of one inner part and one entry list per row; a
+row's right end is read as its inner part plus its length. `_freeze` alone
+builds outer parts, and builds its tableau through the trusted constructors:
+a slide runs only on a checked semistandard context, where every step keeps
 the shape and filling valid.
 """
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import add
 
 from .shapes import Cell, Partition, SkewShape
 from .tableaux import Tableau
@@ -58,29 +61,29 @@ class BumpRecord:
     direction: str
 
 
-Scratch = tuple[list[int], list[int], list[list[int]]]
+Scratch = tuple[list[int], list[list[int]]]
 
 
 def _thaw(t: Tableau) -> Scratch:
-    """Scratch lists for t: outer parts, inner parts padded with zeros to the
-    outer length, and one list per row."""
-    outer, inner = t.shape.outer.parts, t.shape.inner.parts
-    return [*outer], [*inner] + [0] * (len(outer) - len(inner)), [list(row) for row in t.rows]
+    """Scratch pair for t: inner parts padded with zeros to one part per row,
+    and one entry list per row."""
+    inner = t.shape.inner.parts
+    return [*inner] + [0] * (len(t.rows) - len(inner)), [list(row) for row in t.rows]
 
 
-def _freeze(outer: list[int], inner: list[int], rows: list[list[int]]) -> Tableau:
-    """The tableau held in scratch, built without checks. Empty top rows are
-    dropped, and the zero parts that _thaw and _bump_in pad the inner
-    partition with are trimmed."""
-    while outer and outer[-1] == 0:
-        outer.pop()
-        inner.pop()
+def _freeze(inner: list[int], rows: list[list[int]]) -> Tableau:
+    """The tableau held in scratch, built without checks. Top rows with no
+    cells and no inner part are dropped, each outer part is an inner part plus
+    a row length, and the zero parts padding the inner partition are trimmed."""
+    while rows and not rows[-1] and not inner[-1]:
         rows.pop()
+        inner.pop()
+    outer = tuple(map(add, inner, map(len, rows)))
     k = len(inner)
     while k and inner[k - 1] == 0:
         k -= 1
-    shape = SkewShape._trusted(Partition._trusted(tuple(outer)), Partition._trusted(tuple(inner[:k])))
-    return Tableau._trusted(shape, tuple(tuple(row) for row in rows))
+    shape = SkewShape._trusted(Partition._trusted(outer), Partition._trusted(tuple(inner[:k])))
+    return Tableau._trusted(shape, tuple(map(tuple, rows)))
 
 
 def _checked(t: Tableau) -> Tableau:
@@ -90,38 +93,31 @@ def _checked(t: Tableau) -> Tableau:
     return Tableau(shape, t.rows)
 
 
-def _bump_in(outer: list[int], inner: list[int], rows: list[list[int]], v: int, start: int) -> list[Cell]:
+def _bump_in(inner: list[int], rows: list[list[int]], v: int, start: int) -> list[Cell]:
     """Insert v into row `start` and bump upward; returns the path cells."""
     path: list[Cell] = []
     i = start
     while True:
-        while i > len(outer):
-            outer.append(0)
+        while i > len(rows):
             inner.append(0)
             rows.append([])
         row = rows[i - 1]
         j = bisect_right(row, v)
+        path.append(Cell(i, inner[i - 1] + j + 1))
         if j == len(row):
             row.append(v)
-            outer[i - 1] += 1
-            path.append(Cell(i, outer[i - 1]))
             return path
         v, row[j] = row[j], v
-        path.append(Cell(i, inner[i - 1] + j + 1))
         i += 1
 
 
-def _reverse_from(
-    outer: list[int], inner: list[int], rows: list[list[int]], r0: int
-) -> tuple[list[Cell], int, int]:
+def _reverse_from(inner: list[int], rows: list[list[int]], r0: int) -> tuple[list[Cell], int, int]:
     """Delete the corner at the right end of row r0 and cascade downward.
 
     Returns (path cells bottom first, final entry, landing row).
     """
+    path = [Cell(r0, inner[r0 - 1] + len(rows[r0 - 1]))]
     v = rows[r0 - 1].pop()
-    col0 = outer[r0 - 1]
-    outer[r0 - 1] -= 1
-    path = [Cell(r0, col0)]
     i = r0 - 1
     while i >= 1:
         row = rows[i - 1]
@@ -132,7 +128,7 @@ def _reverse_from(
                 raise InvalidResult(f"no column left of row {i} for entry {v}")
             if i < len(inner) and inner[i] >= col:
                 raise InvalidResult(f"left-end landing at ({i},{col}) breaks the inner shape")
-            if i < len(outer) and inner[i] < col <= outer[i] and rows[i][col - inner[i] - 1] <= v:
+            if i < len(rows) and col - inner[i] <= len(rows[i]) and rows[i][col - inner[i] - 1] <= v:
                 raise InvalidResult(f"left-end landing at ({i},{col}) breaks column strictness")
             row.insert(0, v)
             inner[i - 1] -= 1
@@ -146,11 +142,11 @@ def _reverse_from(
     return path, v, 0
 
 
-def _internal_from(outer: list[int], inner: list[int], rows: list[list[int]], r: int) -> BumpRecord:
+def _internal_from(inner: list[int], rows: list[list[int]], r: int) -> BumpRecord:
     """Move row r's leftmost entry into row r+1; the path starts where it was."""
     k = rows[r - 1].pop(0)
     inner[r - 1] += 1
-    path = [Cell(r, inner[r - 1])] + _bump_in(outer, inner, rows, k, r + 1)
+    path = [Cell(r, inner[r - 1])] + _bump_in(inner, rows, k, r + 1)
     return BumpRecord(tuple(path), k, r, FORWARD)
 
 
@@ -158,9 +154,9 @@ def external_insert(t: Tableau, k: int) -> tuple[Tableau, BumpRecord]:
     """Insert k into row 1 and bump upward."""
     if k < 1:
         raise ValueError(f"entries must be positive, got {k}")
-    outer, inner, rows = _thaw(t)
-    path = _bump_in(outer, inner, rows, k, 1)
-    return _checked(_freeze(outer, inner, rows)), BumpRecord(tuple(path), k, 0, FORWARD)
+    scratch = _thaw(t)
+    path = _bump_in(*scratch, k, 1)
+    return _checked(_freeze(*scratch)), BumpRecord(tuple(path), k, 0, FORWARD)
 
 
 def internal_insert(t: Tableau, r: int) -> tuple[Tableau, BumpRecord]:
@@ -182,6 +178,6 @@ def reverse_insert(t: Tableau, c: Cell | tuple[int, int]) -> tuple[Tableau, Bump
     _, outside = t.shape.corners()
     if c not in outside:
         raise NotOutsideCorner(f"{tuple(c)} is not an outside corner of {t.shape}")
-    outer, inner, rows = _thaw(t)
-    path, final, landing = _reverse_from(outer, inner, rows, c.row)
-    return _checked(_freeze(outer, inner, rows)), BumpRecord(tuple(path), final, landing, REVERSE)
+    scratch = _thaw(t)
+    path, final, landing = _reverse_from(*scratch, c.row)
+    return _checked(_freeze(*scratch)), BumpRecord(tuple(path), final, landing, REVERSE)

@@ -132,8 +132,8 @@ def inner_strip_cells(ctx: SlideContext) -> tuple[Cell, ...]:
 
 
 def _copy(scratch: Scratch) -> Scratch:
-    outer, inner, rows = scratch
-    return [*outer], [*inner], [list(r) for r in rows]
+    inner, rows = scratch
+    return [*inner], [list(r) for r in rows]
 
 
 def _snap(scratch: Scratch) -> Tableau:
@@ -198,12 +198,6 @@ def upward_path(ctx: SlideContext) -> BumpRecord | None:
     return _internal_from(*_thaw(ctx.tableau), strip[0].row)
 
 
-def _exits_right(ctx: SlideContext, down: BumpRecord) -> bool:
-    """down ends strictly below the inner strip's bottom cell, or that strip is empty."""
-    strip = inner_strip_cells(ctx)
-    return not strip or down.path[0].row < strip[0].row
-
-
 def _stays_weakly_right(path: tuple[Cell, ...], up_path: tuple[Cell, ...]) -> bool:
     """True when every cell of path sits weakly right of the upward path's
     staircase, which is extended below its bottom row and above its top row
@@ -256,7 +250,7 @@ def upward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> Sli
             break
         exited.append(final)
 
-    r, inner = up_rec.landing_row, scratch[1]
+    r, inner = up_rec.landing_row, scratch[0]
     if r > 1 and inner[r - 2] <= inner[r - 1]:  # row r's first cell has a cell below it
         raise NoUpwardPath(f"upward slide does not apply: row {r} has no inside corner")
     rec = _internal_from(*scratch, r)
@@ -267,12 +261,12 @@ def upward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> Sli
 
 
 def phi(ctx: SlideContext, steps: list[SlideStep] | None = None) -> SlideContext:
-    """Downward slide when there is no upward path or the downward path
-    exits right; upward slide otherwise."""
+    """Downward slide when there is no upward path or the downward path lands
+    strictly below the inner strip's bottom cell; upward slide otherwise."""
     if ctx.tableau.shape.inner == ctx.base.inner:  # empty inner strip: no upward path
         return downward_slide(ctx, steps)
     down = downward_path(ctx)
-    if down is not None and _exits_right(ctx, down):
+    if down is not None and down.landing_row < inner_strip_cells(ctx)[0].row:
         return downward_slide(ctx, steps)
     return upward_slide(ctx, steps)
 
@@ -331,8 +325,8 @@ def verify_involution(limit_outer: int, limit_n: int, max_entry: int) -> dict:
     """Exhaustively check phi over every base with |outer| <= limit_outer and
     every stratum with n <= limit_n: involutivity, content preservation, sign
     reversal off fixed points, and the fixed-point bijection with star
-    tableaux. Returns a JSON-ready report. A negative limit raises
-    ValueError."""
+    tableaux. Returns a JSON-ready report. A limit that is not an int
+    raises TypeError, a negative one ValueError."""
     _require_nonnegative(limit_outer=limit_outer, limit_n=limit_n, max_entry=max_entry)
     failures: list[str] = []
     contexts = 0

@@ -320,8 +320,8 @@ def verify_skew_pieri(limit_outer: int, limit_n: int, max_entry: int = 3) -> dic
     product with h_n; (ii) within _MONOMIAL_LIMITS, monomial-level equality
     in degree-many variables; (iii) within _INVOLUTION_LIMITS, signed SSYT
     counts at bounded entries cancel down to the star-shape count and the
-    slide fixed points match it. Returns a JSON-ready report. A negative
-    limit raises ValueError."""
+    slide fixed points match it. Returns a JSON-ready report. A limit that is
+    not an int raises TypeError, a negative one ValueError."""
     mono_outer, mono_n = _MONOMIAL_LIMITS
     inv_outer, inv_n = _INVOLUTION_LIMITS
     _require_nonnegative(limit_outer=limit_outer, limit_n=limit_n, max_entry=max_entry)
@@ -375,8 +375,8 @@ def verify_skew_pieri(limit_outer: int, limit_n: int, max_entry: int = 3) -> dic
 
 def verify_skew_lr(limit_outer_a: int, limit_outer_b: int) -> dict:
     """Sweep to_schur(skew_lr_product(a, b)) == skew_to_schur(a) *
-    skew_to_schur(b) over all skew a, b within the size limits. A negative
-    limit raises ValueError."""
+    skew_to_schur(b) over all skew a, b within the size limits. A limit that
+    is not an int raises TypeError, a negative one ValueError."""
     _require_nonnegative(limit_outer_a=limit_outer_a, limit_outer_b=limit_outer_b)
     failures: list[str] = []
     cases = 0
@@ -397,8 +397,8 @@ def verify_skew_lr(limit_outer_a: int, limit_outer_b: int) -> dict:
 
 def verify_perp_range(max_deg: int, max_n: int) -> dict:
     """Sweep the four perp identities over all Schur pairs with degrees at
-    most max_deg and all n from 1 to max_n. A negative limit raises
-    ValueError."""
+    most max_deg and all n from 1 to max_n. A limit that is not an int
+    raises TypeError, a negative one ValueError."""
     _require_nonnegative(max_deg=max_deg, max_n=max_n)
     failures: list[str] = []
     cases = 0

@@ -381,8 +381,11 @@ def skew_shapes_up_to(limit_outer: int) -> Iterator[SkewShape]:
 
 
 def _require_nonnegative(**limits: int) -> None:
-    """Raise ValueError naming the first negative sweep limit."""
+    """Raise TypeError naming the first sweep limit not an int (bools
+    included), ValueError naming the first negative one."""
     for name, value in limits.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
 

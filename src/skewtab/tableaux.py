@@ -3,12 +3,12 @@
 A tableau stores one entry tuple per row of its shape, bottom row first,
 covering columns inner_r+1 .. outer_r. Entries are positive integers.
 
-`Tableau(...)` and `parse_tableau` check the shape's type, the row count, the
-row lengths and the entries' positivity: the public boundary. `Tableau._trusted`
-skips those checks; the enumerators here and the slide code in `involution`
-use it for fillings they built valid by construction. Neither constructor
-checks semistandardness; `validate` does, by comparing each row with itself
-and with the row above it.
+`Tableau(...)` and `parse_tableau` store rows as tuples and check the shape's
+type, the row count, the row lengths and that entries are positive ints (not
+bools): the public boundary. `Tableau._trusted` skips those checks; the
+enumerators here and the slide code in `involution` use it for fillings they
+built valid by construction. Neither constructor checks semistandardness;
+`validate` does, by comparing each row with itself and with the row above it.
 
 `_fillings` and `lr_fillings` are two explicit-slot loops with no helper in
 common: `_fillings` feeds the monomial oracle and `lr_fillings` the LR route,
@@ -36,14 +36,18 @@ class Tableau:
     def __post_init__(self) -> None:
         if not isinstance(self.shape, SkewShape):
             raise TypeError(f"shape {self.shape!r} is not a SkewShape")
-        if len(self.rows) != self.shape.rows:
-            raise ValueError(f"{len(self.rows)} entry rows for a {self.shape.rows}-row shape")
-        for r, row in enumerate(self.rows, start=1):
+        rows = tuple(map(tuple, self.rows))
+        if len(rows) != self.shape.rows:
+            raise ValueError(f"{len(rows)} entry rows for a {self.shape.rows}-row shape")
+        for r, row in enumerate(rows, start=1):
             lo, hi = self.shape.row_bounds(r)
             if len(row) != hi - lo:
                 raise ValueError(f"row {r} has {len(row)} entries, expected {hi - lo}")
+            if not {int}.issuperset(map(type, row)):
+                raise ValueError(f"row {r} has a non-integer entry")
             if any(x < 1 for x in row):
                 raise ValueError(f"row {r} has a nonpositive entry")
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def _trusted(cls, shape: SkewShape, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
@@ -55,7 +59,7 @@ class Tableau:
 
     @classmethod
     def of(cls, outer, inner, *rows) -> "Tableau":
-        return cls(SkewShape.of(outer, inner), tuple(tuple(r) for r in rows))
+        return cls(SkewShape.of(outer, inner), rows)
 
     def entry(self, r: int, c: int) -> int | None:
         if not self.shape.has_cell(r, c):
@@ -258,6 +262,6 @@ def parse_tableau(text: str) -> Tableau:
             except ValueError:
                 raise ParseError(f"bad tableau {text!r}: bad row {chunk!r}") from None
     try:
-        return Tableau(shape, tuple(rows))
+        return Tableau(shape, rows)
     except ValueError as exc:
         raise ParseError(f"bad tableau {text!r}: {exc}") from None

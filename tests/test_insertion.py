@@ -18,9 +18,10 @@ from skewtab import (
     reverse_insert,
     validate,
 )
+from skewtab.insertion import _bump_in, _freeze, _reverse_from, _thaw
 from skewtab.tableaux import enumerate_ssyt
 
-from conftest import skew_shapes
+from conftest import skew_shapes, tableaux
 
 
 EXTERNAL_BEFORE = "7,5,4,2/3,1: [2,2,3,6][1,2,3,4][2,2,7,7][4,5]"
@@ -51,6 +52,12 @@ class TestExternalInsert:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             external_insert(parse_tableau("1: [1]"), 0)
+
+    @pytest.mark.parametrize("k", [True, 1.5], ids=["bool", "float"])
+    def test_rejects_non_integer(self, k):
+        with pytest.raises(ValueError) as exc:
+            external_insert(parse_tableau("2,1: [1,1][2]"), k)
+        assert str(exc.value) == "row 1 has a non-integer entry"
 
     def test_adds_one_entry_and_stays_ssyt(self):
         t = parse_tableau(EXTERNAL_BEFORE)
@@ -116,6 +123,34 @@ class TestReverseInsert:
         assert rec.landing_row == 3
         assert rec.path == (Cell(3, 1), Cell(4, 1))
         assert res == parse_tableau("2,1,1/1,1: [1][][2]")
+
+
+class TestScratch:
+    """The scratch pair (inner, rows) and the rule by which _freeze trims it."""
+
+    @given(tableaux())
+    def test_freeze_inverts_thaw(self, t):
+        assert _freeze(*_thaw(t)) == t
+
+    @pytest.mark.parametrize("text", ["2,2/2,1: [][2]", "2,2/2,2: [][]"])
+    def test_row_without_cells_under_an_inner_part_is_kept(self, text):
+        t = parse_tableau(text)
+        inner, rows = _thaw(t)
+        assert inner == list(t.shape.inner.parts) and rows[0] == []
+        assert _freeze(inner, rows) == t
+
+    def test_top_row_emptied_by_reverse_insertion_is_dropped(self):
+        scratch = _thaw(parse_tableau("2,1: [1,1][2]"))
+        path, final, landing = _reverse_from(*scratch, 2)
+        assert scratch == ([0, 0], [[1, 2], []])
+        assert (path, final, landing) == ([Cell(1, 2), Cell(2, 1)], 1, 0)
+        assert _freeze(*scratch) == parse_tableau("2: [1,2]")
+
+    def test_row_opened_above_the_shape_by_bumping_is_kept(self):
+        scratch = _thaw(parse_tableau("2/1: [2]"))
+        assert _bump_in(*scratch, 1, 1) == [Cell(1, 2), Cell(2, 1)]
+        assert scratch == ([1, 0], [[1], [2]])
+        assert _freeze(*scratch) == parse_tableau("2,1/1: [1][2]")
 
 
 class TestInversionProperties:

@@ -29,7 +29,6 @@ from skewtab.tableaux import enumerate_ssyt
 
 from skewtab.insertion import _thaw
 from skewtab.involution import (
-    _exits_right,
     _slid,
     downward_path,
     inner_strip_cells,
@@ -77,13 +76,15 @@ class TestSlideContext:
         assert inner_strip_cells(ctx) == (Cell(1, 2), Cell(2, 1))
 
 
-def _composed_check(base, outer, inner, rows):
+def _composed_check(base, inner, rows):
     """The checks a slide result went through when every value was built by
-    the public constructors: drop empty top rows, build Partition, SkewShape
-    and Tableau, then test containment, is_strip and the cell-by-cell SSYT
-    rule. Returns (tableau, error): tableau is None if construction failed,
-    error is None if every check passed."""
-    outer, inner, rows = list(outer), list(inner), [list(r) for r in rows]
+    the public constructors: read each outer part off the inner part and row
+    length, drop empty top rows, build Partition, SkewShape and Tableau, then
+    test containment, is_strip and the cell-by-cell SSYT rule. Returns
+    (tableau, error): tableau is None if construction failed, error is None
+    if every check passed."""
+    outer = [i + len(r) for i, r in zip(inner, rows)]
+    inner, rows = list(inner), [list(r) for r in rows]
     while outer and outer[-1] == 0:
         outer.pop(), inner.pop(), rows.pop()
     try:
@@ -108,39 +109,37 @@ def _perturbations(ctx):
     or one cell added or dropped at a left end. The moved or added entry is
     kept, or set to 1 or 4. An empty row is padded on top so cells can move
     up into it."""
-    outer, inner, rows = _thaw(ctx.tableau)
-    outer, inner, rows = outer + [0], inner + [0], rows + [[]]
+    inner, rows = _thaw(ctx.tableau)
+    inner, rows = inner + [0], rows + [[]]
 
     def copy():
-        return list(outer), list(inner), [list(r) for r in rows]
+        return list(inner), [list(r) for r in rows]
 
     for r in range(len(rows)):
         for new in (None, 1, 4):
             for dest in range(len(rows)):
                 if rows[r] and dest != r:
-                    o, i, t = copy()
+                    i, t = copy()
                     x = t[r].pop()
-                    o[r] -= 1
                     t[dest].append(x if new is None else new)
-                    o[dest] += 1
-                    yield o, i, t
+                    yield i, t
                 if rows[r] and dest != r and inner[dest] > 0:
-                    o, i, t = copy()
+                    i, t = copy()
                     x = t[r].pop(0)
                     i[r] += 1
                     t[dest].insert(0, x if new is None else new)
                     i[dest] -= 1
-                    yield o, i, t
+                    yield i, t
             if inner[r] > 0:
-                o, i, t = copy()
+                i, t = copy()
                 t[r].insert(0, 1 if new is None else new)
                 i[r] -= 1
-                yield o, i, t
+                yield i, t
         if rows[r]:
-            o, i, t = copy()
+            i, t = copy()
             t[r].pop(0)
             i[r] += 1
-            yield o, i, t
+            yield i, t
 
 
 def _outcome(build):
@@ -164,10 +163,10 @@ class TestTrustedConstruction:
         for base in skew_shapes_up_to(3):
             for n in range(3):
                 for ctx in enumerate_contexts(base, n, 2):
-                    for o, i, t in _perturbations(ctx):
-                        filling, error = _composed_check(base, o, i, t)
+                    for i, t in _perturbations(ctx):
+                        filling, error = _composed_check(base, i, t)
                         want = (filling if error is None else None, error)
-                        assert _outcome(lambda: _slid(base, (o, i, t))) == want, (str(base), o, i, t)
+                        assert _outcome(lambda: _slid(base, (i, t))) == want, (str(base), i, t)
                         if filling is not None:
                             # A skew filling also reaches SlideContext through
                             # the public constructors.
@@ -180,7 +179,7 @@ class TestTrustedConstruction:
         # (1, 2) inside (2, 2): row 2 keeps no cell.
         base = SkewShape.of((2, 2), (2, 2))
         with pytest.raises(ValueError) as exc:
-            _slid(base, ([2, 2], [1, 2], [[1], []]))
+            _slid(base, ([1, 2], [[1], []]))
         assert str(exc.value) == "parts not weakly decreasing: (1, 2)"
 
     @pytest.mark.parametrize(
@@ -274,7 +273,7 @@ class TestPaths:
                         strictly_below = down.path[0].row < bottom.row
                         weakly_right = down.path[0].col >= bottom.col
                         assert strictly_below == weakly_right
-                        assert _exits_right(ctx, down) == strictly_below
+                        assert (down.landing_row < bottom.row) == strictly_below
 
 
 class TestDownwardSlide:
@@ -359,7 +358,7 @@ class TestPhiRegressions:
             t = Tableau.of((2, 1, 1, 1), (1, 1, 1), [a], [], [], [b])
             ctx = SlideContext(base, t)
             down = downward_path(ctx)
-            assert down is not None and not _exits_right(ctx, down)
+            assert down is not None and not down.landing_row < inner_strip_cells(ctx)[0].row
             image = phi(ctx)
             # the cell below-left must not move
             assert image.tableau.entry(4, 1) == b
@@ -373,7 +372,7 @@ class TestPhiRegressions:
         t_hat = parse_tableau("6,3,2/3,2: [1,2,2][3][4,5]")
         ctx = SlideContext(base, t_hat)
         down = downward_path(ctx)
-        assert down is not None and _exits_right(ctx, down)
+        assert down is not None and down.landing_row < inner_strip_cells(ctx)[0].row
         image = phi(ctx)
         assert image.tableau == parse_tableau("6,2,2/3,1: [1,2,2][3][4,5]")
         assert phi(image) == ctx

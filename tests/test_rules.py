@@ -30,6 +30,7 @@ from skewtab import (
     skew_pieri,
     skew_to_schur,
     validate,
+    verify_involution,
     verify_perp_range,
     verify_skew_lr,
     verify_skew_pieri,
@@ -651,3 +652,19 @@ class TestVerifiers:
         rep = verify_perp_range(2, 2)
         assert rep["failures"] == []
         assert rep["cases"] > 0
+
+    @pytest.mark.parametrize("bad", [True, 1.5], ids=["bool", "float"])
+    @pytest.mark.parametrize(
+        "sweep, name",
+        [
+            (lambda x: verify_involution(x, 1, 1), "limit_outer"),
+            (lambda x: verify_skew_pieri(1, 1, max_entry=x), "max_entry"),
+            (lambda x: verify_skew_lr(1, x), "limit_outer_b"),
+            (lambda x: verify_perp_range(x, 1), "max_deg"),
+        ],
+        ids=["involution", "skew-pieri", "skew-lr", "perp"],
+    )
+    def test_limits_must_be_ints(self, sweep, name, bad):
+        with pytest.raises(TypeError) as exc:
+            sweep(bad)
+        assert str(exc.value) == f"{name} must be an int, got {bad!r}"

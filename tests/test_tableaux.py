@@ -146,6 +146,19 @@ class TestTableau:
         with pytest.raises(ValueError):
             Tableau.of((1,), (), [0])
 
+    def test_list_rows_are_stored_as_tuples(self):
+        shape = SkewShape.of((2, 1))
+        t = Tableau(shape, [[1, 1], [2]])
+        assert t.rows == ((1, 1), (2,))
+        assert t == Tableau(shape, ((1, 1), (2,))) == Tableau.of((2, 1), (), [1, 1], [2])
+        assert hash(t) == hash(Tableau(shape, ((1, 1), (2,))))
+
+    @pytest.mark.parametrize("bad", [True, 1.5], ids=["bool", "float"])
+    def test_entries_must_be_ints(self, bad):
+        with pytest.raises(ValueError) as exc:
+            Tableau(SkewShape.of((2, 1)), ((1, 1), (bad,)))
+        assert str(exc.value) == "row 2 has a non-integer entry"
+
     def test_shape_must_be_a_skew_shape(self):
         with pytest.raises(TypeError, match=r"shape \(1,\) is not a SkewShape"):
             Tableau((1,), ((1,),))
