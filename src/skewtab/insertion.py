@@ -19,9 +19,10 @@ skew shape. The scratch helpers (`_thaw`, `_bump_in`, `_internal_from`,
 `_reverse_from`, `_freeze`), shared with the slides in `involution`, work on
 a mutable pair (inner, rows) of one inner part and one entry list per row; a
 row's right end is read as its inner part plus its length. `_freeze` alone
-builds outer parts, and builds its tableau through the trusted constructors:
-a slide runs only on a checked semistandard context, where every step keeps
-the shape and filling valid.
+builds outer parts, and builds its tableau through the trusted constructors,
+taking both partitions from `shapes._canonical`, so the shapes of a slide's
+states share their part tuples' objects: a slide runs only on a checked
+semistandard context, where every step keeps the shape and filling valid.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import add
 
-from .shapes import Cell, Partition, SkewShape
+from .shapes import Cell, Partition, SkewShape, _canonical, _require_int
 from .tableaux import Tableau
 
 FORWARD = "forward"
@@ -68,7 +69,7 @@ def _thaw(t: Tableau) -> Scratch:
     """Scratch pair for t: inner parts padded with zeros to one part per row,
     and one entry list per row."""
     inner = t.shape.inner.parts
-    return [*inner] + [0] * (len(t.rows) - len(inner)), [list(row) for row in t.rows]
+    return [*inner] + [0] * (len(t.rows) - len(inner)), list(map(list, t.rows))
 
 
 def _freeze(inner: list[int], rows: list[list[int]]) -> Tableau:
@@ -82,7 +83,7 @@ def _freeze(inner: list[int], rows: list[list[int]]) -> Tableau:
     k = len(inner)
     while k and inner[k - 1] == 0:
         k -= 1
-    shape = SkewShape._trusted(Partition._trusted(outer), Partition._trusted(tuple(inner[:k])))
+    shape = SkewShape._trusted(_canonical(outer), _canonical(tuple(inner[:k])))
     return Tableau._trusted(shape, tuple(map(tuple, rows)))
 
 
@@ -152,6 +153,7 @@ def _internal_from(inner: list[int], rows: list[list[int]], r: int) -> BumpRecor
 
 def external_insert(t: Tableau, k: int) -> tuple[Tableau, BumpRecord]:
     """Insert k into row 1 and bump upward."""
+    _require_int(k=k)
     if k < 1:
         raise ValueError(f"entries must be positive, got {k}")
     scratch = _thaw(t)
@@ -162,6 +164,7 @@ def external_insert(t: Tableau, k: int) -> tuple[Tableau, BumpRecord]:
 def internal_insert(t: Tableau, r: int) -> tuple[Tableau, BumpRecord]:
     """Remove the leftmost cell of row r (an inside corner) and insert its
     entry into row r+1."""
+    _require_int(r=r)
     shape = t.shape
     if r < 1 or (lo := shape.inner.part(r)) >= shape.outer.part(r):
         raise NoInsideCorner(f"row {r} has no cells")

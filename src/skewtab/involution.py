@@ -18,12 +18,21 @@ a check fails, and for the states a trace records, are they rebuilt through
 the public constructors, so a slide applied off its domain fails with the
 same error as when every state was built through them, or, for an upward
 slide about to move a cell that is no inside corner, with `NoUpwardPath`.
+
+Slides walk the strips by row: a reverse insertion reads only the row of the
+corner it deletes, so the outer strip is walked as a run of row indices, and
+phi reads the inner strip's bottom row off the part tuples. `Cell`s are built
+only for the paths that `BumpRecord`s carry. The upward slide compares each
+trial path with the upward path through one column per row, built once per
+slide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import ge
+from itertools import chain, count, repeat
+from operator import ge, sub
+from typing import Iterator
 
 from .insertion import (
     FORWARD,
@@ -64,7 +73,7 @@ def _is_vertical_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
     if len(small) > len(big):
         return False
     padded = small + (0,) * (len(big) - len(small))
-    return all(0 <= b - s <= 1 for b, s in zip(big, padded)) and all(map(ge, small, small[1:]))
+    return {0, 1}.issuperset(map(sub, big, padded)) and all(map(ge, small, small[1:]))
 
 
 @dataclass(frozen=True)
@@ -115,25 +124,24 @@ class SlideStep:
     tableau: Tableau
 
 
-def outer_strip_cells(ctx: SlideContext) -> tuple[Cell, ...]:
-    """Cells of lam_plus/lam ordered right to left (columns descending).
+def _outer_strip_rows(ctx: SlideContext) -> Iterator[int]:
+    """The rows of the cells of lam_plus/lam taken right to left (columns
+    descending): row r once per strip cell in it, row 1 upward, since in a
+    horizontal strip each row's cells lie right of the next row's."""
+    widths = map(sub, ctx.tableau.shape.outer.parts, ctx.base.outer.parts + (0,))
+    return chain.from_iterable(map(repeat, count(1), widths))
 
-    In a horizontal strip each row's cells lie right of the next row's, so
-    this is row 1 upward, columns descending within a row."""
-    rows = zip(ctx.tableau.shape.outer.parts, ctx.base.outer.parts + (0,))
-    return tuple(Cell(r, c) for r, (hi, lo) in enumerate(rows, start=1) for c in range(hi, lo, -1))
 
-
-def inner_strip_cells(ctx: SlideContext) -> tuple[Cell, ...]:
-    """Cells of mu/mu_minus ordered bottom to top."""
+def _inner_strip_bottom(ctx: SlideContext) -> int:
+    """The lowest row of mu/mu_minus, or 0 when the inner strip is empty."""
     mu = ctx.base.inner.parts
     rows = zip(mu, ctx.tableau.shape.inner.parts + (0,) * len(mu))
-    return tuple(Cell(r, m) for r, (m, k) in enumerate(rows, start=1) if m > k)
+    return next((r for r, (m, k) in enumerate(rows, start=1) if m > k), 0)
 
 
 def _copy(scratch: Scratch) -> Scratch:
     inner, rows = scratch
-    return [*inner], [list(r) for r in rows]
+    return [*inner], list(map(list, rows))
 
 
 def _snap(scratch: Scratch) -> Tableau:
@@ -164,8 +172,8 @@ def _reverse_outer_strip(
     below row 1, in removal order, and the record of the entry that landed
     (None when every entry exited)."""
     exited: list[int] = []
-    for c in outer_strip_cells(ctx):
-        path, final, landing = _reverse_from(*scratch, c.row)
+    for r in _outer_strip_rows(ctx):
+        path, final, landing = _reverse_from(*scratch, r)
         if steps is not None:
             rec = BumpRecord(tuple(path), final, landing, REVERSE)
             steps.append(SlideStep("reverse", rec, _snap(scratch)))
@@ -192,29 +200,25 @@ def downward_path(ctx: SlideContext) -> BumpRecord | None:
 def upward_path(ctx: SlideContext) -> BumpRecord | None:
     """The bumping path that internal insertion of the inner strip's bottom
     cell would follow; absent when the inner strip is empty."""
-    strip = inner_strip_cells(ctx)
-    if not strip:
+    r = _inner_strip_bottom(ctx)
+    if not r:
         return None
-    return _internal_from(*_thaw(ctx.tableau), strip[0].row)
+    return _internal_from(*_thaw(ctx.tableau), r)
 
 
-def _stays_weakly_right(path: tuple[Cell, ...], up_path: tuple[Cell, ...]) -> bool:
-    """True when every cell of path sits weakly right of the upward path's
-    staircase, which is extended below its bottom row and above its top row
-    by the respective end columns.
+def _staircase(up_path: tuple[Cell, ...], rows: int) -> list[int]:
+    """The upward path's column in each row 1..rows, at index row - 1: the
+    path runs through consecutive rows, and is extended below its bottom row
+    and above its top row by the respective end columns. A cell sits weakly
+    right of the path when its column is at least its row's entry.
 
     The extension matters: a reverse path wholly below the upward path must
     count as weakly right (its cells sit right of the staircase's foot) while
     one wholly above must not (it has drifted left past the staircase's head);
     either blanket convention for disjoint rows breaks the involution.
     """
-    cols = {c.row: c.col for c in up_path}
     bottom, top = up_path[0], up_path[-1]
-    for r, c in path:
-        ref = bottom.col if r < bottom.row else top.col if r > top.row else cols[r]
-        if c < ref:
-            return False
-    return True
+    return [bottom.col] * (bottom.row - 1) + [c.col for c in up_path] + [top.col] * (rows - top.row)
 
 
 def downward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> SlideContext:
@@ -236,11 +240,12 @@ def upward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> Sli
         raise NoUpwardPath(f"inner strip of {ctx.base} is already empty")
 
     scratch = _thaw(ctx.tableau)
+    stair = _staircase(up_rec.path, len(scratch[1]))
     exited: list[int] = []
-    for c in outer_strip_cells(ctx):
+    for r in _outer_strip_rows(ctx):
         trial = _copy(scratch)
-        path, final, landing = _reverse_from(*trial, c.row)
-        if not _stays_weakly_right(tuple(path), up_rec.path):
+        path, final, landing = _reverse_from(*trial, r)
+        if any(col < stair[row - 1] for row, col in path):  # left of the upward path
             break
         scratch = trial
         if steps is not None:
@@ -266,14 +271,14 @@ def phi(ctx: SlideContext, steps: list[SlideStep] | None = None) -> SlideContext
     if ctx.tableau.shape.inner == ctx.base.inner:  # empty inner strip: no upward path
         return downward_slide(ctx, steps)
     down = downward_path(ctx)
-    if down is not None and down.landing_row < inner_strip_cells(ctx)[0].row:
+    if down is not None and down.landing_row < _inner_strip_bottom(ctx):
         return downward_slide(ctx, steps)
     return upward_slide(ctx, steps)
 
 
 def is_fixed_point(ctx: SlideContext) -> bool:
     """Empty inner strip and no downward path: phi leaves ctx unchanged."""
-    return ctx.inner_strip.size == 0 and downward_path(ctx) is None
+    return ctx.tableau.shape.inner == ctx.base.inner and downward_path(ctx) is None
 
 
 def fixed_point_to_star(ctx: SlideContext) -> Tableau:
@@ -282,7 +287,7 @@ def fixed_point_to_star(ctx: SlideContext) -> Tableau:
     are the residual tableau."""
     scratch = _thaw(ctx.tableau)
     exited, landed = _reverse_outer_strip(ctx, scratch)
-    if ctx.inner_strip.size or landed is not None:  # not is_fixed_point(ctx)
+    if ctx.tableau.shape.inner != ctx.base.inner or landed is not None:  # not is_fixed_point(ctx)
         raise NotFixedPoint(f"phi moves this context (base {ctx.base})")
     residual = _freeze(*scratch)
     strip_row = tuple(reversed(exited))
@@ -354,7 +359,7 @@ def verify_involution(limit_outer: int, limit_n: int, max_entry: int) -> dict:
                 else:
                     if is_fixed_point(ctx):
                         failures.append(f"fixed point moved: {ctx.tableau} over {base}")
-                    if abs(image.inner_strip.size - ctx.inner_strip.size) != 1:
+                    if abs(image.tableau.shape.inner.size - ctx.tableau.shape.inner.size) != 1:
                         failures.append(f"sign not reversed at {ctx.tableau} over {base}")
             star_count = len(enumerate_ssyt(star(base, SkewShape.of((n,))), max_entry))
             if fixed != star_count:

@@ -18,13 +18,16 @@ hash is computed on first use and kept in a `_hash` slot that takes no part
 in equality, order, `repr` or pickling. The cached tables hand out
 partitions from `_canonical`, one object per part tuple while it stays in
 that bounded cache, so their dict and cache lookups mostly match by
-identity; an eviction costs only that shortcut, never a result.
+identity; an eviction costs only that shortcut, never a result. The slides
+take the partitions of every state they build from the same cache, so a
+state's shape costs two cache hits rather than two constructions.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache
+from operator import ge
 from typing import Iterator, NamedTuple
 
 HORIZONTAL = "horizontal"
@@ -60,7 +63,7 @@ class Partition:
             parts = parts[:-1]
         if parts and parts[-1] < 0:
             raise ValueError(f"negative part in {parts}")
-        if sorted(parts, reverse=True) != list(parts):
+        if not all(map(ge, parts, parts[1:])):
             raise ValueError(f"parts not weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
 
@@ -105,7 +108,7 @@ class Partition:
 
     def contains(self, other: "Partition") -> bool:
         """Containment of diagrams: other_i <= self_i for all i."""
-        return all(self.part(i) >= p for i, p in enumerate(other.parts, start=1))
+        return len(other.parts) <= len(self.parts) and all(map(ge, self.parts, other.parts))
 
     def conjugate(self) -> "Partition":
         """Transpose the diagram: column lengths become the parts."""
@@ -380,12 +383,19 @@ def skew_shapes_up_to(limit_outer: int) -> Iterator[SkewShape]:
                     yield SkewShape(lam, mu)
 
 
+def _require_int(**values: int) -> None:
+    """Raise TypeError naming the first argument that is not an int (bools
+    included)."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def _require_nonnegative(**limits: int) -> None:
     """Raise TypeError naming the first sweep limit not an int (bools
     included), ValueError naming the first negative one."""
+    _require_int(**limits)
     for name, value in limits.items():
-        if type(value) is not int:
-            raise TypeError(f"{name} must be an int, got {value!r}")
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
 

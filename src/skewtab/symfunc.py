@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .shapes import EMPTY, Partition, SkewShape, _canonical, partitions_of_size, star
+from .shapes import EMPTY, Partition, SkewShape, _canonical, _require_int, partitions_of_size, star
 from .tableaux import enumerate_ssyt, lr_fillings
 
 
@@ -279,6 +279,7 @@ def perp(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
 
 def h(n: int) -> SchurExpansion:
     """Complete homogeneous h_n = s_(n)."""
+    _require_int(n=n)
     if n < 0:
         raise ValueError("h(n) needs n >= 0")
     return schur(Partition((n,) if n else ()))
@@ -286,6 +287,7 @@ def h(n: int) -> SchurExpansion:
 
 def e(n: int) -> SchurExpansion:
     """Elementary e_n = s_(1^n)."""
+    _require_int(n=n)
     if n < 0:
         raise ValueError("e(n) needs n >= 0")
     return schur(Partition((1,) * n))

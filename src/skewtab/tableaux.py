@@ -18,11 +18,11 @@ and the checks that compare those routes rely on them sharing no code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import ge, gt, le, lt
+from itertools import accumulate, chain
+from operator import ge, gt, le, lt, ne, sub
 from typing import Iterator
 
-from .shapes import ParseError, Partition, SkewShape, parse_shape
+from .shapes import ParseError, Partition, SkewShape, _require_int, parse_shape
 
 SSYT = "ssyt"
 ASSYT = "assyt"
@@ -39,14 +39,22 @@ class Tableau:
         rows = tuple(map(tuple, self.rows))
         if len(rows) != self.shape.rows:
             raise ValueError(f"{len(rows)} entry rows for a {self.shape.rows}-row shape")
-        for r, row in enumerate(rows, start=1):
-            lo, hi = self.shape.row_bounds(r)
-            if len(row) != hi - lo:
-                raise ValueError(f"row {r} has {len(row)} entries, expected {hi - lo}")
-            if not {int}.issuperset(map(type, row)):
-                raise ValueError(f"row {r} has a non-integer entry")
-            if any(x < 1 for x in row):
-                raise ValueError(f"row {r} has a nonpositive entry")
+        outer, inner = self.shape.outer.parts, self.shape.inner.parts
+        widths = tuple(map(sub, outer, inner + (0,) * (len(outer) - len(inner))))
+        # Every row at once; only a rejected filling is walked row by row,
+        # to name the lowest row at fault.
+        if (
+            any(map(ne, map(len, rows), widths))
+            or not {int}.issuperset(map(type, chain.from_iterable(rows)))
+            or min(chain.from_iterable(rows), default=1) < 1
+        ):
+            for r, (row, width) in enumerate(zip(rows, widths), start=1):
+                if len(row) != width:
+                    raise ValueError(f"row {r} has {len(row)} entries, expected {width}")
+                if not {int}.issuperset(map(type, row)):
+                    raise ValueError(f"row {r} has a non-integer entry")
+                if min(row, default=1) < 1:
+                    raise ValueError(f"row {r} has a nonpositive entry")
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -68,12 +76,10 @@ class Tableau:
 
     def content(self) -> tuple[int, ...]:
         """Entry multiplicities (count of 1s, of 2s, ...), trailing zeros trimmed."""
-        counts: dict[int, int] = {}
-        for row in self.rows:
-            for x in row:
-                counts[x] = counts.get(x, 0) + 1
-        top = max(counts) if counts else 0
-        return tuple(counts.get(i, 0) for i in range(1, top + 1))
+        counts = [0] * (max(chain.from_iterable(self.rows), default=0) + 1)
+        for x in chain.from_iterable(self.rows):
+            counts[x] += 1
+        return tuple(counts[1:])
 
     def __str__(self) -> str:
         return format_tableau(self)
@@ -110,14 +116,18 @@ def enumerate_ssyt(shape: SkewShape, max_entry: int) -> tuple[Tableau, ...]:
     """All SSYT on shape with entries in 1..max_entry.
 
     Emitted in lexicographic order of the row-concatenated entry sequences.
+    A max_entry that is not an int (bools included) raises TypeError.
     """
+    _require_int(max_entry=max_entry)
     return tuple(_fillings(shape, SSYT, max_entry))
 
 
 def enumerate_fillings(shape: SkewShape, kind: str, max_entry: int) -> Iterator[Tableau]:
-    """Fillings of the given kind with entries in 1..max_entry."""
+    """Fillings of the given kind with entries in 1..max_entry. A max_entry
+    that is not an int (bools included) raises TypeError."""
     if kind not in (SSYT, ASSYT):
         raise ValueError(f"unknown tableau kind {kind!r}")
+    _require_int(max_entry=max_entry)
     return _fillings(shape, kind, max_entry)
 
 

@@ -1,0 +1,173 @@
+"""Exhaustive equivalence of the boundary checks with their earlier forms.
+
+`Partition(...)`, `Partition.contains`, the slide-context strip tests,
+`Tableau(...)`'s row checks and `Tableau.content()` run as `map`/`zip`
+loops. Each is compared here with a test-local copy of the plain Python
+expression it replaced, over every partition of size at most 6 and every
+pair of them: same accept/reject set, same exception type, same message.
+"""
+
+import itertools
+from operator import ge
+
+from skewtab import ASSYT, SSYT, Partition, SkewShape, Tableau
+from skewtab.involution import _is_horizontal_strip, _is_vertical_strip
+from skewtab.shapes import partitions_of_size
+from skewtab.tableaux import enumerate_fillings
+
+PARTITIONS = [p for n in range(7) for p in partitions_of_size(n)]
+PAIRS = list(itertools.product(PARTITIONS, repeat=2))
+SHAPES = [SkewShape(a, b) for a, b in PAIRS if all(a.part(i) >= p for i, p in enumerate(b.parts, 1))]
+
+
+def _outcome(f, *args):
+    """f's result, or the type and message of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # any type: the types are what is compared
+        return type(exc), str(exc)
+
+
+def _reference_partition(parts):
+    """Partition(parts).parts as the check was written with sorted()."""
+    parts = tuple(parts)
+    if not {int}.issuperset(map(type, parts)):
+        raise ValueError(f"non-integer part in {parts}")
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    if parts and parts[-1] < 0:
+        raise ValueError(f"negative part in {parts}")
+    if sorted(parts, reverse=True) != list(parts):
+        raise ValueError(f"parts not weakly decreasing: {parts}")
+    return parts
+
+
+def _reference_contains(big, small):
+    return all(big.part(i) >= p for i, p in enumerate(small.parts, start=1))
+
+
+def _reference_horizontal(big, small):
+    if not len(small) <= len(big) <= len(small) + 1:
+        return False
+    return all(map(ge, big, small)) and all(map(ge, small, big[1:]))
+
+
+def _reference_vertical(big, small):
+    if len(small) > len(big):
+        return False
+    padded = small + (0,) * (len(big) - len(small))
+    return all(0 <= b - s <= 1 for b, s in zip(big, padded)) and all(map(ge, small, small[1:]))
+
+
+def _reference_rows(shape, rows):
+    """Tableau(shape, rows).rows as the row checks were written, row by row."""
+    rows = tuple(map(tuple, rows))
+    if len(rows) != shape.rows:
+        raise ValueError(f"{len(rows)} entry rows for a {shape.rows}-row shape")
+    for r, row in enumerate(rows, start=1):
+        lo, hi = shape.row_bounds(r)
+        if len(row) != hi - lo:
+            raise ValueError(f"row {r} has {len(row)} entries, expected {hi - lo}")
+        if not {int}.issuperset(map(type, row)):
+            raise ValueError(f"row {r} has a non-integer entry")
+        if any(x < 1 for x in row):
+            raise ValueError(f"row {r} has a nonpositive entry")
+    return rows
+
+
+def _reference_content(t):
+    counts = {}
+    for row in t.rows:
+        for x in row:
+            counts[x] = counts.get(x, 0) + 1
+    top = max(counts) if counts else 0
+    return tuple(counts.get(i, 0) for i in range(1, top + 1))
+
+
+def _partition_inputs():
+    """Every ordering of every partition of size <= 6, with and without
+    trailing or inner zeros; every tuple over -1..3 of length <= 5; and
+    tuples holding a part that is not an int."""
+    seen = set()
+    for p in PARTITIONS:
+        for perm in itertools.permutations(p.parts):
+            for padded in (perm, perm + (0,), perm + (0, 0), (0,) + perm, perm[:1] + (0,) + perm[1:]):
+                seen.add(padded)
+    for k in range(6):
+        seen.update(itertools.product(range(-1, 4), repeat=k))
+    odd = [(1.0,), (2, True), (3, "1"), (None,), (2, 1, 1.5), (0, False), (-1, 2.0)]
+    return sorted(seen) + odd
+
+
+def test_partition_accepts_and_rejects_as_before():
+    inputs = _partition_inputs()
+    assert len(inputs) == 4014
+    for parts in inputs:
+        got = _outcome(lambda: Partition(parts).parts)
+        assert got == _outcome(_reference_partition, parts), parts
+
+
+def test_contains_as_before():
+    for big, small in PAIRS:
+        assert big.contains(small) is _reference_contains(big, small), (big, small)
+
+
+def test_strip_tests_as_before():
+    # Every pair of partitions, then pairs whose small side is no partition,
+    # which the vertical test must refuse on its decreasing check.
+    tuples = [p.parts for p in PARTITIONS]
+    tuples += sorted({t for k in range(1, 4) for t in itertools.product(range(4), repeat=k)} - set(tuples))
+    for big in (p.parts for p in PARTITIONS):
+        for small in tuples:
+            assert _is_vertical_strip(big, small) is _reference_vertical(big, small), (big, small)
+            assert _is_horizontal_strip(big, small) is _reference_horizontal(big, small), (big, small)
+
+
+def _row_variants(shape):
+    """Entry rows for shape: the fitting one, then each row (and each pair
+    of rows) given a wrong length, a 0, a bool or a float, and row lists
+    one too short and one too long."""
+    widths = [hi - lo for lo, hi in map(shape.row_bounds, range(1, shape.rows + 1))]
+    good = [[1] * w for w in widths]
+    faults = [
+        lambda row: row + [1],
+        lambda row: row[:-1] if row else None,
+        lambda row: row[:-1] + [0] if row else None,
+        lambda row: [True] + row[1:] if row else None,
+        lambda row: row[:-1] + [1.5] if row else None,
+        lambda row: ["1"] if row else None,
+    ]
+    yield good
+    yield good[:-1]
+    yield good + [[]]
+    for r in range(len(good)):
+        for fault in faults:
+            bad = fault(good[r])
+            if bad is None:
+                continue
+            yield good[:r] + [bad] + good[r + 1 :]
+            for s in range(r + 1, len(good)):
+                for other in faults:
+                    worse = other(good[s])
+                    if worse is not None:
+                        yield good[:r] + [bad] + good[r + 1 : s] + [worse] + good[s + 1 :]
+
+
+def test_tableau_row_checks_as_before():
+    checked = 0
+    for shape in SHAPES:
+        for rows in _row_variants(shape):
+            got = _outcome(lambda: Tableau(shape, rows).rows)
+            assert got == _outcome(_reference_rows, shape, rows), (shape, rows)
+            checked += 1
+    assert checked == 16332
+
+
+def test_content_as_before():
+    checked = 0
+    for shape in SHAPES:
+        for kind in (SSYT, ASSYT):
+            for t in enumerate_fillings(shape, kind, 4):
+                assert t.content() == _reference_content(t), t
+                checked += 1
+    assert checked == 9076

@@ -53,11 +53,11 @@ class TestExternalInsert:
         with pytest.raises(ValueError):
             external_insert(parse_tableau("1: [1]"), 0)
 
-    @pytest.mark.parametrize("k", [True, 1.5], ids=["bool", "float"])
-    def test_rejects_non_integer(self, k):
-        with pytest.raises(ValueError) as exc:
+    @pytest.mark.parametrize("k", [True, 1.5, "a", None], ids=["bool", "float", "str", "none"])
+    def test_rejects_non_int_k(self, k):
+        with pytest.raises(TypeError) as exc:
             external_insert(parse_tableau("2,1: [1,1][2]"), k)
-        assert str(exc.value) == "row 1 has a non-integer entry"
+        assert str(exc.value) == f"k must be an int, got {k!r}"
 
     def test_adds_one_entry_and_stays_ssyt(self):
         t = parse_tableau(EXTERNAL_BEFORE)
@@ -89,6 +89,12 @@ class TestInternalInsert:
             internal_insert(t, 2)  # (2,1) sits above (1,1)
         with pytest.raises(NoInsideCorner):
             internal_insert(t, 3)  # empty row
+
+    @pytest.mark.parametrize("r", [True, 1.0, "a", None], ids=["bool", "float", "str", "none"])
+    def test_rejects_non_int_row(self, r):
+        with pytest.raises(TypeError) as exc:
+            internal_insert(parse_tableau("2,2: [1,1][2,2]"), r)
+        assert str(exc.value) == f"r must be an int, got {r!r}"
 
     @pytest.mark.parametrize("r", [0, -1])
     def test_row_below_one_has_no_inside_corner(self, r):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,10 +31,10 @@ from skewtab.tableaux import enumerate_ssyt
 
 from skewtab.insertion import _thaw
 from skewtab.involution import (
+    _inner_strip_bottom,
+    _outer_strip_rows,
     _slid,
     downward_path,
-    inner_strip_cells,
-    outer_strip_cells,
     upward_path,
 )
 from skewtab.shapes import parse_shape, skew_shapes_up_to
@@ -65,15 +67,18 @@ class TestSlideContext:
 
     def test_strip_cells(self):
         ctx = SlideContext(BIG_BASE, parse_tableau(BIG_T))
-        assert outer_strip_cells(ctx) == (Cell(2, 6), Cell(4, 4), Cell(4, 3), Cell(4, 2))
-        assert inner_strip_cells(ctx) == ()
+        assert set(ctx.outer_strip.cells()) == {Cell(2, 6), Cell(4, 4), Cell(4, 3), Cell(4, 2)}
+        assert list(_outer_strip_rows(ctx)) == [2, 4, 4, 4]
+        assert ctx.inner_strip.cells() == ()
+        assert _inner_strip_bottom(ctx) == 0
         assert ctx.n == 4
 
     def test_inner_strip_cells_bottom_first(self):
         base = SkewShape.of((3, 2), (2, 1))
         t = Tableau.of((3, 2), (1,), [1, 1], [1, 2])
         ctx = SlideContext(base, t)
-        assert inner_strip_cells(ctx) == (Cell(1, 2), Cell(2, 1))
+        assert ctx.inner_strip.cells() == (Cell(1, 2), Cell(2, 1))
+        assert _inner_strip_bottom(ctx) == 1
 
 
 def _composed_check(base, inner, rows):
@@ -221,9 +226,9 @@ class TestTrustedConstruction:
         for base in skew_shapes_up_to(4):
             for n in range(4):
                 for ctx in enumerate_contexts(base, n, 3):
-                    outer = tuple(sorted(ctx.outer_strip.cells(), key=lambda c: -c.col))
-                    assert outer_strip_cells(ctx) == outer
-                    assert inner_strip_cells(ctx) == ctx.inner_strip.cells()
+                    outer = sorted(ctx.outer_strip.cells(), key=lambda c: -c.col)
+                    assert list(_outer_strip_rows(ctx)) == [c.row for c in outer]
+                    assert _inner_strip_bottom(ctx) == (ctx.inner_strip.cells() or [Cell(0, 0)])[0].row
                     assert (upward_path(ctx) is None) == (ctx.inner_strip.size == 0)
 
 
@@ -266,7 +271,7 @@ class TestPaths:
                 for n in range(3):
                     for ctx in enumerate_contexts(base, n, 3):
                         down = downward_path(ctx)
-                        strips = inner_strip_cells(ctx)
+                        strips = ctx.inner_strip.cells()
                         if down is None or not strips:
                             continue
                         bottom = strips[0]
@@ -358,7 +363,7 @@ class TestPhiRegressions:
             t = Tableau.of((2, 1, 1, 1), (1, 1, 1), [a], [], [], [b])
             ctx = SlideContext(base, t)
             down = downward_path(ctx)
-            assert down is not None and not down.landing_row < inner_strip_cells(ctx)[0].row
+            assert down is not None and not down.landing_row < _inner_strip_bottom(ctx)
             image = phi(ctx)
             # the cell below-left must not move
             assert image.tableau.entry(4, 1) == b
@@ -372,7 +377,7 @@ class TestPhiRegressions:
         t_hat = parse_tableau("6,3,2/3,2: [1,2,2][3][4,5]")
         ctx = SlideContext(base, t_hat)
         down = downward_path(ctx)
-        assert down is not None and down.landing_row < inner_strip_cells(ctx)[0].row
+        assert down is not None and down.landing_row < _inner_strip_bottom(ctx)
         image = phi(ctx)
         assert image.tableau == parse_tableau("6,2,2/3,1: [1,2,2][3][4,5]")
         assert phi(image) == ctx
@@ -394,6 +399,21 @@ class TestPhiExhaustive:
                 assert is_fixed_point(ctx)
             else:
                 assert abs(image.inner_strip.size - ctx.inner_strip.size) == 1
+
+    def test_slide_outputs_pinned(self):
+        # One line per context of verify_involution(4, 2, 3), in its order:
+        # base, tableau and phi's image. The digest was recorded from the
+        # slides before their per-step objects were cut, so it pins every
+        # output, not only that phi is an involution.
+        digest = hashlib.sha256()
+        contexts = 0
+        for base in skew_shapes_up_to(4):
+            for n in range(3):
+                for ctx in enumerate_contexts(base, n, 3):
+                    contexts += 1
+                    digest.update(f"{base} | {ctx.tableau} | {phi(ctx).tableau}\n".encode())
+        assert contexts == 5134
+        assert digest.hexdigest() == "47bcab4af9466b7b1bca0be577dc4d99a5a6157d785515a7f8cd751f5dbbb6ae"
 
     def test_strata_structure(self):
         base = SkewShape.of((2, 1), (1,))

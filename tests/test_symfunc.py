@@ -286,6 +286,14 @@ class TestOmegaHE:
         with pytest.raises(ValueError):
             e(-1)
 
+    @pytest.mark.parametrize("n", [True, 2.0, "a", None], ids=["bool", "float", "str", "none"])
+    def test_h_e_reject_non_int(self, n):
+        # e(True) used to return s[1]; h("a") failed inside a comparison.
+        for f in (h, e):
+            with pytest.raises(TypeError) as exc:
+                f(n)
+            assert str(exc.value) == f"n must be an int, got {n!r}"
+
     @given(partitions())
     def test_omega_conjugates(self, p):
         assert omega(schur(p)) == schur(p.conjugate())

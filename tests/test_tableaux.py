@@ -244,6 +244,16 @@ class TestEnumeration:
         shape = SkewShape.of((1, 1), (1, 1))
         assert list(enumerate_fillings(shape, SSYT, 2)) == [Tableau(shape, ((), ()))]
 
+    @pytest.mark.parametrize("m", [1.5, True, "3", None], ids=["float", "bool", "str", "none"])
+    def test_non_int_entry_bound_raises_at_the_call(self, m):
+        # 1.5 used to hang: no entry ever equals it, so no filling completed.
+        shape = SkewShape.of((2,))
+        for kind in (SSYT, ASSYT):
+            with pytest.raises(TypeError, match=f"^max_entry must be an int, got {m!r}$"):
+                enumerate_fillings(shape, kind, m)  # raises before any filling is tried
+        with pytest.raises(TypeError, match=f"^max_entry must be an int, got {m!r}$"):
+            enumerate_ssyt(shape, m)
+
     @given(skew_shapes(max_len=3, max_part=3), st.integers(1, 3))
     def test_all_fillings_valid(self, shape, m):
         have = list(enumerate_fillings(shape, SSYT, m))
