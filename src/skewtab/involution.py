@@ -208,17 +208,18 @@ def upward_path(ctx: SlideContext) -> BumpRecord | None:
 
 def _staircase(up_path: tuple[Cell, ...], rows: int) -> list[int]:
     """The upward path's column in each row 1..rows, at index row - 1: the
-    path runs through consecutive rows, and is extended below its bottom row
-    and above its top row by the respective end columns. A cell sits weakly
-    right of the path when its column is at least its row's entry.
+    path runs through consecutive rows and is extended above its top row by
+    its top column. A cell sits weakly right of the path when its column is
+    at least its row's entry. Rows below its bottom row r hold 0: they keep
+    mu's parts, each at least mu_r, the path's bottom column, so no cell of
+    a reverse path there, landing cells included, sits left of the path.
 
-    The extension matters: a reverse path wholly below the upward path must
-    count as weakly right (its cells sit right of the staircase's foot) while
-    one wholly above must not (it has drifted left past the staircase's head);
-    either blanket convention for disjoint rows breaks the involution.
+    The extension above matters: a reverse path wholly above the upward path
+    must not count as weakly right (it has drifted left past the staircase's
+    head), or the involution breaks.
     """
     bottom, top = up_path[0], up_path[-1]
-    return [bottom.col] * (bottom.row - 1) + [c.col for c in up_path] + [top.col] * (rows - top.row)
+    return [0] * (bottom.row - 1) + [c.col for c in up_path] + [top.col] * (rows - top.row)
 
 
 def downward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> SlideContext:

@@ -3,19 +3,18 @@
 The straight Pieri rule adds one strip; the skew Pieri rule adds an outer
 strip while removing an inner strip, with sign the parity of the removed
 strip; the skew LR rule generalizes to multiplying by any skew Schur
-function via pairs of an anti-semistandard filling removed inside and a
-semistandard filling added outside. Its pairs come from one backtracker that
-fills the removed cells column by column (rightmost first, bottom to top),
-then the added cells row by row (bottom first, right to left): the order of
-the reverse reading word, so the content budget and the Yamanouchi test cut
-each dead prefix as it appears and only admissible pairs are built. The
-multi-row rule for h_rho runs the same backtracker with the word test off.
-The products build no pair and fill no T+: skew_lr_product and
-skew_h_rho_product fill T- alone (cached per inner shape mu), sum
-s_{sigma/kappa} per mu_minus over it (kappa the word's entry counts where T-
-ends, sigma = kappa + the content unspent) and multiply by s_lam, which
-counts the T+ by the kappa-lattice LR rule. skew_lr_pairs still runs the
-whole backtracker and yields every pair, in fill order, for auditing.
+function via pairs of an anti-semistandard filling T- removed inside and a
+semistandard filling T+ added outside. One backtracker fills T- alone,
+column by column (rightmost first, bottom to top): the start of the reverse
+reading word, so the content budget and the Yamanouchi test cut each dead
+prefix as it appears. The multi-row rule for h_rho runs it with the word
+test off. The products build no pair and fill no T+: skew_lr_product and
+skew_h_rho_product sum s_{sigma/kappa} per mu_minus over the T- (cached per
+inner shape mu; kappa the word's entry counts where T- ends, sigma = kappa +
+the content unspent) and multiply by s_lam, which counts the T+ by the
+kappa-lattice LR rule. skew_lr_pairs lists every pair for auditing, in T-
+fill order, then lam_plus in lexicographic order, then lr_fillings order:
+the T+ on lam_plus/lam are LR fillings of star(lam_plus/lam, kappa).
 Harnesses cross-check the rules against the Schur-basis product, against
 monomial expansions, and against signed tableau counting.
 """
@@ -31,12 +30,15 @@ from .shapes import (
     Partition,
     SkewShape,
     _canonical,
+    _require_int,
     _require_nonnegative,
+    _require_type,
     _strata,
     enumerate_outer_strips,
     partitions_of_size,
     skew_shapes_up_to,
     star,
+    superpartitions,
 )
 from .symfunc import (
     SchurExpansion,
@@ -59,6 +61,7 @@ from .tableaux import (
     enumerate_fillings,  # noqa: F401  not called here; bench/test_bench.py traces this binding
     enumerate_ssyt,
     is_yamanouchi,
+    lr_fillings,
     reverse_reading_word,
     validate,
 )
@@ -67,6 +70,8 @@ from .tableaux import (
 def pieri(lam: Partition, n: int, dual: bool = False) -> SchurExpansion:
     """s_lam * h_n as the sum over horizontal n-strips added to lam
     (vertical strips and e_n when dual)."""
+    _require_type(Partition, lam=lam)
+    _require_int(n=n)
     direction = VERTICAL if dual else HORIZONTAL
     return SchurExpansion({p: 1 for p in enumerate_outer_strips(lam, n, direction)})
 
@@ -75,6 +80,8 @@ def skew_pieri(s: SkewShape, n: int, dual: bool = False) -> SkewExpansion:
     """s_{lam/mu} * h_n as the signed sum over adding an (n-k)-horizontal
     strip outside and removing a k-vertical strip inside, sign (-1)^k
     (strip directions swap when dual, giving the e_n product)."""
+    _require_type(SkewShape, s=s)
+    _require_int(n=n)
     terms: dict[SkewShape, int] = {}
     for k, lam_plus, mu_minus in _strata(s, n, dual):
         shape = SkewShape._trusted(lam_plus, mu_minus)
@@ -106,34 +113,25 @@ def _difference(b: SkewShape) -> tuple[int, ...]:
     return tuple(sigma.part(i) - tau.part(i) for i in range(1, len(sigma) + 1))
 
 
-_COLUMN, _MINUS, _ROW, _PLUS = range(4)  # _signed_pairs' decisions; odd kinds place an entry
+_COLUMN, _MINUS = range(2)  # _signed_pairs' decisions; _MINUS places an entry
 
 
-def _signed_pairs(
-    a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | None, removed_only: bool = False
-):
-    """All pairs (T-, T+) for the factor a = lam/mu: T- anti-semistandard on
-    mu/mu_minus, T+ semistandard on lam_plus/lam, combined content exactly
-    the composition target (entries 1..len(target)) and, unless tau is None,
-    a reverse reading word that is tau-Yamanouchi; tau=None switches the
-    word test off. Yields raw tuples (minus_rows, plus_rows, lam_plus,
-    mu_minus, sign): the entry rows of T- and T+, bottom row first, the parts
-    of lam_plus and mu_minus, and the sign (-1)^(cells removed). With
-    removed_only it stops each branch where T- is finished and yields that
-    residual state instead: (mu_minus, sign, budget, counts), the copies of
-    each entry 1..m still to place and the entry counts of the word so far,
-    seeded from tau, from which _minus_table counts the T+ with none filled.
+def _signed_pairs(mu: Partition, target: tuple[int, ...], tau: tuple[int, ...] | None):
+    """Every finished T- inside mu: anti-semistandard on mu/mu_minus, with
+    content within the composition target (entries 1..len(target)) and,
+    unless tau is None (no word test), a tau-Yamanouchi reverse reading word.
+    Yields (minus_rows, mu_minus, sign, budget, counts): the rows of T-,
+    bottom first, the parts of mu_minus, (-1)^(cells removed), the copies of
+    each entry 1..m still to place and the word's entry counts, seeded from
+    tau. _minus_table counts the T+ after each state; skew_lr_pairs lists them.
 
-    One explicit-slot loop, with no call per row or cell, fills the cells in
-    reverse reading word order: T- column by column, rightmost first and
-    bottom to top, then T+ row by row, bottom first and right to left, so a
-    cell's right and lower neighbours come first. Each level of its stack is
-    one decision (a column height of mu_minus, a T- cell, a row length of
-    lam_plus, a T+ cell): kind, row, column, value, least value and cap. A
+    One explicit-slot loop fills T- in reverse reading word order, column by
+    column, rightmost first and bottom to top, so a cell's right and lower
+    neighbours come first. Each stack level is one decision (a column height
+    of mu_minus or a cell): kind, row, column, value, least value and cap. A
     placement must fit what target has left of its entry and keep the word
-    tau-Yamanouchi, so only admissible pairs are built. Pairs come out in
-    this fill order, the smallest value first at each decision."""
-    lam, mu = a.outer.parts, a.inner.parts
+    tau-Yamanouchi. States come out in this fill order, the smallest value
+    first at each decision."""
     m = len(target)
     total = sum(target)
     budget = [0, *target]  # copies of each entry 1..m still to place
@@ -142,61 +140,40 @@ def _signed_pairs(
     # Entry counts of the word so far, seeded from tau; counts[0] exceeds any
     # count, so every 1 passes the lattice test.
     counts = [total + sum(tau) + 1, *tau, *(0,) * (m - len(tau))]
-    mu_cols = [0, *a.inner.conjugate().parts, 0]  # column heights of mu, 1-indexed
+    mu_cols = [0, *mu.conjugate().parts, 0]  # column heights of mu, 1-indexed
     heights = [0] * len(mu_cols)  # heights[c]: height of column c of mu_minus
-    minus_grid = [[0] * (p + 1) for p in mu]  # the 0 past each row bounds nothing
-    # plus_rows[r]: row r of T+ once placed, as long as its row of lam_plus,
-    # cells of lam holding 0; row 0 is all 0, as wide as row 1 may grow.
-    lam_at = (*lam, *(0,) * (total + 1))
-    plus_rows = [[0] * (lam_at[0] + total)]
+    minus_grid = [[0] * (p + 1) for p in mu.parts]  # the 0 past each row bounds nothing
     left = total  # entries still to place
     levels: list[list[int]] = []  # [kind, r, c, value, least, cap] per decision
     kind, r, c = _COLUMN, 0, len(mu_cols) - 2
     while True:
         # The decision after (kind, r, c): a filled column passes to the one
-        # on its left, a finished T- to row 1 of T+ (or, removed_only, to its
-        # residual state), a finished row of T+ to the row above, and a
-        # finished T+ to a pair.
+        # on its left, and the last one to a finished T-.
         if kind == _MINUS and r > mu_cols[c]:
             kind, c = _COLUMN, c - 1
         if kind == _COLUMN and not c:
             inner = [sum(h >= i for h in heights) for i in range(1, len(mu) + 1)]
             minus_rows = tuple(tuple(row[i:-1]) for row, i in zip(minus_grid, inner))
-            mu_minus, sign = tuple(i for i in inner if i), -1 if (total - left) % 2 else 1
-            kind, r = _ROW, 1
-        elif kind == _PLUS and c == lam_at[r - 1]:
-            kind, r = _ROW, r + 1
-        if kind == _ROW and removed_only:
-            yield mu_minus, sign, tuple(budget[1:]), tuple(counts[1:])
-        elif kind == _ROW and not left:
-            rows = tuple(tuple(row[base:]) for row, base in zip(plus_rows[1:r], lam_at))
-            rows += ((),) * (len(lam) - len(rows))
-            lam_plus = tuple(map(len, plus_rows[1:r])) + lam[r - 1:]
-            yield minus_rows, rows, lam_plus, mu_minus, sign
+            sign = -1 if (total - left) % 2 else 1
+            yield minus_rows, tuple(i for i in inner if i), sign, tuple(budget[1:]), tuple(counts[1:])
         else:  # open the decision at its least value less one
             if kind == _COLUMN:
                 least, cap = max(heights[c + 1], mu_cols[c] - left), mu_cols[c]
-            elif kind == _MINUS:  # above its right neighbour, at most the cell below
+            else:  # above its right neighbour, at most the cell below
                 least = minus_grid[r - 1][c] + 1
                 cap = minus_grid[r - 2][c - 1] if r - 1 > heights[c] else m
-            elif kind == _ROW:  # rows above lam are not empty, nor wider than the one below
-                base = lam_at[r - 1]
-                least, cap = max(base, 1), min(base + left, len(plus_rows[r - 1]))
-            else:  # at most its right neighbour, above the cell below
-                row = plus_rows[r]
-                least, cap = plus_rows[r - 1][c - 1] + 1, row[c] if c < len(row) else m
             levels.append([kind, r, c, least - 1, least, cap])
         # Grow the last decision: take back its entry, move it to its next
         # admissible value, and drop the decisions that have none left.
         while levels:
             level = levels[-1]
             kind, r, c, v, least, cap = level
-            if kind & 1 and v >= least:
+            if kind == _MINUS and v >= least:
                 budget[v] += 1
                 counts[v] -= 1
                 left += 1
             v += 1
-            while kind & 1 and v <= cap and (not budget[v] or counts[v] >= counts[v - 1]):
+            while kind == _MINUS and v <= cap and (not budget[v] or counts[v] >= counts[v - 1]):
                 v += 1
             if v <= cap:
                 break
@@ -204,39 +181,36 @@ def _signed_pairs(
         else:
             return
         level[3] = v
-        if kind & 1:
-            budget[v] -= 1
-            counts[v] += 1
-            left -= 1
         if kind == _COLUMN:
             heights[c] = v
             kind, r = _MINUS, v + 1
-        elif kind == _MINUS:
+        else:
+            budget[v] -= 1
+            counts[v] += 1
+            left -= 1
             minus_grid[r - 1][c - 1] = v
             r += 1
-        elif kind == _ROW:
-            plus_rows[r:] = [[0] * v]
-            kind, c = _PLUS, v
-        else:
-            plus_rows[r][c - 1] = v
-            c -= 1
 
 
 def skew_lr_pairs(a: SkewShape, b: SkewShape):
     """The admissible pairs behind skew_lr_product, for auditing: tuples
-    (t_minus, t_plus, shape, sign) whose combined content is the
-    componentwise difference outer(b) - inner(b) and whose reverse reading
-    word is inner(b)-Yamanouchi, in the fill order of _signed_pairs."""
-    lam, mu = a.outer, a.inner
-    pairs = _signed_pairs(a, _difference(b), b.inner.parts)
-    for minus_rows, plus_rows, outer, inner, sign in pairs:
-        lam_plus, mu_minus = Partition(outer), Partition(inner)
-        yield (
-            Tableau(SkewShape(mu, mu_minus), minus_rows),
-            Tableau(SkewShape(lam_plus, lam), plus_rows),
-            SkewShape(lam_plus, mu_minus),
-            sign,
-        )
+    (t_minus, t_plus, shape, sign), T- in the fill order of _signed_pairs,
+    then lam_plus in lexicographic order, then T+ in lr_fillings order. With
+    kappa the word's entry counts where T- ends, the T+ on lam_plus/lam are
+    the LR fillings of star(lam_plus/lam, kappa) of content outer(b), less
+    their bottom len(kappa) rows: those hold kappa's superstandard filling,
+    so reading them first seeds the lattice test with kappa."""
+    _require_type(SkewShape, a=a, b=b)
+    lam, mu, sigma = a.outer, a.inner, b.outer.parts
+    for minus_rows, inner, sign, budget, counts in _signed_pairs(mu, _difference(b), b.inner.parts):
+        mu_minus, kappa = Partition(inner), SkewShape(Partition(counts))
+        t_minus = Tableau(SkewShape(mu, mu_minus), minus_rows)
+        for lam_plus in superpartitions(lam, sum(budget)):
+            plus_shape = SkewShape(lam_plus, lam)
+            for t in lr_fillings(star(plus_shape, kappa)):
+                if t.content() == sigma:
+                    t_plus = Tableau(plus_shape, t.rows[kappa.rows:])
+                    yield t_minus, t_plus, SkewShape(lam_plus, mu_minus), sign
 
 
 @lru_cache(maxsize=None)
@@ -244,11 +218,9 @@ def _minus_table(mu: Partition, target: tuple[int, ...], tau: tuple[int, ...] | 
     """(mu_minus, f) over the finished T- of every factor with inner shape
     mu, f the Schur image of the signed sum of s_{sigma/kappa} over its T-:
     kappa the word's entry counts where T- ends, sigma = kappa + the content
-    unspent (with tau None, disjoint rows: a product of h's). T- never reads
-    the outer shape, so mu/mu stands in for the factor. Read-only."""
+    unspent (with tau None, disjoint rows: a product of h's). Read-only."""
     sums: dict[tuple[int, ...], dict[SkewShape, int]] = {}
-    states = _signed_pairs(SkewShape._trusted(mu, mu), target, tau, True)
-    for mu_minus, sign, budget, counts in states:
+    for _, mu_minus, sign, budget, counts in _signed_pairs(mu, target, tau):
         shape = SkewShape.of(tuple(k + b for k, b in zip(counts, budget)), counts)
         terms = sums.setdefault(mu_minus, {})
         terms[shape] = terms.get(shape, 0) + sign
@@ -274,6 +246,7 @@ def _signed_terms(a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | 
 def skew_lr_product(a: SkewShape, b: SkewShape) -> SkewExpansion:
     """s_a * s_b as a signed sum of skew Schur functions, coefficients
     aggregated over admissible pairs sharing a shape."""
+    _require_type(SkewShape, a=a, b=b)
     return _signed_terms(a, _difference(b), b.inner.parts)
 
 
@@ -306,6 +279,8 @@ def is_admissible_pair(a: SkewShape, b: SkewShape, t_minus: Tableau, t_plus: Tab
 def skew_h_rho_product(a: SkewShape, rho: Partition) -> SkewExpansion:
     """s_{lam/mu} * h_rho: the signed sum over pairs of combined content rho
     with no word condition."""
+    _require_type(SkewShape, a=a)
+    _require_type(Partition, rho=rho)
     return _signed_terms(a, rho.parts, None)
 
 

@@ -391,6 +391,13 @@ def _require_int(**values: int) -> None:
             raise TypeError(f"{name} must be an int, got {value!r}")
 
 
+def _require_type(kind: type, **values) -> None:
+    """Raise TypeError naming the first argument that is not a kind."""
+    for name, value in values.items():
+        if not isinstance(value, kind):
+            raise TypeError(f"{name} {value!r} is not a {kind.__name__}")
+
+
 def _require_nonnegative(**limits: int) -> None:
     """Raise TypeError naming the first sweep limit not an int (bools
     included), ValueError naming the first negative one."""

@@ -278,9 +278,14 @@ class TestPrunedPairsAgainstGenerateThenFilter:
                 assert skew_h_rho_product(a, rho).same_terms(want), (a, rho)
 
 
-def _recursive_signed_pairs(a, target, tau):
+def _recursive_signed_pairs(a, target, tau, minus_only=False):
     """The recursive backtracker that rules._signed_pairs replaced: four
-    mutually recursive generators, one call per column, cell and row."""
+    mutually recursive generators, one call per column, cell and row. Yields
+    raw pairs (minus_rows, plus_rows, lam_plus, mu_minus, sign) in its fill
+    order: T- column by column, rightmost first and bottom to top, then T+
+    row by row, bottom first and right to left. With minus_only it yields
+    each finished T- instead, as _signed_pairs does: (minus_rows, mu_minus,
+    sign, budget, counts)."""
     lam, mu = a.outer.parts, a.inner.parts
     m = len(target)
     total = sum(target)
@@ -317,7 +322,10 @@ def _recursive_signed_pairs(a, target, tau):
             inner = [sum(h >= r for h in heights) for r in range(1, len(mu) + 1)]
             minus_rows = tuple(tuple(row[i:]) for row, i in zip(minus_grid, inner))
             minus = (minus_rows, tuple(i for i in inner if i), -1 if k % 2 else 1)
-            yield from plus_row(1, lam_at[0] + total, total - k)
+            if minus_only:
+                yield (*minus, tuple(budget[1:]), tuple(counts[1:]))
+            else:
+                yield from plus_row(1, lam_at[0] + total, total - k)
             return
         top = mu_cols[c]
         for h in range(max(heights[c + 1], top - (total - k)), top + 1):
@@ -371,36 +379,65 @@ def _recursive_signed_pairs(a, target, tau):
     return minus_column(len(mu_cols) - 2, 0)
 
 
+def _as_pairs(a, raw):
+    """Raw pairs of _recursive_signed_pairs for the factor a as the tuples
+    skew_lr_pairs yields."""
+    for minus_rows, plus_rows, lam_plus, mu_minus, sign in raw:
+        lam_plus, mu_minus = Partition(lam_plus), Partition(mu_minus)
+        yield (
+            Tableau(SkewShape(a.inner, mu_minus), minus_rows),
+            Tableau(SkewShape(lam_plus, a.outer), plus_rows),
+            SkewShape(lam_plus, mu_minus),
+            sign,
+        )
+
+
 class TestSlotLoopAgainstRecursiveReference:
     """rules._signed_pairs against the recursive backtracker it replaced:
-    the same pairs in the same order."""
+    the same finished T- states in the same order, and the reference's pairs
+    (T+ included, no code shared with src/) at the totals they had."""
 
     def test_skew_lr_targets(self):
         # The pairs of the skew-lr sweep, verify_skew_lr(5, 4).
         shapes_b = tuple(skew_shapes_up_to(4))
-        pairs = 0
+        pairs = states = 0
         for a in skew_shapes_up_to(5):
             for b in shapes_b:
-                args = (a, _difference(b), b.inner.parts)
-                got = list(_signed_pairs(*args))
-                assert got == list(_recursive_signed_pairs(*args)), (a, b)
-                pairs += len(got)
-        assert pairs == 44986
+                target, tau = _difference(b), b.inner.parts
+                got = list(_signed_pairs(a.inner, target, tau))
+                assert got == list(_recursive_signed_pairs(a, target, tau, minus_only=True)), (a, b)
+                states += len(got)
+                pairs += sum(1 for _ in _recursive_signed_pairs(a, target, tau))
+        assert (states, pairs) == (13461, 44986)
 
     def test_h_rho_targets(self):
         rhos = [rho for d in range(5) for rho in partitions_of_size(d)]
-        pairs = 0
+        pairs = states = 0
         for a in skew_shapes_up_to(5):
             for rho in rhos:
-                args = (a, rho.parts, None)
-                got = list(_signed_pairs(*args))
-                assert got == list(_recursive_signed_pairs(*args)), (a, rho)
-                pairs += len(got)
-        assert pairs == 65205
+                got = list(_signed_pairs(a.inner, rho.parts, None))
+                want = _recursive_signed_pairs(a, rho.parts, None, minus_only=True)
+                assert got == list(want), (a, rho)
+                states += len(got)
+                pairs += sum(1 for _ in _recursive_signed_pairs(a, rho.parts, None))
+        assert (states, pairs) == (7076, 65205)
+
+    def test_skew_lr_pairs_multiset(self):
+        # skew_lr_pairs, which reads each T+ off lr_fillings, against the
+        # reference's pairs over the skew-lr sweep grid.
+        shapes_b = tuple(skew_shapes_up_to(4))
+        pairs = 0
+        for a in skew_shapes_up_to(5):
+            for b in shapes_b:
+                got = Counter(skew_lr_pairs(a, b))
+                want = Counter(_as_pairs(a, _recursive_signed_pairs(a, _difference(b), b.inner.parts)))
+                assert got == want, (a, b)
+                pairs += got.total()
+        assert pairs == 44986
 
 
 def _pair_terms(pairs):
-    """The signs of raw pairs from _signed_pairs summed by shape
+    """The signs of raw pairs from _recursive_signed_pairs summed by shape
     lam_plus/mu_minus: the terms skew_lr_product and skew_h_rho_product
     count without building the pairs."""
     terms = {}
@@ -412,8 +449,8 @@ def _pair_terms(pairs):
 
 class TestCountedTermsAgainstPairs:
     """The products count T+ completions per residual state of a finished
-    T-; summing the signs of every pair _signed_pairs builds must give the
-    same terms."""
+    T-; summing the signs of every pair the recursive reference builds must
+    give the same terms."""
 
     def test_skew_lr_sweep(self):
         # Every product of the skew-lr sweep, verify_skew_lr(5, 4).
@@ -421,7 +458,7 @@ class TestCountedTermsAgainstPairs:
         cases = 0
         for a in skew_shapes_up_to(5):
             for b in shapes_b:
-                want = _pair_terms(_signed_pairs(a, _difference(b), b.inner.parts))
+                want = _pair_terms(_recursive_signed_pairs(a, _difference(b), b.inner.parts))
                 assert skew_lr_product(a, b).same_terms(want), (a, b)
                 cases += 1
         assert cases == 5720
@@ -430,7 +467,7 @@ class TestCountedTermsAgainstPairs:
         rhos = [rho for d in range(5) for rho in partitions_of_size(d)]
         for a in skew_shapes_up_to(5):
             for rho in rhos:
-                want = _pair_terms(_signed_pairs(a, rho.parts, None))
+                want = _pair_terms(_recursive_signed_pairs(a, rho.parts, None))
                 assert skew_h_rho_product(a, rho).same_terms(want), (a, rho)
 
 
@@ -479,8 +516,7 @@ def _residual_states():
     states = {}
     for a in skew_shapes_up_to(5):
         for target, tau in dict.fromkeys(jobs):
-            mu = SkewShape(a.inner, a.inner)
-            for _, _, budget, counts in _signed_pairs(mu, target, tau, True):
+            for *_, budget, counts in _signed_pairs(a.inner, target, tau):
                 sigma = tuple(k + b for k, b in zip(counts, budget))
                 key = a.outer, budget, None if tau is None else counts
                 states.setdefault(key, (a.outer, sigma, counts, tau is not None))
@@ -491,8 +527,8 @@ class TestKappaLatticeIdentity:
     """The products read the T+ completions of a finished T- off a Schur
     product: with kappa the word's entry counts where T- ends and sigma =
     kappa + the content still unspent, the T+ of lam_plus/lam number
-    <s_lam * s_{sigma/kappa}, s_lam_plus>. The pair loop's own T+ half, run
-    on lam/() from that state, is the reference; with no word test the
+    <s_lam * s_{sigma/kappa}, s_lam_plus>. The recursive reference's T+
+    half, run on lam/() from that state, counts them; with no word test the
     steep seed's sigma/kappa is disjoint rows, a product of h's."""
 
     def test_every_state_of_the_sweeps(self):
@@ -501,7 +537,7 @@ class TestKappaLatticeIdentity:
         assert sum(word for *_, word in states) == 988
         for lam, sigma, kappa, word in states:
             budget = tuple(s - k for s, k in zip(sigma, kappa))
-            pairs = _signed_pairs(SkewShape(lam), budget, kappa if word else None)
+            pairs = _recursive_signed_pairs(SkewShape(lam), budget, kappa if word else None)
             tally = Counter(Partition(lam_plus) for _, _, lam_plus, _, _ in pairs)
             want = SchurExpansion(dict(tally))
             shape = SkewShape.of(sigma, kappa)
@@ -633,6 +669,47 @@ class TestHRho:
         direct = skew_h_rho_product(a, Partition((2, 1)))
         assert len(direct) == 12
         assert direct.same_terms(iterated_skew_pieri(a, Partition((2, 1))))
+
+
+SH = SkewShape.of((2, 1), (1,))
+
+
+class TestEntryTypes:
+    """Each product rule checks its arguments once, at the public entry, and
+    names the first wrong-typed one in a TypeError."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: skew_lr_product(SH, "x"), "b 'x' is not a SkewShape"),
+            (lambda: skew_lr_product("x", SH), "a 'x' is not a SkewShape"),
+            (lambda: skew_lr_product(SH, (2,)), "b (2,) is not a SkewShape"),
+            (lambda: list(skew_lr_pairs(SH, "x")), "b 'x' is not a SkewShape"),
+            (lambda: list(skew_lr_pairs(None, SH)), "a None is not a SkewShape"),
+            (lambda: skew_h_rho_product(SH, (1,)), "rho (1,) is not a Partition"),
+            (
+                lambda: skew_h_rho_product(Partition((2,)), Partition((1,))),
+                "a Partition(parts=(2,)) is not a SkewShape",
+            ),
+            (lambda: pieri(Partition((2, 1)), "2"), "n must be an int, got '2'"),
+            (lambda: pieri((2, 1), 2), "lam (2, 1) is not a Partition"),
+            (lambda: pieri(Partition((2, 1)), True), "n must be an int, got True"),
+            (lambda: skew_pieri(SH, "2"), "n must be an int, got '2'"),
+            (lambda: skew_pieri(SH, True), "n must be an int, got True"),
+            (lambda: skew_pieri(SH, 1.0), "n must be an int, got 1.0"),
+            (lambda: skew_pieri(Partition((2,)), 1), "s Partition(parts=(2,)) is not a SkewShape"),
+        ],
+        ids=[
+            "lr-b-str", "lr-a-str", "lr-b-tuple", "pairs-b-str", "pairs-a-none",
+            "h-rho-tuple", "h-rho-a-partition", "pieri-str", "pieri-tuple",
+            "pieri-bool", "skew-pieri-str", "skew-pieri-bool", "skew-pieri-float",
+            "skew-pieri-partition",
+        ],
+    )
+    def test_rejects_wrong_types(self, call, message):
+        with pytest.raises(TypeError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 class TestVerifiers:
