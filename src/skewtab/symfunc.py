@@ -4,10 +4,12 @@ Products and skew expansions go through Littlewood-Richardson filling
 enumeration. A product of two Schur functions is read off one LR table, that
 of the concatenated shape: s_mu * s_nu = s_{mu * nu} (`star`), the identity
 the skew Pieri rule is proved through. `perp` reads the same products through
-a table inverted by the partition they produce. A second route through
-monomial expansions (enumerate the semistandard tableaux, collect exponent
-vectors, peel greedily) exists for cross-checking and shares no code with the
-filling enumeration. Two homogeneous symmetric functions of degree d are
+a table inverted by the partition they produce, and the operator identity
+(fg)^perp = f^perp g^perp is checked one degree at a time off those tables,
+every probe of a degree in one walk. A second route through monomial
+expansions (enumerate the semistandard tableaux, collect exponent vectors,
+peel greedily) exists for cross-checking and shares no code with the filling
+enumeration. Two homogeneous symmetric functions of degree d are
 equal iff their monomial expansions in d variables agree, so every
 monomial-level check fixes num_vars at the degree at hand. All coefficients
 are exact ints.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .shapes import EMPTY, Partition, SkewShape, _canonical, _require_int, partitions_of_size, star
+from .shapes import EMPTY, Partition, SkewShape, _canonical, _require_int, _require_type, partitions_of_size, star
 from .tableaux import enumerate_ssyt, lr_fillings
 
 
@@ -201,6 +203,7 @@ def lr_expand(shape: SkewShape) -> SchurExpansion:
 def lr_coefficient(nu: Partition, lam: Partition, mu: Partition) -> int:
     """Number of LR fillings of nu/lam with content mu (zero when lam is not
     contained in nu or the sizes do not match)."""
+    _require_type(Partition, nu=nu, lam=lam, mu=mu)
     if not nu.contains(lam) or nu.size != lam.size + mu.size:
         return 0
     for content, count in _lr_pairs(SkewShape(nu, lam)):
@@ -219,6 +222,8 @@ def _basis_product(mu: Partition, nu: Partition) -> tuple[tuple[Partition, int],
 
 def schur_product(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
     """Bilinear extension of the Littlewood-Richardson product."""
+    if not (isinstance(f, SchurExpansion) and isinstance(g, SchurExpansion)):
+        _require_type(SchurExpansion, f=f, g=g)  # names the bad one; sweeps call this hot
     out: dict[Partition, int] = {}
     for mu, a in f.terms.items():
         for nu, b in g.terms.items():
@@ -235,6 +240,8 @@ def skew_to_schur(s: SkewShape) -> SchurExpansion:
 def skew_expansion_to_schur(x: SkewExpansion) -> SchurExpansion:
     """The Schur image of a signed sum of skew Schur functions, read off
     each term's LR table."""
+    if not isinstance(x, SkewExpansion):
+        _require_type(SkewExpansion, x=x)
     out: dict[Partition, int] = {}
     for s, c in x.terms.items():
         for lam, d in _lr_pairs(s):
@@ -244,6 +251,7 @@ def skew_expansion_to_schur(x: SkewExpansion) -> SchurExpansion:
 
 def hall_inner(f: SchurExpansion, g: SchurExpansion) -> int:
     """Hall inner product; Schur functions are orthonormal."""
+    _require_type(SchurExpansion, f=f, g=g)
     if len(g.terms) < len(f.terms):
         f, g = g, f
     return sum(c * g.terms.get(p, 0) for p, c in f.terms.items())
@@ -266,6 +274,8 @@ def perp(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
     s_nu in perp(f, g) is <g, f*s_nu>, computed through the product. That
     perp(schur(mu), schur(lam)) equals skew_to_schur(lam/mu) is a theorem
     checked in the tests, not a shortcut taken here."""
+    if not (isinstance(f, SchurExpansion) and isinstance(g, SchurExpansion)):
+        _require_type(SchurExpansion, f=f, g=g)
     out: dict[Partition, int] = {}
     for mu, a in f.terms.items():
         m = sum(mu.parts)
@@ -275,6 +285,21 @@ def perp(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
                 for nu, c in _perp_table(mu, d).get(lam, ()):
                     out[nu] = out.get(nu, 0) + a * b * c
     return SchurExpansion._of(out)
+
+
+def _perp_images(f: SchurExpansion, d: int) -> dict[Partition, dict[Partition, int]]:
+    """perp(f, s_pi) for every pi of size d in one walk over the perp tables:
+    pi maps to the image's terms, zeros not dropped; a pi missing has image
+    zero."""
+    out: dict[Partition, dict[Partition, int]] = {}
+    for mu, a in f.terms.items():
+        m = d - mu.size
+        if m >= 0:
+            for lam, pairs in _perp_table(mu, m).items():
+                row = out.setdefault(lam, {})
+                for nu, c in pairs:
+                    row[nu] = row.get(nu, 0) + a * c
+    return out
 
 
 def h(n: int) -> SchurExpansion:
@@ -295,6 +320,7 @@ def e(n: int) -> SchurExpansion:
 
 def omega(f: SchurExpansion) -> SchurExpansion:
     """The involution sending s_p to s_{p conjugate}."""
+    _require_type(SchurExpansion, f=f)
     return SchurExpansion({p.conjugate(): c for p, c in f.terms.items()})
 
 
@@ -370,9 +396,13 @@ def schur_from_monomials(m: dict[tuple[int, ...], int], num_vars: int) -> SchurE
 def perp_identity_failures(f: SchurExpansion, g: SchurExpansion, n: int) -> list[str]:
     """Check the four perp identities exactly; describe any that fail.
 
-    The operator identity (fg)^perp = f^perp g^perp is probed on all Schur
+    The alternating sum of e_i h_{n-i} is 1 at n = 0 and 0 above. The
+    operator identity (fg)^perp = f^perp g^perp is probed on all Schur
     functions of degree at most deg f + deg g + 2: below deg f + deg g both
-    sides vanish, and the extra two degrees exercise nonconstant images.
+    sides vanish, and the extra two degrees exercise nonconstant images. It
+    is checked one degree d at a time off the perp tables: one walk gives
+    (fg)^perp(s_pi) for every pi of size d, another g^perp(s_pi), and f's
+    images, built once per degree as first needed, finish the right side.
     """
     fails: list[str] = []
 
@@ -387,8 +417,8 @@ def perp_identity_failures(f: SchurExpansion, g: SchurExpansion, n: int) -> list
     alternating = SchurExpansion()
     for i in range(n + 1):
         alternating = alternating + schur_product(e(i), h(n - i)) * (-1) ** i
-    if alternating:
-        fails.append("sum_i (-1)^i e_i h_{n-i} != 0")
+    if alternating != (h(0) if n == 0 else SchurExpansion()):
+        fails.append("sum_i (-1)^i e_i h_{n-i} != delta_{n,0}")
 
     lhs = perp(h(n), schur_product(f, g))
     rhs = SchurExpansion()
@@ -398,10 +428,19 @@ def perp_identity_failures(f: SchurExpansion, g: SchurExpansion, n: int) -> list
         fails.append("h_n^perp(fg) != sum_i h_{n-i}^perp(f) h_i^perp(g)")
 
     fg = schur_product(f, g)
+    f_images: dict[int, dict] = {}  # f's images, by degree, as first needed
     for d in range(f.degree() + g.degree() + 3):
+        lhs_images, g_images = _perp_images(fg, d), _perp_images(g, d)
         for pi in partitions_of_size(d):
-            probe = schur(pi)
-            if perp(fg, probe) != perp(f, perp(g, probe)):
+            rhs: dict[Partition, int] = {}
+            for lam, b in g_images.get(pi, {}).items():
+                k = lam.size
+                if k not in f_images:
+                    f_images[k] = _perp_images(f, k)
+                for nu, c in f_images[k].get(lam, {}).items():
+                    rhs[nu] = rhs.get(nu, 0) + b * c
+            lhs = lhs_images.get(pi, {})
+            if {nu: c for nu, c in lhs.items() if c} != {nu: c for nu, c in rhs.items() if c}:
                 fails.append(f"(fg)^perp != f^perp g^perp at s[{pi}]")
     return fails
 

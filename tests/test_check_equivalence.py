@@ -5,12 +5,19 @@
 loops. Each is compared here with a test-local copy of the plain Python
 expression it replaced, over every partition of size at most 6 and every
 pair of them: same accept/reject set, same exception type, same message.
+
+The operator identity (fg)^perp = f^perp g^perp is checked one degree at a
+time off the perp tables; its failure list is compared with that of the
+per-probe loop it replaced, on clean tables and on corrupted ones.
 """
 
 import itertools
 from operator import ge
 
-from skewtab import ASSYT, SSYT, Partition, SkewShape, Tableau
+import pytest
+
+from skewtab import ASSYT, SSYT, Partition, SchurExpansion, SkewShape, Tableau, perp, schur, schur_product
+from skewtab import symfunc
 from skewtab.involution import _is_horizontal_strip, _is_vertical_strip
 from skewtab.shapes import partitions_of_size
 from skewtab.tableaux import enumerate_fillings
@@ -171,3 +178,66 @@ def test_content_as_before():
                 assert t.content() == _reference_content(t), t
                 checked += 1
     assert checked == 9076
+
+
+def _reference_operator_failures(f, g):
+    """The operator-identity failures of perp_identity_failures as the check
+    was written: one Schur probe and three perp calls per partition."""
+    fails = []
+    fg = schur_product(f, g)
+    for d in range(f.degree() + g.degree() + 3):
+        for pi in partitions_of_size(d):
+            probe = schur(pi)
+            if perp(fg, probe) != perp(f, perp(g, probe)):
+                fails.append(f"(fg)^perp != f^perp g^perp at s[{pi}]")
+    return fails
+
+
+def _operator_failures(f, g):
+    return [m for m in symfunc.perp_identity_failures(f, g, 1) if m.startswith("(fg)^perp")]
+
+
+SMALL = [p for p in PARTITIONS if p.size <= 3]
+SIGNED = [
+    ({(2,): 1, (1, 1): -3}, {(2, 1): 2, (1,): 1}),
+    ({(): 2, (1,): -1, (2, 1): 1}, {(2, 2): 1, (1, 1): 5}),
+    ({(1,): 1, (2,): 1, (3,): -1}, {(1, 1, 1): -2, (2, 1): 1, (): 4}),
+    ({(2,): 1, (1, 1): -1}, {(2,): 1, (1, 1): 1, (1,): 5}),
+]
+
+
+def _corrupt(edit):
+    """A _perp_table whose first row in every table is passed through edit."""
+    clean = symfunc._perp_table
+
+    def table(mu, d):
+        out = dict(clean(mu, d))
+        if out:
+            lam = next(iter(out))
+            out[lam] = edit(out[lam])
+        return out
+
+    return table
+
+
+CORRUPTIONS = {
+    "clean": None,
+    "dropped-pair": lambda pairs: pairs[1:],
+    "flipped-sign": lambda pairs: ((pairs[0][0], -pairs[0][1]),) + pairs[1:],
+    "off-by-one": lambda pairs: ((pairs[0][0], pairs[0][1] + 1),) + pairs[1:],
+}
+
+
+@pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+def test_operator_identity_failures_as_before(corruption, monkeypatch):
+    if CORRUPTIONS[corruption]:
+        monkeypatch.setattr(symfunc, "_perp_table", _corrupt(CORRUPTIONS[corruption]))
+    cases = [(schur(a), schur(b)) for a in SMALL for b in SMALL]
+    cases += [(SchurExpansion(f), SchurExpansion(g)) for f, g in SIGNED]
+    total = 0
+    for f, g in cases:
+        got = _operator_failures(f, g)
+        assert got == _reference_operator_failures(f, g), (f, g)
+        total += len(got)
+    assert len(cases) == 53
+    assert (total > 0) is (corruption != "clean")

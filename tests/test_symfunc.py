@@ -31,9 +31,11 @@ from skewtab.shapes import partitions_of_size, superpartitions
 from skewtab.symfunc import (
     NotSymmetric,
     _basis_product,
+    _perp_images,
     lr_expand,
     monomial_expansion,
     monomial_product,
+    perp_identity_failures,
     schur_from_monomials,
     skew_monomials,
     verify_perp_identities,
@@ -276,6 +278,59 @@ class TestProductRoutes:
         assert perp(f, g).terms == {}
 
 
+class TestPerpImages:
+    def test_images_match_perp_on_products(self):
+        # f = s_a * s_b has coefficients above one, so this covers perp's
+        # first argument as a weighted sum
+        checked = 0
+        for a in partitions_up_to(3):
+            for b in partitions_up_to(3):
+                f = schur_product(schur(a), schur(b))
+                for d in range(f.degree() + 3):
+                    images = _perp_images(f, d)
+                    for pi in partitions_of_size(d):
+                        assert SchurExpansion(images.get(pi, {})) == perp(f, schur(pi)), (a, b, pi)
+                        checked += 1
+        assert checked == 1711
+
+
+SKEW = SkewExpansion({SkewShape.of((2, 1), (1,)): 1})
+
+
+class TestEntryTypes:
+    """The symfunc entries name the first wrong-typed argument in a
+    TypeError."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: perp(3, schur((1,))), "f 3 is not a SchurExpansion"),
+            (lambda: perp(schur((1,)), 3), "g 3 is not a SchurExpansion"),
+            (lambda: perp(SKEW, schur((2,))), "f s[2,1/1] is not a SchurExpansion"),
+            (lambda: schur_product(3, schur((1,))), "f 3 is not a SchurExpansion"),
+            (lambda: schur_product(schur((1,)), 3), "g 3 is not a SchurExpansion"),
+            (lambda: schur_product(schur((1,)), SKEW), "g s[2,1/1] is not a SchurExpansion"),
+            (lambda: hall_inner(schur((1,)), 3), "g 3 is not a SchurExpansion"),
+            (lambda: omega(3), "f 3 is not a SchurExpansion"),
+            (lambda: skew_expansion_to_schur(3), "x 3 is not a SkewExpansion"),
+            (lambda: lr_coefficient((2,), (1,), (1,)), "nu (2,) is not a Partition"),
+            (
+                lambda: lr_coefficient(Partition((2,)), Partition((1,)), (1,)),
+                "mu (1,) is not a Partition",
+            ),
+        ],
+        ids=[
+            "perp-f-int", "perp-g-int", "perp-f-skew", "product-f-int", "product-g-int",
+            "product-g-skew", "hall-int", "omega-int", "skew-to-schur-int", "lr-nu-tuple",
+            "lr-mu-tuple",
+        ],
+    )
+    def test_rejects_wrong_types(self, call, message):
+        with pytest.raises(TypeError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 class TestOmegaHE:
     def test_h_e_are_row_and_column(self):
         assert h(3) == schur((3,))
@@ -393,12 +448,18 @@ class TestPerpIdentities:
         assert verify_perp_identities(f, g, 2)
 
     def test_eh_alternating_sum(self):
-        # sum_i (-1)^i e_i h_{n-i} = 0 for n >= 1, checked directly
-        for n in range(1, 6):
+        # sum_i (-1)^i e_i h_{n-i} = 0 for n >= 1 and 1 for n = 0, checked
+        # directly
+        for n in range(6):
             total = SchurExpansion({})
             for i in range(n + 1):
                 total = total + (-1) ** i * schur_product(e(i), h(n - i))
-            assert total == SchurExpansion({})
+            assert total == (h(0) if n == 0 else SchurExpansion({}))
+
+    @pytest.mark.parametrize("f,g", [((2, 1), (1,)), ((), ()), ((1, 1), (3,))])
+    def test_identities_hold_at_n_zero(self, f, g):
+        assert perp_identity_failures(schur(f), schur(g), 0) == []
+        assert verify_perp_identities(schur(f), schur(g), 0)
 
     def test_perp_homomorphism_on_products(self):
         # (fg)^perp = f^perp g^perp as operators, probed on Schur functions
