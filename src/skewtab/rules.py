@@ -22,6 +22,7 @@ monomial expansions, and against signed tableau counting.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, sub
 
 from .involution import enumerate_contexts, is_fixed_point
 from .shapes import (
@@ -109,8 +110,8 @@ def iterated_skew_pieri(a: SkewShape, rho: Partition, dual: bool = False) -> Ske
 def _difference(b: SkewShape) -> tuple[int, ...]:
     """The content every pair for a factor b must have: the componentwise
     difference outer(b) - inner(b), one entry per row of outer(b)."""
-    sigma, tau = b.outer, b.inner
-    return tuple(sigma.part(i) - tau.part(i) for i in range(1, len(sigma) + 1))
+    sigma, tau = b.outer.parts, b.inner.parts
+    return tuple(map(sub, sigma, tau + (0,) * (len(sigma) - len(tau))))
 
 
 _COLUMN, _MINUS = range(2)  # _signed_pairs' decisions; _MINUS places an entry
@@ -218,13 +219,25 @@ def _minus_table(mu: Partition, target: tuple[int, ...], tau: tuple[int, ...] | 
     """(mu_minus, f) over the finished T- of every factor with inner shape
     mu, f the Schur image of the signed sum of s_{sigma/kappa} over its T-:
     kappa the word's entry counts where T- ends, sigma = kappa + the content
-    unspent (with tau None, disjoint rows: a product of h's). Read-only."""
-    sums: dict[tuple[int, ...], dict[SkewShape, int]] = {}
+    unspent (with tau None, disjoint rows: a product of h's). A placement
+    moves an entry from the unspent content to kappa, so sigma is the same
+    for every T- (outer(b), or the steep seed + rho with tau None): the sums
+    are keyed by kappa, and one shape is built per distinct kappa. Read-only."""
+    sums: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for _, mu_minus, sign, budget, counts in _signed_pairs(mu, target, tau):
-        shape = SkewShape.of(tuple(k + b for k, b in zip(counts, budget)), counts)
         terms = sums.setdefault(mu_minus, {})
-        terms[shape] = terms.get(shape, 0) + sign
-    return tuple((_canonical(m), skew_expansion_to_schur(SkewExpansion._of(t))) for m, t in sums.items())
+        terms[counts] = terms.get(counts, 0) + sign
+    # The empty T- is always a state, so the last state gives sigma; each
+    # kappa is a partition, so dropping its zeros trims it.
+    sigma = _canonical(tuple(map(add, counts, budget)))
+    shapes = {
+        kappa: SkewShape._trusted(sigma, _canonical(tuple(filter(None, kappa))))
+        for kappa in set().union(*sums.values())
+    }
+    return tuple(
+        (_canonical(m), skew_expansion_to_schur(SkewExpansion._of({shapes[k]: c for k, c in t.items()})))
+        for m, t in sums.items()
+    )
 
 
 def _signed_terms(a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | None):
@@ -355,12 +368,12 @@ def verify_skew_lr(limit_outer_a: int, limit_outer_b: int) -> dict:
     _require_nonnegative(limit_outer_a=limit_outer_a, limit_outer_b=limit_outer_b)
     failures: list[str] = []
     cases = 0
-    shapes_b = tuple(skew_shapes_up_to(limit_outer_b))
+    shapes_b = tuple((b, skew_to_schur(b)) for b in skew_shapes_up_to(limit_outer_b))
     for a in skew_shapes_up_to(limit_outer_a):
         lhs_a = skew_to_schur(a)
-        for b in shapes_b:
+        for b, rhs_b in shapes_b:
             cases += 1
-            if skew_lr_product(a, b).to_schur() != schur_product(lhs_a, skew_to_schur(b)):
+            if skew_lr_product(a, b).to_schur() != schur_product(lhs_a, rhs_b):
                 failures.append(f"product mismatch at {a} * {b}")
     return {
         "limit_outer_a": limit_outer_a,
@@ -371,9 +384,9 @@ def verify_skew_lr(limit_outer_a: int, limit_outer_b: int) -> dict:
 
 
 def verify_perp_range(max_deg: int, max_n: int) -> dict:
-    """Sweep the four perp identities over all Schur pairs with degrees at
-    most max_deg and all n from 1 to max_n. A limit that is not an int
-    raises TypeError, a negative one ValueError."""
+    """Sweep the checks of perp_identity_failures over all Schur pairs with
+    degrees at most max_deg and all n from 1 to max_n. A limit that is not
+    an int raises TypeError, a negative one ValueError."""
     _require_nonnegative(max_deg=max_deg, max_n=max_n)
     failures: list[str] = []
     cases = 0

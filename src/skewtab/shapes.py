@@ -244,8 +244,10 @@ def star(a: SkewShape, b: SkewShape) -> SkewShape:
     b keeps rows 1..len(b.outer), translated right so its inner top-left
     column sits just past a's bottom row; a is stacked on top. The product of
     the corresponding skew Schur functions is the skew Schur function of the
-    result.
+    result. An argument that is not a SkewShape raises TypeError.
     """
+    if not (isinstance(a, SkewShape) and isinstance(b, SkewShape)):
+        _require_type(SkewShape, a=a, b=b)  # names the bad one; products call this hot
     if not b.outer.parts:
         return a
     if not a.outer.parts:

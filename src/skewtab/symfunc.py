@@ -1,18 +1,20 @@
 """Exact integer symmetric-function algebra in the Schur basis.
 
 Products and skew expansions go through Littlewood-Richardson filling
-enumeration. A product of two Schur functions is read off one LR table, that
-of the concatenated shape: s_mu * s_nu = s_{mu * nu} (`star`), the identity
-the skew Pieri rule is proved through. `perp` reads the same products through
-a table inverted by the partition they produce, and the operator identity
+enumeration: an LR table is tallied off the letter counts of the filling
+walk `tableaux._lr_walk`, with no tableau built. A product of two Schur
+functions is read off one LR table, that of the concatenated shape:
+s_mu * s_nu = s_{mu * nu} (`star`), the identity the skew Pieri rule is
+proved through. `perp` reads the same products through a table inverted by
+the partition they produce, and the operator identity
 (fg)^perp = f^perp g^perp is checked one degree at a time off those tables,
 every probe of a degree in one walk. A second route through monomial
-expansions (enumerate the semistandard tableaux, collect exponent vectors,
-peel greedily) exists for cross-checking and shares no code with the filling
-enumeration. Two homogeneous symmetric functions of degree d are
-equal iff their monomial expansions in d variables agree, so every
-monomial-level check fixes num_vars at the degree at hand. All coefficients
-are exact ints.
+expansions (enumerate the semistandard tableaux with `tableaux._fillings`,
+collect exponent vectors, peel greedily) exists for cross-checking and
+shares no code with the LR walk. Two homogeneous symmetric functions of
+degree d are equal iff their monomial expansions in d variables agree, so
+every monomial-level check fixes num_vars at the degree at hand. All
+coefficients are exact ints.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .shapes import EMPTY, Partition, SkewShape, _canonical, _require_int, _require_type, partitions_of_size, star
-from .tableaux import enumerate_ssyt, lr_fillings
+from .tableaux import _lr_walk, enumerate_ssyt
 
 
 class NotSymmetric(ValueError):
@@ -187,12 +189,15 @@ def schur(p) -> SchurExpansion:
 
 @lru_cache(maxsize=None)
 def _lr_pairs(shape: SkewShape) -> tuple[tuple[Partition, int], ...]:
-    """Content partitions of the LR fillings of shape, with multiplicity."""
-    counts: dict[tuple[int, ...], int] = {}
-    for t in lr_fillings(shape):
-        nu = t.content()  # a partition: an LR filling's word is a lattice word
-        counts[nu] = counts.get(nu, 0) + 1
-    return tuple((_canonical(nu), n) for nu, n in sorted(counts.items()))
+    """Content partitions of the LR fillings of shape, with multiplicity,
+    tallied off the walk's letter counts: no filling is built."""
+    tally: dict[tuple[int, ...], int] = {}
+    for _, counts in _lr_walk(shape):
+        key = tuple(counts)
+        tally[key] = tally.get(key, 0) + 1
+    # Keys share their sentinel and total, so they sort as the contents do; a
+    # lattice word's counts have no interior zeros, so dropping zeros trims.
+    return tuple((_canonical(tuple(filter(None, key[1:]))), n) for key, n in sorted(tally.items()))
 
 
 def lr_expand(shape: SkewShape) -> SchurExpansion:
@@ -233,7 +238,10 @@ def schur_product(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
 
 
 def skew_to_schur(s: SkewShape) -> SchurExpansion:
-    """s_{outer/inner} in the Schur basis."""
+    """s_{outer/inner} in the Schur basis. An s that is not a SkewShape
+    raises TypeError."""
+    if not isinstance(s, SkewShape):
+        _require_type(SkewShape, s=s)  # names s; the sweeps call this hot
     return lr_expand(s)
 
 
@@ -394,15 +402,19 @@ def schur_from_monomials(m: dict[tuple[int, ...], int], num_vars: int) -> SchurE
 
 
 def perp_identity_failures(f: SchurExpansion, g: SchurExpansion, n: int) -> list[str]:
-    """Check the four perp identities exactly; describe any that fail.
+    """Check the four perp identities exactly, and perp against the Hall
+    inner product; describe any that fail.
 
     The alternating sum of e_i h_{n-i} is 1 at n = 0 and 0 above. The
     operator identity (fg)^perp = f^perp g^perp is probed on all Schur
-    functions of degree at most deg f + deg g + 2: below deg f + deg g both
-    sides vanish, and the extra two degrees exercise nonconstant images. It
-    is checked one degree d at a time off the perp tables: one walk gives
-    (fg)^perp(s_pi) for every pi of size d, another g^perp(s_pi), and f's
-    images, built once per degree as first needed, finish the right side.
+    functions of degree from the least degree of a term of f plus that of
+    g, below which both sides vanish, to deg f + deg g + 2: the two degrees
+    past deg f + deg g exercise nonconstant images. It is checked one
+    degree d at a time off the perp tables: one walk gives (fg)^perp(s_pi)
+    for every pi of size d, another g^perp(s_pi), and f's images, built once
+    per degree as first needed, finish the right side. Last, the s_empty
+    coefficient of perp(fg, fg) must be <fg, fg>: the one check that runs
+    perp with a first argument of many terms and coefficients.
     """
     fails: list[str] = []
 
@@ -429,7 +441,8 @@ def perp_identity_failures(f: SchurExpansion, g: SchurExpansion, n: int) -> list
 
     fg = schur_product(f, g)
     f_images: dict[int, dict] = {}  # f's images, by degree, as first needed
-    for d in range(f.degree() + g.degree() + 3):
+    low = min((p.size for p in f.terms), default=0) + min((p.size for p in g.terms), default=0)
+    for d in range(low, f.degree() + g.degree() + 3):
         lhs_images, g_images = _perp_images(fg, d), _perp_images(g, d)
         for pi in partitions_of_size(d):
             rhs: dict[Partition, int] = {}
@@ -442,11 +455,14 @@ def perp_identity_failures(f: SchurExpansion, g: SchurExpansion, n: int) -> list
             lhs = lhs_images.get(pi, {})
             if {nu: c for nu, c in lhs.items() if c} != {nu: c for nu, c in rhs.items() if c}:
                 fails.append(f"(fg)^perp != f^perp g^perp at s[{pi}]")
+
+    if perp(fg, fg)[EMPTY] != hall_inner(fg, fg):
+        fails.append("perp(fg, fg) at s[∅] != <fg, fg>")
     return fails
 
 
 def verify_perp_identities(f: SchurExpansion, g: SchurExpansion, n: int) -> bool:
-    """True when all four perp identities hold for f, g, n."""
+    """True when every check of perp_identity_failures passes for f, g, n."""
     return not perp_identity_failures(f, g, n)
 
 

@@ -10,9 +10,12 @@ enumerators here and the slide code in `involution` use it for fillings they
 built valid by construction. Neither constructor checks semistandardness;
 `validate` does, by comparing each row with itself and with the row above it.
 
-`_fillings` and `lr_fillings` are two explicit-slot loops with no helper in
-common: `_fillings` feeds the monomial oracle and `lr_fillings` the LR route,
+`_fillings` and `_lr_walk` are two explicit-slot loops with no helper in
+common: `_fillings` feeds the monomial oracle and `_lr_walk` the LR route,
 and the checks that compare those routes rely on them sharing no code.
+`_lr_walk` yields its live entry and letter-count lists; `lr_fillings`
+builds a Tableau from each, and `symfunc` tallies LR tables straight off
+the counts, building none.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from itertools import accumulate, chain
 from operator import ge, gt, le, lt, ne, sub
 from typing import Iterator
 
-from .shapes import ParseError, Partition, SkewShape, _require_int, parse_shape
+from .shapes import ParseError, Partition, SkewShape, _require_int, _require_type, parse_shape
 
 SSYT = "ssyt"
 ASSYT = "assyt"
@@ -205,7 +208,24 @@ def is_yamanouchi(word: tuple[int, ...], tau: Partition = Partition()) -> bool:
 
 
 def lr_fillings(shape: SkewShape) -> Iterator[Tableau]:
-    """All LR fillings of shape, generated by lattice-pruned backtracking.
+    """All LR fillings of shape, generated by lattice-pruned backtracking
+    (`_lr_walk`). A shape that is not a SkewShape raises TypeError."""
+    if not isinstance(shape, SkewShape):
+        _require_type(SkewShape, shape=shape)
+    widths = [hi - lo for lo, hi in map(shape.row_bounds, range(1, shape.rows + 1))]
+    spans = [(end - w, end) for w, end in zip(widths, accumulate(widths))]
+    return (
+        Tableau._trusted(shape, tuple(tuple(vals[s:e][::-1]) for s, e in spans))
+        for vals, _ in _lr_walk(shape)
+    )
+
+
+def _lr_walk(shape: SkewShape) -> Iterator[tuple[list[int], list[int]]]:
+    """The LR fillings of shape as the backtracker's live state (vals,
+    counts): vals[i] is the entry of cell i in reading-word order, and
+    counts[v] for v >= 1 the number of v's placed, so counts[1:] is the
+    filling's content padded with zeros to shape.rows. Both lists are
+    overwritten when the next item is drawn.
 
     Cells are filled in reading-word order (row 1 right-to-left, then row 2,
     ...), so the Yamanouchi condition prunes each placement immediately.
@@ -220,8 +240,6 @@ def lr_fillings(shape: SkewShape) -> Iterator[Tableau]:
     slot = {cell: i for i, cell in enumerate(order)}
     right = [slot.get((r, c + 1), n + 1) for r, c in order]
     below = [slot.get((r - 1, c), n) for r, c in order]
-    widths = [hi - lo for lo, hi in bounds]
-    spans = [(end - w, end) for w, end in zip(widths, accumulate(widths))]
     vals = [0] * n + [0, shape.rows]
     counts = [n + 1] + [0] * shape.rows  # counts[0] outnumbers any count: 1 is never skipped
     i = v = 0
@@ -239,7 +257,7 @@ def lr_fillings(shape: SkewShape) -> Iterator[Tableau]:
             counts[v] += 1
             i, v = i + 1, 0
         else:
-            yield Tableau._trusted(shape, tuple(tuple(vals[s:e][::-1]) for s, e in spans))
+            yield vals, counts
         # Take back the last placed value and resume that cell past it.
         i -= 1
         if i < 0:

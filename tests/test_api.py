@@ -91,3 +91,23 @@ def test_readme_cli_example_matches_run(lines):
     code, out, err = capture(run, shlex.split(lines[0])[2:])
     assert (code, err) == (0, "")
     assert out.splitlines() == lines[1:]
+
+
+SHAPE = skewtab.SkewShape.of((2, 1))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: skewtab.lr_fillings("x"), "shape 'x' is not a SkewShape"),
+        (lambda: skewtab.skew_to_schur("x"), "s 'x' is not a SkewShape"),
+        (lambda: skewtab.star(SHAPE, 1), "b 1 is not a SkewShape"),
+        (lambda: skewtab.star((2, 1), SHAPE), "a (2, 1) is not a SkewShape"),
+    ],
+    ids=["lr-fillings-str", "skew-to-schur-str", "star-b-int", "star-a-tuple"],
+)
+def test_lr_layer_entries_name_the_wrong_typed_argument(call, message):
+    # lr_fillings raises at the call, before any item is drawn.
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -9,6 +9,10 @@ pair of them: same accept/reject set, same exception type, same message.
 The operator identity (fg)^perp = f^perp g^perp is checked one degree at a
 time off the perp tables; its failure list is compared with that of the
 per-probe loop it replaced, on clean tables and on corrupted ones.
+
+`rules._minus_table` keys its signed sums by kappa and builds one shape per
+distinct kappa; its tables are compared with the checked per-state build it
+replaced.
 """
 
 import itertools
@@ -17,9 +21,10 @@ from operator import ge
 import pytest
 
 from skewtab import ASSYT, SSYT, Partition, SchurExpansion, SkewShape, Tableau, perp, schur, schur_product
-from skewtab import symfunc
+from skewtab import rules, symfunc
 from skewtab.involution import _is_horizontal_strip, _is_vertical_strip
-from skewtab.shapes import partitions_of_size
+from skewtab.shapes import _canonical, partitions_of_size, skew_shapes_up_to
+from skewtab.symfunc import SkewExpansion, skew_expansion_to_schur
 from skewtab.tableaux import enumerate_fillings
 
 PARTITIONS = [p for n in range(7) for p in partitions_of_size(n)]
@@ -241,3 +246,25 @@ def test_operator_identity_failures_as_before(corruption, monkeypatch):
         total += len(got)
     assert len(cases) == 53
     assert (total > 0) is (corruption != "clean")
+
+
+def _reference_minus_table(mu, target, tau):
+    """rules._minus_table as it was written: one checked SkewShape.of per T- state."""
+    sums = {}
+    for _, mu_minus, sign, budget, counts in rules._signed_pairs(mu, target, tau):
+        shape = SkewShape.of(tuple(k + b for k, b in zip(counts, budget)), counts)
+        terms = sums.setdefault(mu_minus, {})
+        terms[shape] = terms.get(shape, 0) + sign
+    return tuple((_canonical(m), skew_expansion_to_schur(SkewExpansion(t))) for m, t in sums.items())
+
+
+def test_minus_table_as_before():
+    checked = 0
+    for a in skew_shapes_up_to(4):
+        for b in skew_shapes_up_to(3):
+            target = rules._difference(b)
+            for tau in (b.inner.parts, None):
+                got = rules._minus_table.__wrapped__(a.inner, target, tau)
+                assert got == _reference_minus_table(a.inner, target, tau), (a, b, tau)
+                checked += 1
+    assert checked == 52 * 22 * 2

@@ -24,9 +24,11 @@ from skewtab import (
     schur_product,
     skew_expansion_to_schur,
     skew_to_schur,
+    verify_perp_range,
     HORIZONTAL,
     VERTICAL,
 )
+from skewtab import symfunc
 from skewtab.shapes import partitions_of_size, superpartitions
 from skewtab.symfunc import (
     NotSymmetric,
@@ -460,6 +462,35 @@ class TestPerpIdentities:
     def test_identities_hold_at_n_zero(self, f, g):
         assert perp_identity_failures(schur(f), schur(g), 0) == []
         assert verify_perp_identities(schur(f), schur(g), 0)
+
+    def test_sweep_catches_perp_dropping_first_coefficients(self, monkeypatch):
+        # perp(fg, fg) at s_empty must equal <fg, fg>: a perp that drops f's
+        # coefficients reads the sum of fg's coefficients there, not the sum
+        # of their squares, so exactly the pairs whose product has a
+        # coefficient of 2 or more fail, once per n.
+        def dropping(f, g):
+            out = {}
+            for mu in f.terms:
+                for lam, b in g.terms.items():
+                    d = lam.size - mu.size
+                    if d >= 0:
+                        for nu, c in symfunc._perp_table(mu, d).get(lam, ()):
+                            out[nu] = out.get(nu, 0) + b * c
+            return SchurExpansion(out)
+
+        basis = [p for d in range(5) for p in partitions_of_size(d)]
+        want = [
+            f"perp identity failed at f=s{a.parts}, g=s{b.parts}, n={n}"
+            for a in basis
+            for b in basis
+            if max(c for _, c in _basis_product(a, b)) >= 2
+            for n in (1, 2, 3)
+        ]
+        assert verify_perp_range(4, 3)["failures"] == []
+        monkeypatch.setattr(symfunc, "perp", dropping)
+        assert verify_perp_range(4, 3)["failures"] == want
+        assert len(want) == 27
+        assert perp_identity_failures(schur((2, 1)), schur((2, 1)), 1) == ["perp(fg, fg) at s[∅] != <fg, fg>"]
 
     def test_perp_homomorphism_on_products(self):
         # (fg)^perp = f^perp g^perp as operators, probed on Schur functions

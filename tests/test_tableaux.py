@@ -20,6 +20,7 @@ from skewtab import (
     validate,
 )
 from skewtab.tableaux import enumerate_ssyt, format_tableau, reverse_reading_word
+from skewtab.symfunc import _lr_pairs
 from skewtab.shapes import Cell, ParseError, partitions_of_size, skew_shapes_up_to
 
 from conftest import skew_shapes, validate_by_cells
@@ -284,6 +285,20 @@ class TestSlotLoops:
                     for nu in partitions_of_size(size - size_mu):
                         shape = star(SkewShape(mu), SkewShape(nu))
                         assert Counter(lr_fillings(shape)) == Counter(_recursive_lr_fillings(shape))
+
+    def test_lr_tables_match_recursive_content_tally(self):
+        # symfunc._lr_pairs tallies the walk's letter counts and builds no
+        # filling; the recursive reference shares no code with that walk.
+        def tally(shape):
+            counts = Counter(t.content() for t in _recursive_lr_fillings(shape))
+            return tuple((Partition(nu), n) for nu, n in sorted(counts.items()))
+
+        small = list(skew_shapes_up_to(3))
+        shapes = list(skew_shapes_up_to(7))
+        shapes += [star(a, b) for a in skew_shapes_up_to(4) for b in small]
+        assert len(shapes) == 449 + 52 * 22
+        for shape in shapes:
+            assert _lr_pairs.__wrapped__(shape) == tally(shape), shape
 
     def test_unknown_kind_raises_at_call(self):
         with pytest.raises(ValueError, match="unknown tableau kind 'bad'"):
