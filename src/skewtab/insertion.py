@@ -23,15 +23,19 @@ builds outer parts, and builds its tableau through the trusted constructors,
 taking both partitions from `shapes._canonical`, so the shapes of a slide's
 states share their part tuples' objects: a slide runs only on a checked
 semistandard context, where every step keeps the shape and filling valid.
+The scratch helpers record bumping paths as lists of plain (row, col) pairs;
+`Cell`s are built only for the paths that `BumpRecord`s carry out of them.
+A tableau argument that is not a `Tableau` raises TypeError.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import starmap
 from operator import add
 
-from .shapes import Cell, Partition, SkewShape, _canonical, _require_int
+from .shapes import Cell, Partition, SkewShape, _canonical, _require_int, _require_type
 from .tableaux import Tableau
 
 FORWARD = "forward"
@@ -63,6 +67,13 @@ class BumpRecord:
 
 
 Scratch = tuple[list[int], list[list[int]]]
+Path = list[tuple[int, int]]
+
+
+def _record(path: Path, final_entry: int, landing_row: int, direction: str) -> BumpRecord:
+    """The BumpRecord of a scratch path of (row, col) pairs, its cells built
+    as `Cell`s."""
+    return BumpRecord(tuple(starmap(Cell, path)), final_entry, landing_row, direction)
 
 
 def _thaw(t: Tableau) -> Scratch:
@@ -94,9 +105,9 @@ def _checked(t: Tableau) -> Tableau:
     return Tableau(shape, t.rows)
 
 
-def _bump_in(inner: list[int], rows: list[list[int]], v: int, start: int) -> list[Cell]:
-    """Insert v into row `start` and bump upward; returns the path cells."""
-    path: list[Cell] = []
+def _bump_in(inner: list[int], rows: list[list[int]], v: int, start: int) -> Path:
+    """Insert v into row `start` and bump upward; returns the path."""
+    path: Path = []
     i = start
     while True:
         while i > len(rows):
@@ -104,7 +115,7 @@ def _bump_in(inner: list[int], rows: list[list[int]], v: int, start: int) -> lis
             rows.append([])
         row = rows[i - 1]
         j = bisect_right(row, v)
-        path.append(Cell(i, inner[i - 1] + j + 1))
+        path.append((i, inner[i - 1] + j + 1))
         if j == len(row):
             row.append(v)
             return path
@@ -112,12 +123,12 @@ def _bump_in(inner: list[int], rows: list[list[int]], v: int, start: int) -> lis
         i += 1
 
 
-def _reverse_from(inner: list[int], rows: list[list[int]], r0: int) -> tuple[list[Cell], int, int]:
+def _reverse_from(inner: list[int], rows: list[list[int]], r0: int) -> tuple[Path, int, int]:
     """Delete the corner at the right end of row r0 and cascade downward.
 
-    Returns (path cells bottom first, final entry, landing row).
+    Returns (path bottom row first, final entry, landing row).
     """
-    path = [Cell(r0, inner[r0 - 1] + len(rows[r0 - 1]))]
+    path = [(r0, inner[r0 - 1] + len(rows[r0 - 1]))]
     v = rows[r0 - 1].pop()
     i = r0 - 1
     while i >= 1:
@@ -133,37 +144,41 @@ def _reverse_from(inner: list[int], rows: list[list[int]], r0: int) -> tuple[lis
                 raise InvalidResult(f"left-end landing at ({i},{col}) breaks column strictness")
             row.insert(0, v)
             inner[i - 1] -= 1
-            path.append(Cell(i, col))
+            path.append((i, col))
             path.reverse()
             return path, v, i
         v, row[j] = row[j], v
-        path.append(Cell(i, inner[i - 1] + j + 1))
+        path.append((i, inner[i - 1] + j + 1))
         i -= 1
     path.reverse()
     return path, v, 0
 
 
-def _internal_from(inner: list[int], rows: list[list[int]], r: int) -> BumpRecord:
-    """Move row r's leftmost entry into row r+1; the path starts where it was."""
+def _internal_from(inner: list[int], rows: list[list[int]], r: int) -> tuple[Path, int]:
+    """Move row r's leftmost entry into row r+1. Returns (path, the moved
+    entry); the path starts where the entry was."""
     k = rows[r - 1].pop(0)
     inner[r - 1] += 1
-    path = [Cell(r, inner[r - 1])] + _bump_in(inner, rows, k, r + 1)
-    return BumpRecord(tuple(path), k, r, FORWARD)
+    return [(r, inner[r - 1])] + _bump_in(inner, rows, k, r + 1), k
 
 
 def external_insert(t: Tableau, k: int) -> tuple[Tableau, BumpRecord]:
     """Insert k into row 1 and bump upward."""
+    if not isinstance(t, Tableau):
+        _require_type(Tableau, t=t)
     _require_int(k=k)
     if k < 1:
         raise ValueError(f"entries must be positive, got {k}")
     scratch = _thaw(t)
     path = _bump_in(*scratch, k, 1)
-    return _checked(_freeze(*scratch)), BumpRecord(tuple(path), k, 0, FORWARD)
+    return _checked(_freeze(*scratch)), _record(path, k, 0, FORWARD)
 
 
 def internal_insert(t: Tableau, r: int) -> tuple[Tableau, BumpRecord]:
     """Remove the leftmost cell of row r (an inside corner) and insert its
     entry into row r+1."""
+    if not isinstance(t, Tableau):
+        _require_type(Tableau, t=t)
     _require_int(r=r)
     shape = t.shape
     if r < 1 or (lo := shape.inner.part(r)) >= shape.outer.part(r):
@@ -171,16 +186,18 @@ def internal_insert(t: Tableau, r: int) -> tuple[Tableau, BumpRecord]:
     if shape.has_cell(r - 1, lo + 1):
         raise NoInsideCorner(f"cell ({r},{lo + 1}) has a cell below it")
     scratch = _thaw(t)
-    rec = _internal_from(*scratch, r)
-    return _checked(_freeze(*scratch)), rec
+    path, k = _internal_from(*scratch, r)
+    return _checked(_freeze(*scratch)), _record(path, k, r, FORWARD)
 
 
 def reverse_insert(t: Tableau, c: Cell | tuple[int, int]) -> tuple[Tableau, BumpRecord]:
     """Delete the outside corner c and cascade its entry downward."""
+    if not isinstance(t, Tableau):
+        _require_type(Tableau, t=t)
     c = Cell(*c)
     _, outside = t.shape.corners()
     if c not in outside:
         raise NotOutsideCorner(f"{tuple(c)} is not an outside corner of {t.shape}")
     scratch = _thaw(t)
     path, final, landing = _reverse_from(*scratch, c.row)
-    return _checked(_freeze(*scratch)), BumpRecord(tuple(path), final, landing, REVERSE)
+    return _checked(_freeze(*scratch)), _record(path, final, landing, REVERSE)

@@ -21,10 +21,13 @@ slide about to move a cell that is no inside corner, with `NoUpwardPath`.
 
 Slides walk the strips by row: a reverse insertion reads only the row of the
 corner it deletes, so the outer strip is walked as a run of row indices, and
-phi reads the inner strip's bottom row off the part tuples. `Cell`s are built
-only for the paths that `BumpRecord`s carry. The upward slide compares each
-trial path with the upward path through one column per row, built once per
-slide.
+phi reads the inner strip's bottom row off the part tuples. Scratch paths
+are plain (row, col) pairs; `Cell`s are built only for the paths that
+`BumpRecord`s carry: the records `downward_path` and `upward_path` return
+and those of a traced slide's steps. The upward slide compares each trial
+path with the upward path through one column per row, built once per slide.
+The fixed-point maps build the one-row factor (m) of star(base, (m))
+unchecked. A context argument that is not a `SlideContext` raises TypeError.
 """
 
 from __future__ import annotations
@@ -43,10 +46,22 @@ from .insertion import (
     _checked,
     _freeze,
     _internal_from,
+    _record,
     _reverse_from,
     _thaw,
 )
-from .shapes import Cell, SkewShape, _require_nonnegative, _strata, skew_shapes_up_to, star
+from .shapes import (
+    EMPTY,
+    Cell,
+    SkewShape,
+    _canonical,
+    _require_int,
+    _require_nonnegative,
+    _require_type,
+    _strata,
+    skew_shapes_up_to,
+    star,
+)
 from .tableaux import SSYT, Tableau, enumerate_ssyt, validate
 
 
@@ -175,10 +190,9 @@ def _reverse_outer_strip(
     for r in _outer_strip_rows(ctx):
         path, final, landing = _reverse_from(*scratch, r)
         if steps is not None:
-            rec = BumpRecord(tuple(path), final, landing, REVERSE)
-            steps.append(SlideStep("reverse", rec, _snap(scratch)))
+            steps.append(SlideStep("reverse", _record(path, final, landing, REVERSE), _snap(scratch)))
         if landing >= 1:
-            return exited, BumpRecord(tuple(path), final, landing, REVERSE)
+            return exited, _record(path, final, landing, REVERSE)
         exited.append(final)
     return exited, None
 
@@ -188,7 +202,7 @@ def _reinsert_exited(scratch: Scratch, exited: list[int], steps: list[SlideStep]
     for k in reversed(exited):
         path = _bump_in(*scratch, k, 1)
         if steps is not None:
-            steps.append(SlideStep("external", BumpRecord(tuple(path), k, 0, FORWARD), _snap(scratch)))
+            steps.append(SlideStep("external", _record(path, k, 0, FORWARD), _snap(scratch)))
 
 
 def downward_path(ctx: SlideContext) -> BumpRecord | None:
@@ -203,7 +217,8 @@ def upward_path(ctx: SlideContext) -> BumpRecord | None:
     r = _inner_strip_bottom(ctx)
     if not r:
         return None
-    return _internal_from(*_thaw(ctx.tableau), r)
+    path, k = _internal_from(*_thaw(ctx.tableau), r)
+    return _record(path, k, r, FORWARD)
 
 
 def _staircase(up_path: tuple[Cell, ...], rows: int) -> list[int]:
@@ -225,6 +240,8 @@ def _staircase(up_path: tuple[Cell, ...], rows: int) -> list[int]:
 def downward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> SlideContext:
     """Reverse-insert the outer strip right to left until an entry lands in a
     row >= 1, then re-insert the exited entries in reverse removal order."""
+    if not isinstance(ctx, SlideContext):
+        _require_type(SlideContext, ctx=ctx)
     scratch = _thaw(ctx.tableau)
     exited, _ = _reverse_outer_strip(ctx, scratch, steps)
     _reinsert_exited(scratch, exited, steps)
@@ -236,6 +253,8 @@ def upward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> Sli
     the upward path (fixed from the input), internally insert the inner
     strip's bottom entry, then re-insert the exited entries. Raises
     NoUpwardPath if that entry's cell is then no inside corner."""
+    if not isinstance(ctx, SlideContext):
+        _require_type(SlideContext, ctx=ctx)
     up_rec = upward_path(ctx)
     if up_rec is None:
         raise NoUpwardPath(f"inner strip of {ctx.base} is already empty")
@@ -250,8 +269,7 @@ def upward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> Sli
             break
         scratch = trial
         if steps is not None:
-            rec = BumpRecord(tuple(path), final, landing, REVERSE)
-            steps.append(SlideStep("reverse", rec, _snap(scratch)))
+            steps.append(SlideStep("reverse", _record(path, final, landing, REVERSE), _snap(scratch)))
         if landing >= 1:
             break
         exited.append(final)
@@ -259,9 +277,9 @@ def upward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> Sli
     r, inner = up_rec.landing_row, scratch[0]
     if r > 1 and inner[r - 2] <= inner[r - 1]:  # row r's first cell has a cell below it
         raise NoUpwardPath(f"upward slide does not apply: row {r} has no inside corner")
-    rec = _internal_from(*scratch, r)
+    path, k = _internal_from(*scratch, r)
     if steps is not None:
-        steps.append(SlideStep("internal", rec, _snap(scratch)))
+        steps.append(SlideStep("internal", _record(path, k, r, FORWARD), _snap(scratch)))
     _reinsert_exited(scratch, exited, steps)
     return _slid(ctx.base, scratch)
 
@@ -269,6 +287,8 @@ def upward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> Sli
 def phi(ctx: SlideContext, steps: list[SlideStep] | None = None) -> SlideContext:
     """Downward slide when there is no upward path or the downward path lands
     strictly below the inner strip's bottom cell; upward slide otherwise."""
+    if not isinstance(ctx, SlideContext):
+        _require_type(SlideContext, ctx=ctx)
     if ctx.tableau.shape.inner == ctx.base.inner:  # empty inner strip: no upward path
         return downward_slide(ctx, steps)
     down = downward_path(ctx)
@@ -279,13 +299,22 @@ def phi(ctx: SlideContext, steps: list[SlideStep] | None = None) -> SlideContext
 
 def is_fixed_point(ctx: SlideContext) -> bool:
     """Empty inner strip and no downward path: phi leaves ctx unchanged."""
+    if not isinstance(ctx, SlideContext):
+        _require_type(SlideContext, ctx=ctx)
     return ctx.tableau.shape.inner == ctx.base.inner and downward_path(ctx) is None
+
+
+def _one_row(m: int) -> SkewShape:
+    """The one-row shape (m) for m >= 1, built without checks."""
+    return SkewShape._trusted(_canonical((m,)), EMPTY)
 
 
 def fixed_point_to_star(ctx: SlideContext) -> Tableau:
     """Send a fixed point to the SSYT on star(base, (n)) whose new bottom row
     holds the exited entries in weakly increasing order and whose upper rows
     are the residual tableau."""
+    if not isinstance(ctx, SlideContext):
+        _require_type(SlideContext, ctx=ctx)
     scratch = _thaw(ctx.tableau)
     exited, landed = _reverse_outer_strip(ctx, scratch)
     if ctx.tableau.shape.inner != ctx.base.inner or landed is not None:  # not is_fixed_point(ctx)
@@ -294,18 +323,21 @@ def fixed_point_to_star(ctx: SlideContext) -> Tableau:
     strip_row = tuple(reversed(exited))
     if not strip_row:
         return residual
-    target = star(ctx.base, SkewShape.of((len(strip_row),)))
-    return Tableau(target, (strip_row,) + residual.rows)
+    return Tableau(star(ctx.base, _one_row(len(strip_row))), (strip_row,) + residual.rows)
 
 
 def star_to_fixed_point(base: SkewShape, t: Tableau) -> SlideContext:
     """Inverse of fixed_point_to_star: externally insert the bottom strip row.
 
-    Raises ValueError unless t is an SSYT on base or on star(base, (m))."""
+    Raises ValueError unless t is an SSYT on base or on star(base, (m)) with
+    m >= 1, TypeError unless base is a SkewShape and t a Tableau."""
+    if not (isinstance(base, SkewShape) and isinstance(t, Tableau)):
+        _require_type(SkewShape, base=base)
+        _require_type(Tableau, t=t)
     if t.shape == base:
         return SlideContext(base, t)
-    strip_row = t.rows[0]
-    if t.shape != star(base, SkewShape.of((len(strip_row),))):
+    strip_row = t.rows[0] if t.rows else ()
+    if not strip_row or t.shape != star(base, _one_row(len(strip_row))):
         raise ValueError(f"{t.shape} is not {base} concatenated with one row")
     if not validate(t, SSYT):
         raise ValueError("tableau is not semistandard")
@@ -319,12 +351,18 @@ def enumerate_contexts(base: SkewShape, n: int, max_entry: int):
     """All contexts over base with strip sizes summing to n, entries bounded.
 
     Strata are visited with the outer strip taking n, n-1, ..., 0 cells;
-    within a stratum tableaux follow enumerate_ssyt order. A negative n
-    raises ValueError.
+    within a stratum tableaux follow enumerate_ssyt order. A base that is
+    not a SkewShape or an n that is not an int raises TypeError at the call;
+    a negative n raises ValueError when the first context is drawn.
     """
-    for _, lam_plus, mu_minus in _strata(base, n):
-        for t in enumerate_ssyt(SkewShape._trusted(lam_plus, mu_minus), max_entry):
-            yield SlideContext._trusted(base, t)
+    if not isinstance(base, SkewShape):
+        _require_type(SkewShape, base=base)
+    _require_int(n=n)
+    return (
+        SlideContext._trusted(base, t)
+        for _, lam_plus, mu_minus in _strata(base, n)
+        for t in enumerate_ssyt(SkewShape._trusted(lam_plus, mu_minus), max_entry)
+    )
 
 
 def verify_involution(limit_outer: int, limit_n: int, max_entry: int) -> dict:

@@ -111,3 +111,46 @@ def test_lr_layer_entries_name_the_wrong_typed_argument(call, message):
     with pytest.raises(TypeError) as exc:
         call()
     assert str(exc.value) == message
+
+
+CTX = skewtab.SlideContext(SHAPE, skewtab.Tableau(SHAPE, ((1, 1), (2,))))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: skewtab.phi("x"), "ctx 'x' is not a SlideContext"),
+        (lambda: skewtab.downward_slide("x"), "ctx 'x' is not a SlideContext"),
+        (lambda: skewtab.upward_slide("x"), "ctx 'x' is not a SlideContext"),
+        (lambda: skewtab.is_fixed_point("x"), "ctx 'x' is not a SlideContext"),
+        (lambda: skewtab.fixed_point_to_star("x"), "ctx 'x' is not a SlideContext"),
+        (lambda: skewtab.star_to_fixed_point("x", CTX.tableau), "base 'x' is not a SkewShape"),
+        (lambda: skewtab.star_to_fixed_point(SHAPE, "x"), "t 'x' is not a Tableau"),
+        (lambda: skewtab.enumerate_contexts("x", 1, 3), "base 'x' is not a SkewShape"),
+        (lambda: skewtab.enumerate_contexts(SHAPE, True, 3), "n must be an int, got True"),
+        (lambda: skewtab.enumerate_contexts(SHAPE, "1", 3), "n must be an int, got '1'"),
+        (lambda: skewtab.external_insert("x", 1), "t 'x' is not a Tableau"),
+        (lambda: skewtab.internal_insert("x", 1), "t 'x' is not a Tableau"),
+        (lambda: skewtab.reverse_insert("x", (1, 1)), "t 'x' is not a Tableau"),
+    ],
+    ids=[
+        "phi-str",
+        "downward-slide-str",
+        "upward-slide-str",
+        "is-fixed-point-str",
+        "fixed-point-to-star-str",
+        "star-to-fixed-point-base-str",
+        "star-to-fixed-point-t-str",
+        "enumerate-contexts-base-str",
+        "enumerate-contexts-n-bool",
+        "enumerate-contexts-n-str",
+        "external-insert-str",
+        "internal-insert-str",
+        "reverse-insert-str",
+    ],
+)
+def test_slide_and_insertion_entries_name_the_wrong_typed_argument(call, message):
+    # enumerate_contexts raises at the call, before any context is drawn.
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -13,6 +13,11 @@ per-probe loop it replaced, on clean tables and on corrupted ones.
 `rules._minus_table` keys its signed sums by kappa and builds one shape per
 distinct kappa; its tables are compared with the checked per-state build it
 replaced.
+
+`fixed_point_to_star` and `star_to_fixed_point` build the one-row factor of
+star(base, (m)) unchecked; both are compared, result or exception, with
+copies built through the checked `SkewShape.of((m,))`, on every slide
+context over a base of size at most 4 with n <= 2 and entries <= 3.
 """
 
 import itertools
@@ -21,8 +26,10 @@ from operator import ge
 import pytest
 
 from skewtab import ASSYT, SSYT, Partition, SchurExpansion, SkewShape, Tableau, perp, schur, schur_product
-from skewtab import rules, symfunc
-from skewtab.involution import _is_horizontal_strip, _is_vertical_strip
+from skewtab import NotFixedPoint, SlideContext, enumerate_contexts, fixed_point_to_star, star, star_to_fixed_point
+from skewtab import rules, symfunc, validate
+from skewtab.insertion import _bump_in, _freeze, _thaw
+from skewtab.involution import _is_horizontal_strip, _is_vertical_strip, _reverse_outer_strip, _slid
 from skewtab.shapes import _canonical, partitions_of_size, skew_shapes_up_to
 from skewtab.symfunc import SkewExpansion, skew_expansion_to_schur
 from skewtab.tableaux import enumerate_fillings
@@ -268,3 +275,50 @@ def test_minus_table_as_before():
                 assert got == _reference_minus_table(a.inner, target, tau), (a, b, tau)
                 checked += 1
     assert checked == 52 * 22 * 2
+
+
+def _reference_fixed_point_to_star(ctx):
+    """fixed_point_to_star as it was written, the factor built by SkewShape.of."""
+    scratch = _thaw(ctx.tableau)
+    exited, landed = _reverse_outer_strip(ctx, scratch)
+    if ctx.tableau.shape.inner != ctx.base.inner or landed is not None:
+        raise NotFixedPoint(f"phi moves this context (base {ctx.base})")
+    residual = _freeze(*scratch)
+    strip_row = tuple(reversed(exited))
+    if not strip_row:
+        return residual
+    target = star(ctx.base, SkewShape.of((len(strip_row),)))
+    return Tableau(target, (strip_row,) + residual.rows)
+
+
+def _reference_star_to_fixed_point(base, t):
+    """star_to_fixed_point as it was written, the factor built by SkewShape.of."""
+    if t.shape == base:
+        return SlideContext(base, t)
+    strip_row = t.rows[0]
+    if t.shape != star(base, SkewShape.of((len(strip_row),))):
+        raise ValueError(f"{t.shape} is not {base} concatenated with one row")
+    if not validate(t, SSYT):
+        raise ValueError("tableau is not semistandard")
+    scratch = _thaw(Tableau._trusted(base, t.rows[1:]))
+    for k in strip_row:
+        _bump_in(*scratch, k, 1)
+    return _slid(base, scratch)
+
+
+def test_fixed_point_maps_as_before():
+    contexts = fixed = empty_bottom_rows = 0
+    for base in skew_shapes_up_to(4):
+        for n in range(3):
+            for ctx in enumerate_contexts(base, n, 3):
+                contexts += 1
+                star_t = _outcome(fixed_point_to_star, ctx)
+                assert star_t == _outcome(_reference_fixed_point_to_star, ctx), (base, ctx.tableau)
+                # Off the fixed points, the context's own tableau is a wrong-shape input.
+                t = star_t if isinstance(star_t, Tableau) else ctx.tableau
+                fixed += t is star_t
+                empty_bottom_rows += t.rows[:1] == ((),)
+                got = _outcome(star_to_fixed_point, base, t)
+                assert got == _outcome(_reference_star_to_fixed_point, base, t), (base, t)
+    assert (contexts, fixed) == (5134, 2300)
+    assert empty_bottom_rows > 0

@@ -159,6 +159,23 @@ class TestScratch:
         assert _freeze(*scratch) == parse_tableau("2,1/1: [1][2]")
 
 
+@given(tableaux(), st.integers(1, 4))
+def test_public_records_hold_cells(t, k):
+    # The scratch helpers record (row, col) pairs; the public operations
+    # return records of `Cell`s, on any filling, semistandard or not.
+    records = []
+    calls = [lambda: external_insert(t, k)]
+    calls += [lambda r=r: internal_insert(t, r) for r in range(1, t.shape.rows + 1)]
+    calls += [lambda c=c: reverse_insert(t, c) for c in t.shape.corners()[1]]
+    for call in calls:
+        try:
+            records.append(call()[1])
+        except ValueError:
+            continue
+    for rec in records:
+        assert type(rec.path) is tuple and all(type(c) is Cell for c in rec.path), rec
+
+
 class TestInversionProperties:
     @given(skew_shapes(max_len=3, max_part=3), st.integers(1, 4))
     def test_reverse_undoes_external(self, shape, k):

@@ -476,6 +476,20 @@ class TestFixedPoints:
             star_to_fixed_point(base, parse_tableau("3,1: [1,1,1][2]"))
 
 
+    @pytest.mark.parametrize(
+        "t",
+        [Tableau(SkewShape.of(()), ()), Tableau(SkewShape.of((2, 2, 1), (2, 1)), ((), (1,), (2,)))],
+        ids=["no-rows", "empty-bottom-row"],
+    )
+    def test_star_to_fixed_point_rejects_an_empty_strip_row(self, t):
+        # A tableau with no rows used to raise IndexError. One whose bottom
+        # row is empty has a strip row of 0 cells, and star(base, (0)) is
+        # base itself, whatever the rows above.
+        base = SkewShape.of((2, 1), (1,))
+        with pytest.raises(ValueError) as exc:
+            star_to_fixed_point(base, t)
+        assert str(exc.value) == f"{t.shape} is not 2,1/1 concatenated with one row"
+
     def test_star_to_fixed_point_rejects_non_ssyt(self):
         # The strip row (2, 1) decreases; the image used to look valid.
         base = SkewShape.of((2, 1), (1,))
@@ -484,6 +498,33 @@ class TestFixedPoints:
         with pytest.raises(ValueError) as exc:
             star_to_fixed_point(base, t)
         assert str(exc.value) == "tableau is not semistandard"
+
+
+class TestRecordsHoldCells:
+    """Slides record bumping paths as (row, col) pairs in scratch; every
+    BumpRecord that leaves the library holds `Cell`s only."""
+
+    @staticmethod
+    def _cells_only(rec):
+        return type(rec.path) is tuple and all(type(c) is Cell for c in rec.path)
+
+    def test_paths_and_slide_steps(self):
+        records = 0
+        for base in skew_shapes_up_to(4):
+            for n in range(3):
+                for ctx in enumerate_contexts(base, n, 3):
+                    recs = [downward_path(ctx), upward_path(ctx)]
+                    for slide in (phi, downward_slide, upward_slide):
+                        steps = []
+                        try:
+                            slide(ctx, steps)
+                        except ValueError:  # a slide applied off its domain
+                            pass
+                        recs += [step.record for step in steps]
+                    recs = [rec for rec in recs if rec is not None]
+                    assert all(map(self._cells_only, recs)), (base, ctx.tableau)
+                    records += len(recs)
+        assert records > 5134
 
 
 class TestVerifyInvolution:
