@@ -351,13 +351,16 @@ def enumerate_contexts(base: SkewShape, n: int, max_entry: int):
     """All contexts over base with strip sizes summing to n, entries bounded.
 
     Strata are visited with the outer strip taking n, n-1, ..., 0 cells;
-    within a stratum tableaux follow enumerate_ssyt order. A base that is
-    not a SkewShape or an n that is not an int raises TypeError at the call;
-    a negative n raises ValueError when the first context is drawn.
+    within a stratum tableaux follow enumerate_ssyt order. All checks run at
+    the call: a base that is not a SkewShape, or an n or max_entry that is
+    not an int, raises TypeError, and a negative n or max_entry ValueError.
     """
     if not isinstance(base, SkewShape):
         _require_type(SkewShape, base=base)
     _require_int(n=n)
+    _require_nonnegative(max_entry=max_entry)
+    if n < 0:
+        raise ValueError("strip size must be nonnegative")
     return (
         SlideContext._trusted(base, t)
         for _, lam_plus, mu_minus in _strata(base, n)

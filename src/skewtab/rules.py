@@ -56,15 +56,10 @@ from .symfunc import (
     verify_perp_identities,
 )
 from .tableaux import (
-    ASSYT,
-    SSYT,
     Tableau,
     enumerate_fillings,  # noqa: F401  not called here; bench/test_bench.py traces this binding
     enumerate_ssyt,
-    is_yamanouchi,
     lr_fillings,
-    reverse_reading_word,
-    validate,
 )
 
 
@@ -88,23 +83,6 @@ def skew_pieri(s: SkewShape, n: int, dual: bool = False) -> SkewExpansion:
         shape = SkewShape._trusted(lam_plus, mu_minus)
         terms[shape] = terms.get(shape, 0) + (-1) ** k
     return SkewExpansion(terms)
-
-
-def skew_pieri_linear(x: SkewExpansion, n: int, dual: bool = False) -> SkewExpansion:
-    """skew_pieri extended linearly over a signed sum of skew shapes."""
-    terms: dict[SkewShape, int] = {}
-    for s, c in x.terms.items():
-        for shape, d in skew_pieri(s, n, dual).terms.items():
-            terms[shape] = terms.get(shape, 0) + c * d
-    return SkewExpansion(terms)
-
-
-def iterated_skew_pieri(a: SkewShape, rho: Partition, dual: bool = False) -> SkewExpansion:
-    """s_{lam/mu} multiplied by h_{rho_1}, h_{rho_2}, ... in turn."""
-    out = SkewExpansion({a: 1})
-    for part in rho.parts:
-        out = skew_pieri_linear(out, part, dual)
-    return out
 
 
 def _difference(b: SkewShape) -> tuple[int, ...]:
@@ -261,32 +239,6 @@ def skew_lr_product(a: SkewShape, b: SkewShape) -> SkewExpansion:
     aggregated over admissible pairs sharing a shape."""
     _require_type(SkewShape, a=a, b=b)
     return _signed_terms(a, _difference(b), b.inner.parts)
-
-
-def is_admissible_pair(a: SkewShape, b: SkewShape, t_minus: Tableau, t_plus: Tableau) -> bool:
-    """Membership test for the skew LR sum: shapes interlock with a, the
-    fillings are anti-semistandard resp. semistandard, every entry is at
-    most the length of outer(b), the combined content is the componentwise
-    difference of b's partitions, and the reverse reading word is
-    inner(b)-Yamanouchi."""
-    lam, mu = a.outer, a.inner
-    if t_minus.shape.outer != mu or not mu.contains(t_minus.shape.inner):
-        return False
-    if t_plus.shape.inner != lam or not t_plus.shape.outer.contains(lam):
-        return False
-    if not validate(t_minus, ASSYT) or not validate(t_plus, SSYT):
-        return False
-    target = _difference(b)
-    content = [0] * (len(target) + 1)
-    for t in (t_minus, t_plus):
-        for row in t.rows:
-            for x in row:
-                if x > len(target):
-                    return False
-                content[x] += 1
-    if tuple(content[1:]) != target:
-        return False
-    return is_yamanouchi(reverse_reading_word(t_minus, t_plus), b.inner)
 
 
 def skew_h_rho_product(a: SkewShape, rho: Partition) -> SkewExpansion:

@@ -312,8 +312,12 @@ def _partitions_between(lo: tuple[int, ...], hi: tuple[int, ...], size: int) -> 
 def enumerate_outer_strips(base: Partition, n: int, direction: str) -> tuple[Partition, ...]:
     """All partitions p containing base with p/base a strip of n cells.
 
-    Returned in lexicographic order of parts.
+    Returned in lexicographic order of parts. A base that is not a Partition
+    or an n that is not an int raises TypeError.
     """
+    if not isinstance(base, Partition) or type(n) is not int:  # _strata calls this hot
+        _require_type(Partition, base=base)
+        _require_int(n=n)
     if direction not in (HORIZONTAL, VERTICAL):
         raise ValueError(f"unknown direction {direction!r}")
     if n < 0:
@@ -329,8 +333,12 @@ def enumerate_outer_strips(base: Partition, n: int, direction: str) -> tuple[Par
 def enumerate_inner_strips(base: Partition, k: int, direction: str) -> tuple[Partition, ...]:
     """All partitions q inside base with base/q a strip of k cells.
 
-    Returned in lexicographic order of parts.
+    Returned in lexicographic order of parts. A base that is not a Partition
+    or a k that is not an int raises TypeError.
     """
+    if not isinstance(base, Partition) or type(k) is not int:  # _strata calls this hot
+        _require_type(Partition, base=base)
+        _require_int(k=k)
     if direction not in (HORIZONTAL, VERTICAL):
         raise ValueError(f"unknown direction {direction!r}")
     if k < 0:
@@ -357,9 +365,12 @@ def _strata(base: SkewShape, n: int, dual: bool = False) -> Iterator[tuple[int, 
                 yield k, lam_plus, mu_minus
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def partitions_of_size(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, in lexicographic order of parts."""
+    """All partitions of n, in lexicographic order of parts. An n that is not
+    an int raises TypeError, a negative one ValueError: checked on cache
+    misses only, as the cache is typed (True never hits the entry for 1)."""
+    _require_nonnegative(n=n)
     return tuple(_partitions_between((), (n,) * n, n))
 
 
@@ -420,7 +431,10 @@ def format_shape(s: SkewShape) -> str:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse "3,2,2", compact "322" (single digits only), "" or "∅" as empty."""
+    """Parse "3,2,2", compact "322" (single digits only), "" or "∅" as empty.
+    A text that is not a str raises TypeError."""
+    if not isinstance(text, str):  # the CLI parses every request
+        _require_type(str, text=text)
     text = text.strip()
     if text in ("", "∅"):
         return Partition()
@@ -435,7 +449,10 @@ def parse_partition(text: str) -> Partition:
 
 
 def parse_shape(text: str) -> SkewShape:
-    """Parse "3,2,2/1,1", compact "322/11", or a bare outer partition."""
+    """Parse "3,2,2/1,1", compact "322/11", or a bare outer partition. A text
+    that is not a str raises TypeError."""
+    if not isinstance(text, str):  # the CLI parses every request
+        _require_type(str, text=text)
     text = text.strip()
     if text.count("/") > 1:
         raise ParseError(f"bad shape {text!r}: more than one '/'")

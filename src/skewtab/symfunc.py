@@ -10,8 +10,9 @@ the partition they produce, and the operator identity
 (fg)^perp = f^perp g^perp is checked one degree at a time off those tables,
 every probe of a degree in one walk. A second route through monomial
 expansions (enumerate the semistandard tableaux with `tableaux._fillings`,
-collect exponent vectors, peel greedily) exists for cross-checking and
-shares no code with the LR walk. Two homogeneous symmetric functions of
+collect exponent vectors) exists for cross-checking and shares no code with
+the LR walk; greedy peeling of monomial data back into the Schur basis is
+a test oracle in `tests/oracles.py`. Two homogeneous symmetric functions of
 degree d are equal iff their monomial expansions in d variables agree, so
 every monomial-level check fixes num_vars at the degree at hand. All
 coefficients are exact ints.
@@ -23,10 +24,6 @@ from functools import lru_cache
 
 from .shapes import EMPTY, Partition, SkewShape, _canonical, _require_int, _require_type, partitions_of_size, star
 from .tableaux import _lr_walk, enumerate_ssyt
-
-
-class NotSymmetric(ValueError):
-    """Monomial data does not peel to a Schur expansion."""
 
 
 class _Expansion:
@@ -374,31 +371,6 @@ def monomial_product(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int
             else:
                 out.pop(v, None)
     return out
-
-
-def schur_from_monomials(m: dict[tuple[int, ...], int], num_vars: int) -> SchurExpansion:
-    """Greedy peeling: the lexicographically greatest exponent vector of a
-    symmetric polynomial is a partition and is the leading term of its own
-    Schur function with coefficient one, so subtracting coefficient times
-    that Schur function's monomials strictly lowers the leading term."""
-    work = {v: c for v, c in m.items() if c}
-    out: dict[Partition, int] = {}
-    while work:
-        lead = max(work)
-        if any(lead[i] < lead[i + 1] for i in range(len(lead) - 1)):
-            raise NotSymmetric(f"leading exponent {lead} is not a partition")
-        p = Partition(tuple(x for x in lead if x))
-        coeff = work[lead]
-        out[p] = coeff
-        for vec, k in _monomial_pairs(SkewShape(p), num_vars):
-            total = work.get(vec, 0) - coeff * k
-            if total:
-                work[vec] = total
-            else:
-                work.pop(vec, None)
-        if lead in work:
-            raise NotSymmetric(f"peeling failed to clear {lead}")
-    return SchurExpansion(out)
 
 
 def perp_identity_failures(f: SchurExpansion, g: SchurExpansion, n: int) -> list[str]:

@@ -98,7 +98,10 @@ def validate(t: Tableau, kind: str) -> bool:
 
     ssyt: rows weakly increase left-to-right, columns strictly increase upward.
     assyt: rows strictly decrease left-to-right, columns weakly decrease upward.
+    A t that is not a Tableau raises TypeError.
     """
+    if not isinstance(t, Tableau):
+        _require_type(Tableau, t=t)
     if kind not in _ORDERS:
         raise ValueError(f"unknown tableau kind {kind!r}")
     along, up = _ORDERS[kind]
@@ -175,7 +178,9 @@ def _fillings(shape: SkewShape, kind: str, max_entry: int) -> Iterator[Tableau]:
 
 
 def reading_word(t: Tableau) -> tuple[int, ...]:
-    """Rows right-to-left, bottom row first (top row of the page last)."""
+    """Rows right-to-left, bottom row first (top row of the page last). A t
+    that is not a Tableau raises TypeError."""
+    _require_type(Tableau, t=t)
     word: list[int] = []
     for row in t.rows:
         word.extend(reversed(row))
@@ -198,7 +203,9 @@ def reverse_reading_word(t_minus: Tableau, t_plus: Tableau) -> tuple[int, ...]:
 
 
 def is_yamanouchi(word: tuple[int, ...], tau: Partition = Partition()) -> bool:
-    """True if every prefix, after seeding counts with tau, has #i >= #(i+1)."""
+    """True if every prefix, after seeding counts with tau, has #i >= #(i+1).
+    A tau that is not a Partition raises TypeError."""
+    _require_type(Partition, tau=tau)
     counts: dict[int, int] = {i: p for i, p in enumerate(tau.parts, start=1)}
     for x in word:
         counts[x] = counts.get(x, 0) + 1
@@ -273,7 +280,10 @@ def format_tableau(t: Tableau) -> str:
 
 
 def parse_tableau(text: str) -> Tableau:
-    """Parse "431/1: [1,2,7][3,3,5][5]" (rows bottom-to-top)."""
+    """Parse "431/1: [1,2,7][3,3,5][5]" (rows bottom-to-top). A text that is
+    not a str raises TypeError."""
+    if not isinstance(text, str):  # the CLI parses every request
+        _require_type(str, text=text)
     head, sep, body = text.partition(":")
     if not sep:
         raise ParseError(f"bad tableau {text!r}: missing ':'")

@@ -40,10 +40,11 @@ from skewtab import (
     verify_skew_lr,
     verify_skew_pieri,
 )
-from skewtab.rules import is_admissible_pair, iterated_skew_pieri
 from skewtab.shapes import subpartitions_of_size
-from skewtab.symfunc import monomial_product, schur_from_monomials, skew_monomials
+from skewtab.symfunc import monomial_product, skew_monomials
 from skewtab.tableaux import reverse_reading_word
+
+from oracles import is_admissible_pair, iterated_skew_pieri, schur_from_monomials
 
 
 def _clock():

@@ -43,13 +43,11 @@ from skewtab.rules import (
     _minus_table,
     _signed_pairs,
     _signed_terms,
-    is_admissible_pair,
-    iterated_skew_pieri,
-    skew_pieri_linear,
 )
 from skewtab.shapes import skew_shapes_up_to, subpartitions_of_size, superpartitions
 
 from conftest import partitions, skew_shapes
+from oracles import is_admissible_pair, iterated_skew_pieri, skew_pieri_linear
 
 NINE_TERMS = {
     SkewShape.of((3, 2, 2)): 1,

@@ -324,8 +324,12 @@ class TestAgainstRecursiveReference:
     tuples, order included, on every partition of size <= 8."""
 
     def test_partitions_of_size(self):
-        for n in range(-2, 13):
+        for n in range(13):
             assert partitions_of_size(n) == _old_partitions_of_size(n), n
+        # A negative size is refused, where the recursive reference gives ().
+        for n in (-2, -1):
+            with pytest.raises(ValueError, match=f"^n must be nonnegative, got {n}$"):
+                partitions_of_size(n)
 
     @pytest.mark.parametrize("direction", [HORIZONTAL, VERTICAL])
     def test_strips(self, direction):

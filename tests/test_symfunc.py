@@ -31,19 +31,18 @@ from skewtab import (
 from skewtab import symfunc
 from skewtab.shapes import partitions_of_size, superpartitions
 from skewtab.symfunc import (
-    NotSymmetric,
     _basis_product,
     _perp_images,
     lr_expand,
     monomial_expansion,
     monomial_product,
     perp_identity_failures,
-    schur_from_monomials,
     skew_monomials,
     verify_perp_identities,
 )
 
 from conftest import partitions, skew_shapes
+from oracles import NotSymmetric, schur_from_monomials
 
 
 class TestSchurExpansion:
