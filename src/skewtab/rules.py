@@ -178,8 +178,14 @@ def skew_lr_pairs(a: SkewShape, b: SkewShape):
     kappa the word's entry counts where T- ends, the T+ on lam_plus/lam are
     the LR fillings of star(lam_plus/lam, kappa) of content outer(b), less
     their bottom len(kappa) rows: those hold kappa's superstandard filling,
-    so reading them first seeds the lattice test with kappa."""
+    so reading them first seeds the lattice test with kappa. A or b not a
+    SkewShape raises TypeError at the call, before any pair is drawn."""
     _require_type(SkewShape, a=a, b=b)
+    return _admissible_pairs(a, b)
+
+
+def _admissible_pairs(a: SkewShape, b: SkewShape):
+    """The generator behind skew_lr_pairs, on checked arguments."""
     lam, mu, sigma = a.outer, a.inner, b.outer.parts
     for minus_rows, inner, sign, budget, counts in _signed_pairs(mu, _difference(b), b.inner.parts):
         mu_minus, kappa = Partition(inner), SkewShape(Partition(counts))
@@ -344,10 +350,12 @@ def verify_perp_range(max_deg: int, max_n: int) -> dict:
     cases = 0
     basis = [p for d in range(max_deg + 1) for p in partitions_of_size(d)]
     for alpha in basis:
+        f = schur(alpha)
         for beta in basis:
-            for n in range(1, max_n + 1):
+            g = schur(beta)
+            for n in range(1, max_n + 1):  # innermost: a pair's n-free checks run once
                 cases += 1
-                if not verify_perp_identities(schur(alpha), schur(beta), n):
+                if not verify_perp_identities(f, g, n):
                     failures.append(f"perp identity failed at f=s{alpha.parts}, g=s{beta.parts}, n={n}")
     return {"max_deg": max_deg, "max_n": max_n, "cases": cases, "failures": failures}
 

@@ -8,14 +8,15 @@ s_mu * s_nu = s_{mu * nu} (`star`), the identity the skew Pieri rule is
 proved through. `perp` reads the same products through a table inverted by
 the partition they produce, and the operator identity
 (fg)^perp = f^perp g^perp is checked one degree at a time off those tables,
-every probe of a degree in one walk. A second route through monomial
-expansions (enumerate the semistandard tableaux with `tableaux._fillings`,
-collect exponent vectors) exists for cross-checking and shares no code with
-the LR walk; greedy peeling of monomial data back into the Schur basis is
-a test oracle in `tests/oracles.py`. Two homogeneous symmetric functions of
-degree d are equal iff their monomial expansions in d variables agree, so
-every monomial-level check fixes num_vars at the degree at hand. All
-coefficients are exact ints.
+every probe of a degree in one walk. It and the Hall check of perp do not
+depend on n, so they run once per (f, g) pair, not once per n. A second
+route through monomial expansions (enumerate the semistandard tableaux with
+`tableaux._fillings`, collect exponent vectors) exists for cross-checking
+and shares no code with the LR walk; greedy peeling of monomial data back
+into the Schur basis is a test oracle in `tests/oracles.py`. Two
+homogeneous symmetric functions of degree d are equal iff their monomial
+expansions in d variables agree, so every monomial-level check fixes
+num_vars at the degree at hand. All coefficients are exact ints.
 """
 
 from __future__ import annotations
@@ -176,9 +177,14 @@ def term_lines(x: _Expansion) -> list[str]:
 
 
 def schur(p) -> SchurExpansion:
-    """The single Schur function s_p as an expansion."""
+    """The single Schur function s_p as an expansion. A p that is neither a
+    Partition nor an iterable raises TypeError."""
     if not isinstance(p, Partition):
-        p = Partition(tuple(p))
+        try:
+            parts = tuple(p)
+        except TypeError:
+            raise TypeError(f"p {p!r} is not a Partition or an iterable of parts") from None
+        p = Partition(parts)
     x = object.__new__(SchurExpansion)
     x.terms = {p: 1}
     return x
@@ -377,16 +383,9 @@ def perp_identity_failures(f: SchurExpansion, g: SchurExpansion, n: int) -> list
     """Check the four perp identities exactly, and perp against the Hall
     inner product; describe any that fail.
 
-    The alternating sum of e_i h_{n-i} is 1 at n = 0 and 0 above. The
-    operator identity (fg)^perp = f^perp g^perp is probed on all Schur
-    functions of degree from the least degree of a term of f plus that of
-    g, below which both sides vanish, to deg f + deg g + 2: the two degrees
-    past deg f + deg g exercise nonconstant images. It is checked one
-    degree d at a time off the perp tables: one walk gives (fg)^perp(s_pi)
-    for every pi of size d, another g^perp(s_pi), and f's images, built once
-    per degree as first needed, finish the right side. Last, the s_empty
-    coefficient of perp(fg, fg) must be <fg, fg>: the one check that runs
-    perp with a first argument of many terms and coefficients.
+    The two Pieri-type identities and the alternating sum of e_i h_{n-i},
+    which is 1 at n = 0 and 0 above, are checked for this n. The checks that
+    do not depend on n follow, run once per (f, g) pair by _pair_failures.
     """
     fails: list[str] = []
 
@@ -411,6 +410,28 @@ def perp_identity_failures(f: SchurExpansion, g: SchurExpansion, n: int) -> list
     if lhs != rhs:
         fails.append("h_n^perp(fg) != sum_i h_{n-i}^perp(f) h_i^perp(g)")
 
+    fails.extend(_pair_failures(tuple(f.terms.items()), tuple(g.terms.items())))
+    return fails
+
+
+@lru_cache(maxsize=1)
+def _pair_failures(f_items: tuple, g_items: tuple) -> tuple[str, ...]:
+    """The checks of perp_identity_failures that do not depend on n, for the
+    f and g with these terms. A sweep runs every n of a pair in turn, so one
+    entry is enough to run them once per pair.
+
+    The operator identity (fg)^perp = f^perp g^perp is probed on all Schur
+    functions of degree from the least degree of a term of f plus that of
+    g, below which both sides vanish, to deg f + deg g + 2: the two degrees
+    past deg f + deg g exercise nonconstant images. It is checked one
+    degree d at a time off the perp tables: one walk gives (fg)^perp(s_pi)
+    for every pi of size d, another g^perp(s_pi), and f's images, built once
+    per degree as first needed, finish the right side. Last, the s_empty
+    coefficient of perp(fg, fg) must be <fg, fg>: the one check that runs
+    perp with a first argument of many terms and coefficients.
+    """
+    f, g = SchurExpansion._of(dict(f_items)), SchurExpansion._of(dict(g_items))
+    fails: list[str] = []
     fg = schur_product(f, g)
     f_images: dict[int, dict] = {}  # f's images, by degree, as first needed
     low = min((p.size for p in f.terms), default=0) + min((p.size for p in g.terms), default=0)
@@ -430,7 +451,7 @@ def perp_identity_failures(f: SchurExpansion, g: SchurExpansion, n: int) -> list
 
     if perp(fg, fg)[EMPTY] != hall_inner(fg, fg):
         fails.append("perp(fg, fg) at s[∅] != <fg, fg>")
-    return fails
+    return tuple(fails)
 
 
 def verify_perp_identities(f: SchurExpansion, g: SchurExpansion, n: int) -> bool:

@@ -25,7 +25,7 @@ from itertools import accumulate, chain
 from operator import ge, gt, le, lt, ne, sub
 from typing import Iterator
 
-from .shapes import ParseError, Partition, SkewShape, _require_int, _require_type, parse_shape
+from .shapes import ParseError, Partition, SkewShape, _require_nonnegative, _require_type, parse_shape
 
 SSYT = "ssyt"
 ASSYT = "assyt"
@@ -122,18 +122,21 @@ def enumerate_ssyt(shape: SkewShape, max_entry: int) -> tuple[Tableau, ...]:
     """All SSYT on shape with entries in 1..max_entry.
 
     Emitted in lexicographic order of the row-concatenated entry sequences.
-    A max_entry that is not an int (bools included) raises TypeError.
+    A max_entry that is not an int (bools included) raises TypeError, a
+    negative one ValueError.
     """
-    _require_int(max_entry=max_entry)
+    if type(max_entry) is not int or max_entry < 0:  # one test: contexts call this per stratum
+        _require_nonnegative(max_entry=max_entry)
     return tuple(_fillings(shape, SSYT, max_entry))
 
 
 def enumerate_fillings(shape: SkewShape, kind: str, max_entry: int) -> Iterator[Tableau]:
     """Fillings of the given kind with entries in 1..max_entry. A max_entry
-    that is not an int (bools included) raises TypeError."""
+    that is not an int (bools included) raises TypeError at the call, a
+    negative one ValueError."""
     if kind not in (SSYT, ASSYT):
         raise ValueError(f"unknown tableau kind {kind!r}")
-    _require_int(max_entry=max_entry)
+    _require_nonnegative(max_entry=max_entry)
     return _fillings(shape, kind, max_entry)
 
 

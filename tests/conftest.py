@@ -2,12 +2,23 @@ import contextlib
 import io
 
 import hypothesis
+import pytest
 from hypothesis import strategies as st
 
-from skewtab import Partition, SkewShape, Tableau
+from skewtab import Partition, SkewShape, Tableau, symfunc
 
 hypothesis.settings.register_profile("suite", max_examples=60, deadline=None)
 hypothesis.settings.load_profile("suite")
+
+
+@pytest.fixture
+def fresh_pair_memo():
+    """Empty the memo of perp_identity_failures' pair checks before and after
+    a test that patches what they read (perp, _perp_table): a verdict cached
+    on one side of the patch must not answer for the other."""
+    symfunc._pair_failures.cache_clear()
+    yield
+    symfunc._pair_failures.cache_clear()
 
 
 @st.composite

@@ -1,11 +1,13 @@
 """Reference oracles the tests check the library against: the skew Pieri
 rule applied one h_n at a time, the membership test for the skew LR sum,
-and greedy peeling of monomial data into the Schur basis. None of them is
-library code; tests import them as `from oracles import ...`."""
+greedy peeling of monomial data into the Schur basis, and the perp sweep
+with nothing reused between cases. None of them is library code; tests
+import them as `from oracles import ...`."""
 
+from skewtab import symfunc
 from skewtab.rules import _difference, skew_pieri
-from skewtab.shapes import Partition, SkewShape
-from skewtab.symfunc import SchurExpansion, SkewExpansion, _monomial_pairs
+from skewtab.shapes import Partition, SkewShape, partitions_of_size
+from skewtab.symfunc import SchurExpansion, SkewExpansion, _monomial_pairs, schur
 from skewtab.tableaux import ASSYT, SSYT, Tableau, is_yamanouchi, reverse_reading_word, validate
 
 
@@ -79,3 +81,18 @@ def schur_from_monomials(m: dict[tuple[int, ...], int], num_vars: int) -> SchurE
         if lead in work:
             raise NotSymmetric(f"peeling failed to clear {lead}")
     return SchurExpansion(out)
+
+
+def perp_sweep_failures(max_deg: int, max_n: int) -> list[str]:
+    """The failures of verify_perp_range(max_deg, max_n), every check of
+    perp_identity_failures run afresh for every (f, g, n): the memo of the
+    pair checks is emptied before each case, and f and g are built anew."""
+    failures = []
+    basis = [p for d in range(max_deg + 1) for p in partitions_of_size(d)]
+    for alpha in basis:
+        for beta in basis:
+            for n in range(1, max_n + 1):
+                symfunc._pair_failures.cache_clear()
+                if symfunc.perp_identity_failures(schur(alpha), schur(beta), n):
+                    failures.append(f"perp identity failed at f=s{alpha.parts}, g=s{beta.parts}, n={n}")
+    return failures

@@ -175,6 +175,12 @@ WRONG_ARGUMENTS = [
      ValueError, "max_entry must be nonnegative, got -1"),
     ("enumerate_fillings-str", lambda: skewtab.enumerate_fillings(SHAPE, skewtab.SSYT, "3"),
      TypeError, "max_entry must be an int, got '3'"),
+    ("enumerate_fillings-negative",
+     lambda: skewtab.enumerate_fillings(SHAPE, skewtab.SSYT, -1),
+     ValueError, "max_entry must be nonnegative, got -1"),
+    ("enumerate_fillings-negative-empty-shape",
+     lambda: skewtab.enumerate_fillings(skewtab.SkewShape.of(()), skewtab.SSYT, -1),
+     ValueError, "max_entry must be nonnegative, got -1"),
     ("enumerate_inner_strips-float",
      lambda: skewtab.enumerate_inner_strips(PART, 1.5, skewtab.VERTICAL),
      TypeError, "k must be an int, got 1.5"),
@@ -237,6 +243,8 @@ WRONG_ARGUMENTS = [
     ("reverse_insert-str", lambda: skewtab.reverse_insert("x", (1, 1)),
      TypeError, "t 'x' is not a Tableau"),
     ("schur-str", lambda: skewtab.schur("x"), ValueError, "non-integer part in ('x',)"),
+    ("schur-none", lambda: skewtab.schur(None),
+     TypeError, "p None is not a Partition or an iterable of parts"),
     ("schur_product-str", lambda: skewtab.schur_product("x", ONE),
      TypeError, "f 'x' is not a SchurExpansion"),
     ("skew_expansion_to_schur-str", lambda: skewtab.skew_expansion_to_schur("x"),
@@ -244,6 +252,8 @@ WRONG_ARGUMENTS = [
     ("skew_h_rho_product-tuple", lambda: skewtab.skew_h_rho_product(SHAPE, (1,)),
      TypeError, "rho (1,) is not a Partition"),
     ("skew_lr_pairs-str", lambda: next(skewtab.skew_lr_pairs(SHAPE, "x")),
+     TypeError, "b 'x' is not a SkewShape"),
+    ("skew_lr_pairs-str-at-the-call", lambda: skewtab.skew_lr_pairs(SHAPE, "x"),
      TypeError, "b 'x' is not a SkewShape"),
     ("skew_lr_product-str", lambda: skewtab.skew_lr_product("x", SHAPE),
      TypeError, "a 'x' is not a SkewShape"),

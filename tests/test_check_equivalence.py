@@ -8,7 +8,9 @@ pair of them: same accept/reject set, same exception type, same message.
 
 The operator identity (fg)^perp = f^perp g^perp is checked one degree at a
 time off the perp tables; its failure list is compared with that of the
-per-probe loop it replaced, on clean tables and on corrupted ones.
+per-probe loop it replaced, on clean tables and on corrupted ones. On the
+same tables, the perp sweep, which runs that check and the Hall check once
+per (f, g) pair, is compared with a sweep that runs every check per case.
 
 `rules._minus_table` keys its signed sums by kappa and builds one shape per
 distinct kappa; its tables are compared with the checked per-state build it
@@ -33,6 +35,8 @@ from skewtab.involution import _is_horizontal_strip, _is_vertical_strip, _revers
 from skewtab.shapes import _canonical, partitions_of_size, skew_shapes_up_to
 from skewtab.symfunc import SkewExpansion, skew_expansion_to_schur
 from skewtab.tableaux import enumerate_fillings
+
+from oracles import perp_sweep_failures
 
 PARTITIONS = [p for n in range(7) for p in partitions_of_size(n)]
 PAIRS = list(itertools.product(PARTITIONS, repeat=2))
@@ -240,6 +244,7 @@ CORRUPTIONS = {
 }
 
 
+@pytest.mark.usefixtures("fresh_pair_memo")
 @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
 def test_operator_identity_failures_as_before(corruption, monkeypatch):
     if CORRUPTIONS[corruption]:
@@ -253,6 +258,24 @@ def test_operator_identity_failures_as_before(corruption, monkeypatch):
         total += len(got)
     assert len(cases) == 53
     assert (total > 0) is (corruption != "clean")
+
+
+@pytest.mark.usefixtures("fresh_pair_memo")
+@pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+def test_perp_sweep_failures_as_unmemoised(corruption, monkeypatch):
+    if CORRUPTIONS[corruption]:
+        monkeypatch.setattr(symfunc, "_perp_table", _corrupt(CORRUPTIONS[corruption]))
+    got = rules.verify_perp_range(3, 2)["failures"]
+    assert got == perp_sweep_failures(3, 2)
+    # A pair whose n-free checks fail is reported at every n, not only the first.
+    failing_pairs = 0
+    for a in SMALL:
+        for b in SMALL:
+            if symfunc._pair_failures.__wrapped__(((a, 1),), ((b, 1),)):
+                failing_pairs += 1
+                for n in (1, 2):
+                    assert f"perp identity failed at f=s{a.parts}, g=s{b.parts}, n={n}" in got, (a, b, n)
+    assert (failing_pairs > 0) is (corruption != "clean")
 
 
 def _reference_minus_table(mu, target, tau):

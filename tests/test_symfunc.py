@@ -462,6 +462,7 @@ class TestPerpIdentities:
         assert perp_identity_failures(schur(f), schur(g), 0) == []
         assert verify_perp_identities(schur(f), schur(g), 0)
 
+    @pytest.mark.usefixtures("fresh_pair_memo")
     def test_sweep_catches_perp_dropping_first_coefficients(self, monkeypatch):
         # perp(fg, fg) at s_empty must equal <fg, fg>: a perp that drops f's
         # coefficients reads the sum of fg's coefficients there, not the sum
@@ -490,6 +491,25 @@ class TestPerpIdentities:
         assert verify_perp_range(4, 3)["failures"] == want
         assert len(want) == 27
         assert perp_identity_failures(schur((2, 1)), schur((2, 1)), 1) == ["perp(fg, fg) at s[∅] != <fg, fg>"]
+
+    @pytest.mark.usefixtures("fresh_pair_memo")
+    def test_sweep_work_counts(self, monkeypatch):
+        # The operator identity and the Hall check run once per (f, g) pair,
+        # the Pieri-type identities once per case: 144 pairs, 432 cases.
+        calls = {"_perp_images": 0, "perp": 0}
+        for name in calls:
+            inner = getattr(symfunc, name)
+
+            def counted(*args, name=name, inner=inner):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(symfunc, name, counted)
+        assert verify_perp_range(4, 3)["failures"] == []
+        assert calls == {"_perp_images": 1296, "perp": 6192}
+
+    def test_pair_memo_holds_one_entry(self):
+        assert symfunc._pair_failures.cache_info().maxsize == 1
 
     def test_perp_homomorphism_on_products(self):
         # (fg)^perp = f^perp g^perp as operators, probed on Schur functions

@@ -255,6 +255,16 @@ class TestEnumeration:
         with pytest.raises(TypeError, match=f"^max_entry must be an int, got {m!r}$"):
             enumerate_ssyt(shape, m)
 
+    @pytest.mark.parametrize("outer", [(), (2, 1)], ids=["empty", "2,1"])
+    def test_negative_entry_bound_raises_at_the_call(self, outer):
+        # -1 once gave one filling of the empty shape and none of (2, 1).
+        shape = SkewShape.of(outer)
+        for kind in (SSYT, ASSYT):
+            with pytest.raises(ValueError, match="^max_entry must be nonnegative, got -1$"):
+                enumerate_fillings(shape, kind, -1)
+        with pytest.raises(ValueError, match="^max_entry must be nonnegative, got -1$"):
+            enumerate_ssyt(shape, -1)
+
     @given(skew_shapes(max_len=3, max_part=3), st.integers(1, 3))
     def test_all_fillings_valid(self, shape, m):
         have = list(enumerate_fillings(shape, SSYT, m))
