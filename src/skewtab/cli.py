@@ -12,7 +12,9 @@ of rows.
 argument parser on its first call and reuses it for every later request:
 parsing does not change the parser, and the handlers look up the functions
 they call at call time. `build_parser()` still returns a new parser on every
-call.
+call. A request is parsed once, by its command's sub-parser: the command
+word picks the sub-parser, so the top-level parser does not walk the
+arguments first.
 """
 
 from __future__ import annotations
@@ -175,8 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The shared parser and its sub-parsers by command word."""
+    parser = build_parser()
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    return parser, commands
 
 
 def run(argv=None) -> int:
@@ -184,10 +189,22 @@ def run(argv=None) -> int:
 
     One parser is built on the first call and shared by every later call in
     the process, so repeated calls pay only for parsing and the work itself;
-    `build_parser()` still returns a new parser on every call.
+    `build_parser()` still returns a new parser on every call. A request that
+    starts with a command word is parsed once, by that command's sub-parser;
+    arguments it leaves over are reported as the whole parser reports them.
+    Any other request (none, help, `--`, a misspelt command) goes to the
+    whole parser.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parser()
+    sub = commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -121,7 +121,7 @@ class SchurExpansion(_Expansion):
 
     @staticmethod
     def _coerce(p) -> Partition:
-        return Partition(tuple(p))
+        return _as_partition(p, "key")
 
     def __eq__(self, other):
         if isinstance(other, SchurExpansion):
@@ -176,17 +176,23 @@ def term_lines(x: _Expansion) -> list[str]:
     return lines or ["0"]
 
 
+def _as_partition(p, name: str) -> Partition:
+    """p as a Partition. A p that is neither a Partition nor an iterable
+    raises TypeError naming it; bad parts raise Partition's ValueError."""
+    if isinstance(p, Partition):
+        return p
+    try:
+        parts = tuple(p)
+    except TypeError:
+        raise TypeError(f"{name} {p!r} is not a Partition or an iterable of parts") from None
+    return Partition(parts)
+
+
 def schur(p) -> SchurExpansion:
     """The single Schur function s_p as an expansion. A p that is neither a
     Partition nor an iterable raises TypeError."""
-    if not isinstance(p, Partition):
-        try:
-            parts = tuple(p)
-        except TypeError:
-            raise TypeError(f"p {p!r} is not a Partition or an iterable of parts") from None
-        p = Partition(parts)
     x = object.__new__(SchurExpansion)
-    x.terms = {p: 1}
+    x.terms = {_as_partition(p, "p"): 1}
     return x
 
 

@@ -1,11 +1,13 @@
 import contextlib
 import io
+import sys
 
 import hypothesis
 import pytest
 from hypothesis import strategies as st
 
 from skewtab import Partition, SkewShape, Tableau, symfunc
+from skewtab.cli import build_parser
 
 hypothesis.settings.register_profile("suite", max_examples=60, deadline=None)
 hypothesis.settings.load_profile("suite")
@@ -81,3 +83,16 @@ def capture(serve, argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = serve(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_with_fresh_parser(argv):
+    """Reference for run: the same request served by a newly built parser."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

@@ -1,13 +1,13 @@
+import argparse
 import hashlib
 import json
-import sys
 
 import pytest
 
 from skewtab import expansion_from_json, skew_pieri, parse_shape
 from skewtab.cli import build_parser, run, term_lines
 
-from conftest import capture
+from conftest import capture, run_with_fresh_parser
 
 EXPAND_LINES = [
     "+ s[3,2,2]",
@@ -398,19 +398,6 @@ class TestErrors:
         assert out.splitlines() == [f"+ s[{_ones(601)}]", f"+ s[2,{_ones(599)}]"]
 
 
-def run_with_fresh_parser(argv):
-    """Reference for run: the same request served by a newly built parser."""
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
 REUSE_SEQUENCE = [
     ["--help"],
     ["expand", "--help"],
@@ -426,6 +413,25 @@ REUSE_SEQUENCE = [
     ["product", "2,1/1", "2", "--rule", "schur", "--format", "json"],
     ["verify", "perp", "--max-deg", "1"],
     ["verify", "perp", "--max-deg", "1", "--format", "json"],
+    # Edges of the dispatch to the command's sub-parser: help, misspelt or
+    # abbreviated command words and options, and tokens the sub-parser
+    # leaves over or rejects.
+    ["-h", "expand"],
+    ["bogus"],
+    ["expan", "2,1", "--h", "1"],
+    ["expand"],
+    ["expand", "2,1"],
+    ["expand", "2,1", "--h", "x"],
+    ["expand", "2,1", "--h=1"],
+    ["expand", "2,1", "--h", "1", "--form", "json"],
+    ["expand", "2,1", "--h", "1", "extra"],
+    ["expand", "--", "2,1", "--h", "1"],
+    ["--", "expand", "2,1", "--h", "1"],
+    ["product", "2,1", "1", "--rul", "schur"],
+    ["product", "2,1", "1", "--rule", "bad"],
+    ["verify", "nope"],
+    ["trace", "slid", "2,1/1", "2,1: [1][2]"],
+    ["expand", "2,1", "--h", "1", "-h"],
     *(
         ["trace", "slide", BIG_BASE, tableau, "--op", op, *fmt]
         for op, tableau in [("D", BIG_T), ("U", BIG_DT), ("phi", BIG_T)]
@@ -441,6 +447,23 @@ class TestParserReuse:
         for _ in range(2):
             got = [capture(run, argv) for argv in REUSE_SEQUENCE]
             assert got == want
+
+    def test_one_parsing_pass_per_request(self, monkeypatch):
+        # The command word picks the sub-parser, which parses the rest alone:
+        # the top-level parser does not walk the arguments first.
+        calls = []
+        plain = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            calls.append(parser.prog)
+            return plain(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        for argv in (["expand", "2,1", "--h", "1"], ["product", "2,1", "1", "--rule", "schur"]):
+            calls.clear()
+            code, _, err = capture(run, argv)
+            assert (code, err) == (0, "")
+            assert calls == [f"skewtab {argv[0]}"]
 
     def test_build_parser_returns_a_new_parser(self):
         assert build_parser() is not build_parser()

@@ -15,7 +15,7 @@ from skewtab.shapes import format_shape
 from skewtab.tableaux import format_tableau
 from skewtab.cli import run
 
-from conftest import capture, skew_shapes, tableaux
+from conftest import capture, run_with_fresh_parser, skew_shapes, tableaux
 
 # Junk alphabets. Product operands are shapes of at most 4 rows of at most 4,
 # or junk of single digits up to 4 and at most three characters (four could
@@ -135,5 +135,7 @@ class TestCliFuzz:
         assert "Traceback" not in err
         if code == 2 and not err.startswith("usage:"):
             assert err.startswith("error: ")
-        # The shared parser carries nothing from one request to the next.
+        # The shared parser carries nothing from one request to the next,
+        # and dispatching to the sub-parser gives what a whole parser gives.
         assert capture(run, list(argv)) == first
+        assert capture(run_with_fresh_parser, list(argv)) == first

@@ -65,6 +65,23 @@ class TestSchurExpansion:
             SchurExpansion({(1, 2): 1})
         with pytest.raises(TypeError, match="is not a skew shape"):
             SkewExpansion({(1,): 1})
+        # An iterable of bad parts is a ValueError, in a key or a lookup.
+        bad = [("x", "non-integer part"), ((2, "a"), "non-integer part"), ((-1,), "negative part")]
+        for key, match in bad:
+            with pytest.raises(ValueError, match=match):
+                SchurExpansion({key: 1})
+            with pytest.raises(ValueError, match=match):
+                schur((2, 1))[key]
+
+    @pytest.mark.parametrize("key", [None, 1, 1.5])
+    def test_non_iterable_key_is_named(self, key):
+        message = f"key {key!r} is not a Partition or an iterable of parts"
+        with pytest.raises(TypeError) as exc:
+            SchurExpansion({key: 1})
+        assert str(exc.value) == message
+        with pytest.raises(TypeError) as exc:
+            schur((2, 1))[key]
+        assert str(exc.value) == message
 
     def test_arithmetic(self):
         a, b = schur((2, 1)), schur((3,))
