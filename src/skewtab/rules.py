@@ -22,6 +22,7 @@ monomial expansions, and against signed tableau counting.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from operator import add, sub
 
 from .involution import enumerate_contexts, is_fixed_point
@@ -57,9 +58,9 @@ from .symfunc import (
 )
 from .tableaux import (
     Tableau,
+    _lr_walk,
     enumerate_fillings,  # noqa: F401  not called here; bench/test_bench.py traces this binding
     enumerate_ssyt,
-    lr_fillings,
 )
 
 
@@ -185,17 +186,24 @@ def skew_lr_pairs(a: SkewShape, b: SkewShape):
 
 
 def _admissible_pairs(a: SkewShape, b: SkewShape):
-    """The generator behind skew_lr_pairs, on checked arguments."""
-    lam, mu, sigma = a.outer, a.inner, b.outer.parts
+    """The generator behind skew_lr_pairs, on checked arguments. The content
+    test reads the LR walk's letter counts, so a T+ is built only for a
+    filling of content outer(b): its rows are the walk's entries past the
+    kappa.size cells of kappa's rows, which the reading word visits first."""
+    lam, mu, sigma = a.outer, a.inner, list(b.outer.parts)
     for minus_rows, inner, sign, budget, counts in _signed_pairs(mu, _difference(b), b.inner.parts):
         mu_minus, kappa = Partition(inner), SkewShape(Partition(counts))
         t_minus = Tableau(SkewShape(mu, mu_minus), minus_rows)
         for lam_plus in superpartitions(lam, sum(budget)):
             plus_shape = SkewShape(lam_plus, lam)
-            for t in lr_fillings(star(plus_shape, kappa)):
-                if t.content() == sigma:
-                    t_plus = Tableau(plus_shape, t.rows[kappa.rows:])
-                    yield t_minus, t_plus, SkewShape(lam_plus, mu_minus), sign
+            shape = star(plus_shape, kappa)
+            content = sigma + [0] * (shape.rows - len(sigma))  # as the walk pads it
+            widths = map(sub, lam_plus.parts, lam.parts + (0,) * len(lam_plus))
+            ends = list(accumulate(widths, initial=kappa.outer.size))
+            for vals, letters in _lr_walk(shape):
+                if letters[1:] == content:
+                    rows = tuple(tuple(vals[s:e][::-1]) for s, e in zip(ends, ends[1:]))
+                    yield t_minus, Tableau(plus_shape, rows), SkewShape(lam_plus, mu_minus), sign
 
 
 @lru_cache(maxsize=None)

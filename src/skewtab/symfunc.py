@@ -9,7 +9,10 @@ proved through. `perp` reads the same products through a table inverted by
 the partition they produce, and the operator identity
 (fg)^perp = f^perp g^perp is checked one degree at a time off those tables,
 every probe of a degree in one walk. It and the Hall check of perp do not
-depend on n, so they run once per (f, g) pair, not once per n. A second
+depend on n, so they run once per (f, g) pair, not once per n; the e/h
+check depends on n alone and runs once per n. The images these checks read
+are built once, in bounded memos: those of one operand for every pair it is
+in, and a pair's (e_k^perp f) g for every n of the pair. A second
 route through monomial expansions (enumerate the semistandard tableaux with
 `tableaux._fillings`, collect exponent vectors) exists for cross-checking
 and shares no code with the LR walk; greedy peeling of monomial data back
@@ -23,7 +26,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .shapes import EMPTY, Partition, SkewShape, _canonical, _require_int, _require_type, partitions_of_size, star
+from .shapes import EMPTY, Partition, SkewShape, _canonical, _require_int, _require_nonnegative, _require_type
+from .shapes import partitions_of_size, star
 from .tableaux import _lr_walk, enumerate_ssyt
 
 
@@ -324,7 +328,7 @@ def h(n: int) -> SchurExpansion:
     _require_int(n=n)
     if n < 0:
         raise ValueError("h(n) needs n >= 0")
-    return schur(Partition((n,) if n else ()))
+    return schur(_canonical((n,) if n else ()))
 
 
 def e(n: int) -> SchurExpansion:
@@ -332,7 +336,7 @@ def e(n: int) -> SchurExpansion:
     _require_int(n=n)
     if n < 0:
         raise ValueError("e(n) needs n >= 0")
-    return schur(Partition((1,) * n))
+    return schur(_canonical((1,) * n))
 
 
 def omega(f: SchurExpansion) -> SchurExpansion:
@@ -387,68 +391,126 @@ def monomial_product(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int
 
 def perp_identity_failures(f: SchurExpansion, g: SchurExpansion, n: int) -> list[str]:
     """Check the four perp identities exactly, and perp against the Hall
-    inner product; describe any that fail.
+    inner product; describe any that fail. An f or g that is not a
+    SchurExpansion, or an n that is not an int, raises TypeError; a
+    negative n raises ValueError.
 
-    The two Pieri-type identities and the alternating sum of e_i h_{n-i},
-    which is 1 at n = 0 and 0 above, are checked for this n. The checks that
-    do not depend on n follow, run once per (f, g) pair by _pair_failures.
+    The two Pieri-type identities are checked for this n. Their images are
+    memoised, since a sweep runs every n of a pair in turn and every pair of
+    a basis: h_j^perp of one operand for every pair it is in
+    (_operand_perp), (e_k^perp f) g for every n of a pair (_PairImages). The
+    alternating sum of e_i h_{n-i}, which is 1 at n = 0 and 0 above, depends
+    on n alone and is decided once per n (_eh_failures). The checks that
+    depend on neither n follow, run once per pair.
     """
+    if not (isinstance(f, SchurExpansion) and isinstance(g, SchurExpansion)):
+        _require_type(SchurExpansion, f=f, g=g)
+    _require_nonnegative(n=n)
+    f_items, g_items = tuple(f.terms.items()), tuple(g.terms.items())
+    pair = _pair_images(f_items, g_items)
+    e_f_g = pair.e_f_g
+    while len(e_f_g) <= n:
+        e_f_g.append(schur_product(_operand_perp(e, len(e_f_g), f_items), pair.g))
+    h_f = [_operand_perp(h, j, f_items) for j in range(n + 1)]
+    h_g = [_operand_perp(h, j, g_items) for j in range(n + 1)]
     fails: list[str] = []
 
-    lhs = schur_product(f, perp(h(n), g))
+    lhs = schur_product(pair.f, h_g[n])
     rhs = SchurExpansion()
     for k in range(n + 1):
-        term = perp(h(n - k), schur_product(perp(e(k), f), g))
+        term = perp(h(n - k), e_f_g[k])
         rhs = rhs + term * (-1) ** k
     if lhs != rhs:
         fails.append("f*h_n^perp(g) != sum_k (-1)^k h_{n-k}^perp(e_k^perp(f) g)")
 
+    fails.extend(_eh_failures(n))
+
+    lhs = perp(h(n), pair.fg)
+    rhs = SchurExpansion()
+    for i in range(n + 1):
+        rhs = rhs + schur_product(h_f[n - i], h_g[i])
+    if lhs != rhs:
+        fails.append("h_n^perp(fg) != sum_i h_{n-i}^perp(f) h_i^perp(g)")
+
+    fails.extend(pair.failures)
+    return fails
+
+
+@lru_cache(maxsize=64)
+def _eh_failures(n: int) -> tuple[str, ...]:
+    """The check of perp_identity_failures that depends on n alone: the
+    alternating sum of e_i h_{n-i} is 1 at n = 0 and 0 above."""
     alternating = SchurExpansion()
     for i in range(n + 1):
         alternating = alternating + schur_product(e(i), h(n - i)) * (-1) ** i
     if alternating != (h(0) if n == 0 else SchurExpansion()):
-        fails.append("sum_i (-1)^i e_i h_{n-i} != delta_{n,0}")
-
-    lhs = perp(h(n), schur_product(f, g))
-    rhs = SchurExpansion()
-    for i in range(n + 1):
-        rhs = rhs + schur_product(perp(h(n - i), f), perp(h(i), g))
-    if lhs != rhs:
-        fails.append("h_n^perp(fg) != sum_i h_{n-i}^perp(f) h_i^perp(g)")
-
-    fails.extend(_pair_failures(tuple(f.terms.items()), tuple(g.terms.items())))
-    return fails
+        return ("sum_i (-1)^i e_i h_{n-i} != delta_{n,0}",)
+    return ()
 
 
-@lru_cache(maxsize=1)
-def _pair_failures(f_items: tuple, g_items: tuple) -> tuple[str, ...]:
-    """The checks of perp_identity_failures that do not depend on n, for the
-    f and g with these terms. A sweep runs every n of a pair in turn, so one
-    entry is enough to run them once per pair.
+# The operand memos hold the images of one operand x that every pair x is in
+# reads. A bound of 256 holds all of them in a sweep of degree 4 and nearly
+# all in one of degree 6 (270 probe tables, 293 misses).
+@lru_cache(maxsize=256)
+def _operand_perp(op, j: int, items: tuple) -> SchurExpansion:
+    """perp(op(j), x), op h or e, for the x with these terms. Read-only."""
+    return perp(op(j), SchurExpansion._of(dict(items)))
+
+
+@lru_cache(maxsize=256)
+def _operand_probes(items: tuple, d: int) -> dict[Partition, dict[Partition, int]]:
+    """_perp_images(x, d) for the x with these terms. Read-only."""
+    return _perp_images(SchurExpansion._of(dict(items)), d)
+
+
+class _PairImages:
+    """The memo of perp_identity_failures for the f and g with the given
+    terms: f, g, fg, the verdict of the checks that do not depend on n
+    (_pair_failures), and e_f_g, whose entry k is (e_k^perp f) g, appended
+    as a larger n first needs it. Nothing in it leaves
+    perp_identity_failures, and no expansion in it is changed once built."""
+
+    __slots__ = ("f", "g", "fg", "failures", "e_f_g")
+
+    def __init__(self, f_items: tuple, g_items: tuple):
+        self.f, self.g = SchurExpansion._of(dict(f_items)), SchurExpansion._of(dict(g_items))
+        self.fg = schur_product(self.f, self.g)
+        self.failures = _pair_failures(self.f, self.g, self.fg)
+        self.e_f_g: list[SchurExpansion] = []
+
+
+# One entry: a sweep runs every n of a pair in turn, so the pair at hand is
+# the only one worth keeping.
+_pair_images = lru_cache(maxsize=1)(_PairImages)
+
+
+def _pair_failures(f: SchurExpansion, g: SchurExpansion, fg: SchurExpansion) -> tuple[str, ...]:
+    """The checks of perp_identity_failures that do not depend on n, for f,
+    g and their product fg.
 
     The operator identity (fg)^perp = f^perp g^perp is probed on all Schur
     functions of degree from the least degree of a term of f plus that of
     g, below which both sides vanish, to deg f + deg g + 2: the two degrees
     past deg f + deg g exercise nonconstant images. It is checked one
     degree d at a time off the perp tables: one walk gives (fg)^perp(s_pi)
-    for every pi of size d, another g^perp(s_pi), and f's images, built once
-    per degree as first needed, finish the right side. Last, the s_empty
-    coefficient of perp(fg, fg) must be <fg, fg>: the one check that runs
-    perp with a first argument of many terms and coefficients.
+    for every pi of size d, and g^perp(s_pi) and f's images, read from the
+    operand memo (_operand_probes) as first needed, finish the right side.
+    Last, the s_empty coefficient of perp(fg, fg) must be <fg, fg>: the one
+    check that runs perp with a first argument of many terms and
+    coefficients.
     """
-    f, g = SchurExpansion._of(dict(f_items)), SchurExpansion._of(dict(g_items))
     fails: list[str] = []
-    fg = schur_product(f, g)
+    f_items, g_items = tuple(f.terms.items()), tuple(g.terms.items())
     f_images: dict[int, dict] = {}  # f's images, by degree, as first needed
     low = min((p.size for p in f.terms), default=0) + min((p.size for p in g.terms), default=0)
     for d in range(low, f.degree() + g.degree() + 3):
-        lhs_images, g_images = _perp_images(fg, d), _perp_images(g, d)
+        lhs_images, g_images = _perp_images(fg, d), _operand_probes(g_items, d)
         for pi in partitions_of_size(d):
             rhs: dict[Partition, int] = {}
             for lam, b in g_images.get(pi, {}).items():
                 k = lam.size
                 if k not in f_images:
-                    f_images[k] = _perp_images(f, k)
+                    f_images[k] = _operand_probes(f_items, k)
                 for nu, c in f_images[k].get(lam, {}).items():
                     rhs[nu] = rhs.get(nu, 0) + b * c
             lhs = lhs_images.get(pi, {})
@@ -461,7 +523,8 @@ def _pair_failures(f_items: tuple, g_items: tuple) -> tuple[str, ...]:
 
 
 def verify_perp_identities(f: SchurExpansion, g: SchurExpansion, n: int) -> bool:
-    """True when every check of perp_identity_failures passes for f, g, n."""
+    """True when every check of perp_identity_failures passes for f, g, n;
+    raises as it does on arguments of the wrong type or a negative n."""
     return not perp_identity_failures(f, g, n)
 
 

@@ -6,21 +6,24 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
-from skewtab import Partition, SkewShape, Tableau, symfunc
+from skewtab import Partition, SkewShape, Tableau
 from skewtab.cli import build_parser
+
+from oracles import clear_perp_memos
 
 hypothesis.settings.register_profile("suite", max_examples=60, deadline=None)
 hypothesis.settings.load_profile("suite")
 
 
 @pytest.fixture
-def fresh_pair_memo():
-    """Empty the memo of perp_identity_failures' pair checks before and after
-    a test that patches what they read (perp, _perp_table): a verdict cached
-    on one side of the patch must not answer for the other."""
-    symfunc._pair_failures.cache_clear()
+def fresh_perp_memos():
+    """Empty every memo perp_identity_failures reads (oracles.PERP_MEMOS)
+    before and after a test that patches what fills them (perp, _perp_table):
+    an image or verdict cached on one side of the patch must not answer for
+    the other."""
+    clear_perp_memos()
     yield
-    symfunc._pair_failures.cache_clear()
+    clear_perp_memos()
 
 
 @st.composite

@@ -83,16 +83,35 @@ def schur_from_monomials(m: dict[tuple[int, ...], int], num_vars: int) -> SchurE
     return SchurExpansion(out)
 
 
+# The memos perp_identity_failures reads besides the LR and perp tables:
+# whatever they hold was built by the perp and products in force when it was
+# filled, so a test that patches those must empty them on both sides.
+PERP_MEMOS = ("_pair_images", "_eh_failures", "_operand_perp", "_operand_probes")
+
+
+def clear_perp_memos() -> None:
+    for name in PERP_MEMOS:
+        getattr(symfunc, name).cache_clear()
+
+
+def unmemoised_perp_failures(f: SchurExpansion, g: SchurExpansion, n: int) -> list[str]:
+    """perp_identity_failures(f, g, n) run afresh: every memo it reads is
+    emptied before and after the call."""
+    clear_perp_memos()
+    try:
+        return symfunc.perp_identity_failures(f, g, n)
+    finally:
+        clear_perp_memos()
+
+
 def perp_sweep_failures(max_deg: int, max_n: int) -> list[str]:
-    """The failures of verify_perp_range(max_deg, max_n), every check of
-    perp_identity_failures run afresh for every (f, g, n): the memo of the
-    pair checks is emptied before each case, and f and g are built anew."""
+    """The failures of verify_perp_range(max_deg, max_n), every case checked
+    by unmemoised_perp_failures on f and g built anew."""
     failures = []
     basis = [p for d in range(max_deg + 1) for p in partitions_of_size(d)]
     for alpha in basis:
         for beta in basis:
             for n in range(1, max_n + 1):
-                symfunc._pair_failures.cache_clear()
-                if symfunc.perp_identity_failures(schur(alpha), schur(beta), n):
+                if unmemoised_perp_failures(schur(alpha), schur(beta), n):
                     failures.append(f"perp identity failed at f=s{alpha.parts}, g=s{beta.parts}, n={n}")
     return failures

@@ -10,7 +10,13 @@ The operator identity (fg)^perp = f^perp g^perp is checked one degree at a
 time off the perp tables; its failure list is compared with that of the
 per-probe loop it replaced, on clean tables and on corrupted ones. On the
 same tables, the perp sweep, which runs that check and the Hall check once
-per (f, g) pair, is compared with a sweep that runs every check per case.
+per (f, g) pair and builds each perp image once, is compared with a sweep
+that runs every check per case on empty memos, and so is a sequence of calls
+that interleaves pairs and values of n and overflows the operand memos.
+
+`rules.skew_lr_pairs` tests each LR filling's content on the walk's letter
+counts and builds a T+ only for the fillings it keeps; its pairs, in order,
+are compared with the build-then-filter loop it replaced.
 
 `rules._minus_table` keys its signed sums by kappa and builds one shape per
 distinct kappa; its tables are compared with the checked per-state build it
@@ -32,11 +38,11 @@ from skewtab import NotFixedPoint, SlideContext, enumerate_contexts, fixed_point
 from skewtab import rules, symfunc, validate
 from skewtab.insertion import _bump_in, _freeze, _thaw
 from skewtab.involution import _is_horizontal_strip, _is_vertical_strip, _reverse_outer_strip, _slid
-from skewtab.shapes import _canonical, partitions_of_size, skew_shapes_up_to
+from skewtab.shapes import _canonical, partitions_of_size, skew_shapes_up_to, superpartitions
 from skewtab.symfunc import SkewExpansion, skew_expansion_to_schur
-from skewtab.tableaux import enumerate_fillings
+from skewtab.tableaux import enumerate_fillings, lr_fillings
 
-from oracles import perp_sweep_failures
+from oracles import perp_sweep_failures, unmemoised_perp_failures
 
 PARTITIONS = [p for n in range(7) for p in partitions_of_size(n)]
 PAIRS = list(itertools.product(PARTITIONS, repeat=2))
@@ -244,7 +250,7 @@ CORRUPTIONS = {
 }
 
 
-@pytest.mark.usefixtures("fresh_pair_memo")
+@pytest.mark.usefixtures("fresh_perp_memos")
 @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
 def test_operator_identity_failures_as_before(corruption, monkeypatch):
     if CORRUPTIONS[corruption]:
@@ -260,7 +266,7 @@ def test_operator_identity_failures_as_before(corruption, monkeypatch):
     assert (total > 0) is (corruption != "clean")
 
 
-@pytest.mark.usefixtures("fresh_pair_memo")
+@pytest.mark.usefixtures("fresh_perp_memos")
 @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
 def test_perp_sweep_failures_as_unmemoised(corruption, monkeypatch):
     if CORRUPTIONS[corruption]:
@@ -271,11 +277,60 @@ def test_perp_sweep_failures_as_unmemoised(corruption, monkeypatch):
     failing_pairs = 0
     for a in SMALL:
         for b in SMALL:
-            if symfunc._pair_failures.__wrapped__(((a, 1),), ((b, 1),)):
+            if symfunc._pair_failures(schur(a), schur(b), schur_product(schur(a), schur(b))):
                 failing_pairs += 1
                 for n in (1, 2):
                     assert f"perp identity failed at f=s{a.parts}, g=s{b.parts}, n={n}" in got, (a, b, n)
     assert (failing_pairs > 0) is (corruption != "clean")
+
+
+@pytest.mark.usefixtures("fresh_perp_memos")
+@pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+def test_interleaved_pairs_as_unmemoised(corruption, monkeypatch):
+    # A pair revisited after another pair took the memo, and n out of order,
+    # repeated and at 0; then more distinct operands than the operand memos
+    # hold, and the first pairs again: every call reports what it reports on
+    # empty memos.
+    if CORRUPTIONS[corruption]:
+        monkeypatch.setattr(symfunc, "_perp_table", _corrupt(CORRUPTIONS[corruption]))
+    a, b = (SchurExpansion(x) for x in SIGNED[0])
+    c, d = schur((2, 1)), schur((1, 1))
+    calls = [(a, b, 2), (c, d, 1), (a, b, 1), (a, b, 3), (c, d, 3), (c, d, 0), (a, b, 2), (c, d, 2), (a, b, 0)]
+    bound = symfunc._operand_perp.cache_info().maxsize
+    calls += [(SchurExpansion({(1,): k, (): 1}), c, 1) for k in range(1, bound // 2)]
+    calls += [(a, b, 2), (c, d, 1)]
+    want = [unmemoised_perp_failures(f, g, n) for f, g, n in calls]
+    assert [symfunc.perp_identity_failures(f, g, n) for f, g, n in calls] == want
+    assert any(want) is (corruption != "clean")
+    for name in ("_pair_images", "_operand_perp", "_operand_probes"):
+        info = getattr(symfunc, name).cache_info()
+        assert info.misses > info.maxsize, name
+
+
+def _reference_admissible_pairs(a, b):
+    """rules._admissible_pairs as it was written: every LR filling of
+    star(lam_plus/lam, kappa) built as a Tableau, then kept if its content is
+    outer(b)."""
+    lam, mu, sigma = a.outer, a.inner, b.outer.parts
+    for minus_rows, inner, sign, budget, counts in rules._signed_pairs(mu, rules._difference(b), b.inner.parts):
+        mu_minus, kappa = Partition(inner), SkewShape(Partition(counts))
+        t_minus = Tableau(SkewShape(mu, mu_minus), minus_rows)
+        for lam_plus in superpartitions(lam, sum(budget)):
+            plus_shape = SkewShape(lam_plus, lam)
+            for t in lr_fillings(star(plus_shape, kappa)):
+                if t.content() == sigma:
+                    t_plus = Tableau(plus_shape, t.rows[kappa.rows:])
+                    yield t_minus, t_plus, SkewShape(lam_plus, mu_minus), sign
+
+
+def test_admissible_pairs_as_before():
+    pairs = 0
+    for a in skew_shapes_up_to(4):
+        for b in skew_shapes_up_to(3):
+            got = list(rules.skew_lr_pairs(a, b))
+            assert got == list(_reference_admissible_pairs(a, b)), (a, b)
+            pairs += len(got)
+    assert pairs == 4834
 
 
 def _reference_minus_table(mu, target, tau):

@@ -421,7 +421,7 @@ class TestSlotLoopAgainstRecursiveReference:
         assert (states, pairs) == (7076, 65205)
 
     def test_skew_lr_pairs_multiset(self):
-        # skew_lr_pairs, which reads each T+ off lr_fillings, against the
+        # skew_lr_pairs, which reads each T+ off the LR walk, against the
         # reference's pairs over the skew-lr sweep grid.
         shapes_b = tuple(skew_shapes_up_to(4))
         pairs = 0

@@ -42,7 +42,7 @@ from skewtab.symfunc import (
 )
 
 from conftest import partitions, skew_shapes
-from oracles import NotSymmetric, schur_from_monomials
+from oracles import PERP_MEMOS, NotSymmetric, schur_from_monomials
 
 
 class TestSchurExpansion:
@@ -479,7 +479,7 @@ class TestPerpIdentities:
         assert perp_identity_failures(schur(f), schur(g), 0) == []
         assert verify_perp_identities(schur(f), schur(g), 0)
 
-    @pytest.mark.usefixtures("fresh_pair_memo")
+    @pytest.mark.usefixtures("fresh_perp_memos")
     def test_sweep_catches_perp_dropping_first_coefficients(self, monkeypatch):
         # perp(fg, fg) at s_empty must equal <fg, fg>: a perp that drops f's
         # coefficients reads the sum of fg's coefficients there, not the sum
@@ -509,11 +509,18 @@ class TestPerpIdentities:
         assert len(want) == 27
         assert perp_identity_failures(schur((2, 1)), schur((2, 1)), 1) == ["perp(fg, fg) at s[∅] != <fg, fg>"]
 
-    @pytest.mark.usefixtures("fresh_pair_memo")
+    @pytest.mark.usefixtures("fresh_perp_memos")
     def test_sweep_work_counts(self, monkeypatch):
-        # The operator identity and the Hall check run once per (f, g) pair,
-        # the Pieri-type identities once per case: 144 pairs, 432 cases.
-        calls = {"_perp_images": 0, "perp": 0}
+        # 12 operands, 144 pairs, 432 cases (n = 1, 2, 3). Once per operand:
+        # h_j^perp and e_j^perp for j = 0..3 (8 perp). Once per pair: fg and
+        # the n-free checks (1 product, 1 perp, 3 _perp_images of fg);
+        # (e_k^perp f) g for k = 0..3 (4 products). Once per case:
+        # h_n^perp(fg) and the n + 1 terms h_{n-k}^perp(...) (3 + 9 perp per
+        # pair); f h_n^perp(g) and the n + 1 products h_{n-i}^perp(f)
+        # h_i^perp(g) (3 + 9 products per pair). The e/h sum once per n:
+        # 2 + 3 + 4 products. The operand probes: 84 _perp_images, one per
+        # (operand, degree) the operator identity reads.
+        calls = {"_perp_images": 0, "perp": 0, "schur_product": 0}
         for name in calls:
             inner = getattr(symfunc, name)
 
@@ -523,10 +530,36 @@ class TestPerpIdentities:
 
             monkeypatch.setattr(symfunc, name, counted)
         assert verify_perp_range(4, 3)["failures"] == []
-        assert calls == {"_perp_images": 1296, "perp": 6192}
+        assert calls == {
+            "_perp_images": 144 * 3 + 84,
+            "perp": 12 * 8 + 144 * (1 + 12),
+            "schur_product": 144 * (1 + 4 + 12) + 9,
+        }
 
     def test_pair_memo_holds_one_entry(self):
-        assert symfunc._pair_failures.cache_info().maxsize == 1
+        assert symfunc._pair_images.cache_info().maxsize == 1
+
+    @pytest.mark.parametrize("name", PERP_MEMOS)
+    def test_perp_memos_are_bounded(self, name):
+        assert getattr(symfunc, name).cache_info().maxsize is not None
+
+    @pytest.mark.usefixtures("fresh_perp_memos")
+    @pytest.mark.parametrize("f,g,n,error,message", [
+        (schur((1,)), schur((1,)), True, TypeError, "n must be an int, got True"),
+        (schur((1,)), schur((1,)), 1.5, TypeError, "n must be an int, got 1.5"),
+        (schur((1,)), schur((1,)), -1, ValueError, "n must be nonnegative, got -1"),
+        (None, schur((1,)), 1, TypeError, "f None is not a SchurExpansion"),
+        (schur((1,)), (1,), 1, TypeError, "g (1,) is not a SchurExpansion"),
+        (schur((1,)), SkewExpansion({SkewShape.of((1,)): 1}), 1, TypeError, "is not a SchurExpansion"),
+    ])
+    def test_bad_arguments_raise_at_the_call(self, f, g, n, error, message):
+        # Checked before any memo is read: n = True must not hit n = 1's entry.
+        perp_identity_failures(schur((1,)), schur((1,)), 1)
+        before = [getattr(symfunc, name).cache_info() for name in PERP_MEMOS]
+        for check in (perp_identity_failures, verify_perp_identities):
+            with pytest.raises(error, match=re.escape(message)):
+                check(f, g, n)
+        assert [getattr(symfunc, name).cache_info() for name in PERP_MEMOS] == before
 
     def test_perp_homomorphism_on_products(self):
         # (fg)^perp = f^perp g^perp as operators, probed on Schur functions
