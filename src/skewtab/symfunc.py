@@ -10,9 +10,10 @@ the partition they produce, and the operator identity
 (fg)^perp = f^perp g^perp is checked one degree at a time off those tables,
 every probe of a degree in one walk. It and the Hall check of perp do not
 depend on n, so they run once per (f, g) pair, not once per n; the e/h
-check depends on n alone and runs once per n. The images these checks read
-are built once, in bounded memos: those of one operand for every pair it is
-in, and a pair's (e_k^perp f) g for every n of the pair. A second
+check depends on n alone and runs once per n. Each identity is checked by
+difference, the right side's terms subtracted from a fresh dict of the left
+side's. The images the Pieri-type checks read are built once per pair, in a
+one-entry memo that every n of the pair reuses. A second
 route through monomial expansions (enumerate the semistandard tableaux with
 `tableaux._fillings`, collect exponent vectors) exists for cross-checking
 and shares no code with the LR walk; greedy peeling of monomial data back
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .shapes import EMPTY, Partition, SkewShape, _canonical, _require_int, _require_nonnegative, _require_type
+from .shapes import EMPTY, Partition, SkewShape, _canonical, _require_nonnegative, _require_type
 from .shapes import partitions_of_size, star
 from .tableaux import _lr_walk, enumerate_ssyt
 
@@ -325,17 +326,15 @@ def _perp_images(f: SchurExpansion, d: int) -> dict[Partition, dict[Partition, i
 
 def h(n: int) -> SchurExpansion:
     """Complete homogeneous h_n = s_(n)."""
-    _require_int(n=n)
-    if n < 0:
-        raise ValueError("h(n) needs n >= 0")
+    if type(n) is not int or n < 0:  # one test: the perp sweep calls this hot
+        _require_nonnegative(n=n)
     return schur(_canonical((n,) if n else ()))
 
 
 def e(n: int) -> SchurExpansion:
     """Elementary e_n = s_(1^n)."""
-    _require_int(n=n)
-    if n < 0:
-        raise ValueError("e(n) needs n >= 0")
+    if type(n) is not int or n < 0:  # one test: the perp sweep calls this hot
+        _require_nonnegative(n=n)
     return schur(_canonical((1,) * n))
 
 
@@ -395,41 +394,37 @@ def perp_identity_failures(f: SchurExpansion, g: SchurExpansion, n: int) -> list
     SchurExpansion, or an n that is not an int, raises TypeError; a
     negative n raises ValueError.
 
-    The two Pieri-type identities are checked for this n. Their images are
-    memoised, since a sweep runs every n of a pair in turn and every pair of
-    a basis: h_j^perp of one operand for every pair it is in
-    (_operand_perp), (e_k^perp f) g for every n of a pair (_PairImages). The
-    alternating sum of e_i h_{n-i}, which is 1 at n = 0 and 0 above, depends
-    on n alone and is decided once per n (_eh_failures). The checks that
-    depend on neither n follow, run once per pair.
+    Each identity is checked by difference: the right side's terms are
+    subtracted from a fresh dict of the left side's, and it fails if an entry
+    is left nonzero. The two Pieri-type identities are checked for this n,
+    off the images of the pair's memo (_PairImages), since a sweep runs every
+    n of a pair in turn. The alternating sum of e_i h_{n-i}, which is 1 at
+    n = 0 and 0 above, depends on n alone and is decided once per n
+    (_eh_failures). The checks that depend on neither n follow, run once per
+    pair.
     """
     if not (isinstance(f, SchurExpansion) and isinstance(g, SchurExpansion)):
         _require_type(SchurExpansion, f=f, g=g)
     _require_nonnegative(n=n)
-    f_items, g_items = tuple(f.terms.items()), tuple(g.terms.items())
-    pair = _pair_images(f_items, g_items)
-    e_f_g = pair.e_f_g
-    while len(e_f_g) <= n:
-        e_f_g.append(schur_product(_operand_perp(e, len(e_f_g), f_items), pair.g))
-    h_f = [_operand_perp(h, j, f_items) for j in range(n + 1)]
-    h_g = [_operand_perp(h, j, g_items) for j in range(n + 1)]
+    pair = _pair_images(tuple(f.terms.items()), tuple(g.terms.items()))
+    pair.extend(n)
     fails: list[str] = []
 
-    lhs = schur_product(pair.f, h_g[n])
-    rhs = SchurExpansion()
+    diff = dict(schur_product(pair.f, pair.h_g[n]).terms)
     for k in range(n + 1):
-        term = perp(h(n - k), e_f_g[k])
-        rhs = rhs + term * (-1) ** k
-    if lhs != rhs:
+        sign = (-1) ** k
+        for nu, c in perp(h(n - k), pair.e_f_g[k]).terms.items():
+            diff[nu] = diff.get(nu, 0) - sign * c
+    if any(diff.values()):
         fails.append("f*h_n^perp(g) != sum_k (-1)^k h_{n-k}^perp(e_k^perp(f) g)")
 
     fails.extend(_eh_failures(n))
 
-    lhs = perp(h(n), pair.fg)
-    rhs = SchurExpansion()
+    diff = dict(perp(h(n), pair.fg).terms)
     for i in range(n + 1):
-        rhs = rhs + schur_product(h_f[n - i], h_g[i])
-    if lhs != rhs:
+        for nu, c in schur_product(pair.h_f[n - i], pair.h_g[i]).terms.items():
+            diff[nu] = diff.get(nu, 0) - c
+    if any(diff.values()):
         fails.append("h_n^perp(fg) != sum_i h_{n-i}^perp(f) h_i^perp(g)")
 
     fails.extend(pair.failures)
@@ -448,35 +443,28 @@ def _eh_failures(n: int) -> tuple[str, ...]:
     return ()
 
 
-# The operand memos hold the images of one operand x that every pair x is in
-# reads. A bound of 256 holds all of them in a sweep of degree 4 and nearly
-# all in one of degree 6 (270 probe tables, 293 misses).
-@lru_cache(maxsize=256)
-def _operand_perp(op, j: int, items: tuple) -> SchurExpansion:
-    """perp(op(j), x), op h or e, for the x with these terms. Read-only."""
-    return perp(op(j), SchurExpansion._of(dict(items)))
-
-
-@lru_cache(maxsize=256)
-def _operand_probes(items: tuple, d: int) -> dict[Partition, dict[Partition, int]]:
-    """_perp_images(x, d) for the x with these terms. Read-only."""
-    return _perp_images(SchurExpansion._of(dict(items)), d)
-
-
 class _PairImages:
     """The memo of perp_identity_failures for the f and g with the given
     terms: f, g, fg, the verdict of the checks that do not depend on n
-    (_pair_failures), and e_f_g, whose entry k is (e_k^perp f) g, appended
-    as a larger n first needs it. Nothing in it leaves
-    perp_identity_failures, and no expansion in it is changed once built."""
+    (_pair_failures), and the lists h_f, h_g and e_f_g, whose entry j is
+    h_j^perp f, h_j^perp g and (e_j^perp f) g, extended as a larger n first
+    needs them. Nothing in it leaves perp_identity_failures, and no
+    expansion in it is changed once built."""
 
-    __slots__ = ("f", "g", "fg", "failures", "e_f_g")
+    __slots__ = ("f", "g", "fg", "failures", "h_f", "h_g", "e_f_g")
 
     def __init__(self, f_items: tuple, g_items: tuple):
         self.f, self.g = SchurExpansion._of(dict(f_items)), SchurExpansion._of(dict(g_items))
         self.fg = schur_product(self.f, self.g)
         self.failures = _pair_failures(self.f, self.g, self.fg)
-        self.e_f_g: list[SchurExpansion] = []
+        self.h_f, self.h_g, self.e_f_g = [], [], []
+
+    def extend(self, n: int) -> None:
+        """Fill the image lists up to entry n."""
+        for j in range(len(self.h_f), n + 1):
+            self.h_f.append(perp(h(j), self.f))
+            self.h_g.append(perp(h(j), self.g))
+            self.e_f_g.append(schur_product(perp(e(j), self.f), self.g))
 
 
 # One entry: a sweep runs every n of a pair in turn, so the pair at hand is
@@ -492,29 +480,28 @@ def _pair_failures(f: SchurExpansion, g: SchurExpansion, fg: SchurExpansion) -> 
     functions of degree from the least degree of a term of f plus that of
     g, below which both sides vanish, to deg f + deg g + 2: the two degrees
     past deg f + deg g exercise nonconstant images. It is checked one
-    degree d at a time off the perp tables: one walk gives (fg)^perp(s_pi)
-    for every pi of size d, and g^perp(s_pi) and f's images, read from the
-    operand memo (_operand_probes) as first needed, finish the right side.
+    degree d at a time off the perp tables, by difference: one walk gives
+    (fg)^perp(s_pi) for every pi of size d, and from each of those fresh
+    rows g^perp(s_pi) pushed through f's images is subtracted; g's images
+    are read per degree and f's as first needed, both through _perp_images.
     Last, the s_empty coefficient of perp(fg, fg) must be <fg, fg>: the one
     check that runs perp with a first argument of many terms and
     coefficients.
     """
     fails: list[str] = []
-    f_items, g_items = tuple(f.terms.items()), tuple(g.terms.items())
     f_images: dict[int, dict] = {}  # f's images, by degree, as first needed
     low = min((p.size for p in f.terms), default=0) + min((p.size for p in g.terms), default=0)
     for d in range(low, f.degree() + g.degree() + 3):
-        lhs_images, g_images = _perp_images(fg, d), _operand_probes(g_items, d)
+        lhs_images, g_images = _perp_images(fg, d), _perp_images(g, d)
         for pi in partitions_of_size(d):
-            rhs: dict[Partition, int] = {}
+            diff = lhs_images.get(pi, {})
             for lam, b in g_images.get(pi, {}).items():
                 k = lam.size
                 if k not in f_images:
-                    f_images[k] = _operand_probes(f_items, k)
+                    f_images[k] = _perp_images(f, k)
                 for nu, c in f_images[k].get(lam, {}).items():
-                    rhs[nu] = rhs.get(nu, 0) + b * c
-            lhs = lhs_images.get(pi, {})
-            if {nu: c for nu, c in lhs.items() if c} != {nu: c for nu, c in rhs.items() if c}:
+                    diff[nu] = diff.get(nu, 0) - b * c
+            if any(diff.values()):
                 fails.append(f"(fg)^perp != f^perp g^perp at s[{pi}]")
 
     if perp(fg, fg)[EMPTY] != hall_inner(fg, fg):

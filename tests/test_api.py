@@ -1,6 +1,8 @@
 """The public API as shipped: `skewtab.__all__`, the package namespace and the
 README's "Public API" table name the same names, and the README's examples
-run as printed. Runs against the source tree or an installed package alike."""
+run as printed; every public function raises a typed error on a wrong
+argument, and every cache the library keeps has a known bound. Runs against
+the source tree or an installed package alike."""
 
 import contextlib
 import importlib
@@ -167,6 +169,7 @@ WRONG_ARGUMENTS = [
     ("downward_slide-str", lambda: skewtab.downward_slide("x"),
      TypeError, "ctx 'x' is not a SlideContext"),
     ("e-str", lambda: skewtab.e("2"), TypeError, "n must be an int, got '2'"),
+    ("e-negative", lambda: skewtab.e(-1), ValueError, "n must be nonnegative, got -1"),
     ("enumerate_contexts-max-entry-float", lambda: skewtab.enumerate_contexts(SHAPE, 1, 1.5),
      TypeError, "max_entry must be an int, got 1.5"),
     ("enumerate_contexts-n-negative", lambda: skewtab.enumerate_contexts(SHAPE, -1, 3),
@@ -208,6 +211,7 @@ WRONG_ARGUMENTS = [
     ("fixed_point_to_star-str", lambda: skewtab.fixed_point_to_star("x"),
      TypeError, "ctx 'x' is not a SlideContext"),
     ("h-float", lambda: skewtab.h(1.5), TypeError, "n must be an int, got 1.5"),
+    ("h-negative", lambda: skewtab.h(-1), ValueError, "n must be nonnegative, got -1"),
     ("hall_inner-str", lambda: skewtab.hall_inner("x", ONE),
      TypeError, "f 'x' is not a SchurExpansion"),
     ("internal_insert-float", lambda: skewtab.internal_insert(CTX.tableau, 1.5),
@@ -309,3 +313,31 @@ def test_wrong_argument_raises_a_typed_error_at_the_call(call, kind, message):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert str(exc.value) == message
+
+
+# Every functools cache in these modules, by the module that defines it, with
+# its maxsize (None: unbounded). The unbounded ones are the tables a long
+# session grows; the bounded ones hold one shape cache and the perp sweep's
+# per-pair and per-n memos.
+CACHES = {
+    "shapes._canonical": 4096,
+    "shapes.partitions_of_size": None,
+    "symfunc._lr_pairs": None,
+    "symfunc._basis_product": None,
+    "symfunc._perp_table": None,
+    "symfunc._monomial_pairs": None,
+    "symfunc._eh_failures": 64,
+    "symfunc._pair_images": 1,
+    "rules._minus_table": None,
+    "cli._parser": None,
+}
+
+
+def test_cache_inventory():
+    found, seen = {}, set()
+    for module in ("shapes", "symfunc", "rules", "cli"):
+        for name, obj in vars(importlib.import_module(f"skewtab.{module}")).items():
+            if hasattr(obj, "cache_info") and id(obj) not in seen:  # an import is listed where it is defined
+                seen.add(id(obj))
+                found[f"{module}.{name}"] = obj.cache_info().maxsize
+    assert found == CACHES

@@ -12,7 +12,7 @@ per-probe loop it replaced, on clean tables and on corrupted ones. On the
 same tables, the perp sweep, which runs that check and the Hall check once
 per (f, g) pair and builds each perp image once, is compared with a sweep
 that runs every check per case on empty memos, and so is a sequence of calls
-that interleaves pairs and values of n and overflows the operand memos.
+that interleaves pairs and values of n and runs through many operands.
 
 `rules.skew_lr_pairs` tests each LR filling's content on the walk's letter
 counts and builds a T+ only for the fillings it keeps; its pairs, in order,
@@ -288,23 +288,20 @@ def test_perp_sweep_failures_as_unmemoised(corruption, monkeypatch):
 @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
 def test_interleaved_pairs_as_unmemoised(corruption, monkeypatch):
     # A pair revisited after another pair took the memo, and n out of order,
-    # repeated and at 0; then more distinct operands than the operand memos
-    # hold, and the first pairs again: every call reports what it reports on
-    # empty memos.
+    # repeated and at 0; then a run of 127 distinct operands, and the first
+    # pairs again: every call reports what it reports on empty memos.
     if CORRUPTIONS[corruption]:
         monkeypatch.setattr(symfunc, "_perp_table", _corrupt(CORRUPTIONS[corruption]))
     a, b = (SchurExpansion(x) for x in SIGNED[0])
     c, d = schur((2, 1)), schur((1, 1))
     calls = [(a, b, 2), (c, d, 1), (a, b, 1), (a, b, 3), (c, d, 3), (c, d, 0), (a, b, 2), (c, d, 2), (a, b, 0)]
-    bound = symfunc._operand_perp.cache_info().maxsize
-    calls += [(SchurExpansion({(1,): k, (): 1}), c, 1) for k in range(1, bound // 2)]
+    calls += [(SchurExpansion({(1,): k, (): 1}), c, 1) for k in range(1, 128)]
     calls += [(a, b, 2), (c, d, 1)]
     want = [unmemoised_perp_failures(f, g, n) for f, g, n in calls]
     assert [symfunc.perp_identity_failures(f, g, n) for f, g, n in calls] == want
     assert any(want) is (corruption != "clean")
-    for name in ("_pair_images", "_operand_perp", "_operand_probes"):
-        info = getattr(symfunc, name).cache_info()
-        assert info.misses > info.maxsize, name
+    info = symfunc._pair_images.cache_info()
+    assert info.misses > info.maxsize
 
 
 def _reference_admissible_pairs(a, b):
