@@ -539,6 +539,10 @@ class TestPerpIdentities:
     def test_pair_memo_holds_one_entry(self):
         assert symfunc._pair_images.cache_info().maxsize == 1
 
+    @pytest.mark.parametrize("name", PERP_MEMOS)
+    def test_perp_memos_are_bounded(self, name):
+        assert getattr(symfunc, name).cache_info().maxsize is not None
+
     @pytest.mark.usefixtures("fresh_perp_memos")
     @pytest.mark.parametrize("f,g,n,error,message", [
         (schur((1,)), schur((1,)), True, TypeError, "n must be an int, got True"),
