@@ -22,17 +22,20 @@ slide about to move a cell that is no inside corner, with `NoUpwardPath`.
 Slides walk the strips by row: a reverse insertion reads only the row of the
 corner it deletes, so the outer strip is walked as a run of row indices, and
 phi reads the inner strip's bottom row off the part tuples. Scratch paths
-are plain (row, col) pairs; `Cell`s are built only for the paths that
-`BumpRecord`s carry: the records `downward_path` and `upward_path` return
-and those of a traced slide's steps. The upward slide compares each trial
-path with the upward path through one column per row, built once per slide.
-The fixed-point maps build the one-row factor (m) of star(base, (m))
-unchecked. A context argument that is not a `SlideContext` raises TypeError.
+are plain (row, col) pairs, and the walks return them raw; `Cell`s and
+`BumpRecord`s are built only for the records that `downward_path` and
+`upward_path` return and those of a traced slide's steps. phi and
+`is_fixed_point` read the downward landing row off the raw walk, and the
+upward slide compares each trial path with a staircase of columns, one per
+row, built once per slide from the raw upward path. Both fixed-point maps
+read star(base, (m)) from a one-entry memo, so a sweep builds one star shape
+per case. A context argument that is not a `SlideContext` raises TypeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, count, repeat
 from operator import ge, sub
 from typing import Iterator
@@ -41,6 +44,7 @@ from .insertion import (
     FORWARD,
     REVERSE,
     BumpRecord,
+    Path,
     Scratch,
     _bump_in,
     _checked,
@@ -52,7 +56,6 @@ from .insertion import (
 )
 from .shapes import (
     EMPTY,
-    Cell,
     SkewShape,
     _canonical,
     _require_int,
@@ -181,18 +184,18 @@ def _slid(base: SkewShape, scratch: Scratch) -> SlideContext:
 
 def _reverse_outer_strip(
     ctx: SlideContext, scratch: Scratch, steps: list[SlideStep] | None = None
-) -> tuple[list[int], BumpRecord | None]:
+) -> tuple[list[int], tuple[Path, int, int] | None]:
     """Reverse-insert the outer strip's cells right to left into scratch
     until an entry lands in a row >= 1. Returns the entries that exited
-    below row 1, in removal order, and the record of the entry that landed
-    (None when every entry exited)."""
+    below row 1, in removal order, and the raw (path, final entry, landing
+    row) of the entry that landed (None when every entry exited)."""
     exited: list[int] = []
     for r in _outer_strip_rows(ctx):
-        path, final, landing = _reverse_from(*scratch, r)
+        landed = path, final, landing = _reverse_from(*scratch, r)
         if steps is not None:
             steps.append(SlideStep("reverse", _record(path, final, landing, REVERSE), _snap(scratch)))
         if landing >= 1:
-            return exited, _record(path, final, landing, REVERSE)
+            return exited, landed
         exited.append(final)
     return exited, None
 
@@ -205,23 +208,39 @@ def _reinsert_exited(scratch: Scratch, exited: list[int], steps: list[SlideStep]
             steps.append(SlideStep("external", _record(path, k, 0, FORWARD), _snap(scratch)))
 
 
+def _downward(ctx: SlideContext) -> tuple[Path, int, int] | None:
+    """The raw (path, final entry, landing row) of the first entry to land
+    in a row >= 1 when the outer strip is reverse-inserted right to left on
+    a scratch copy; None when every entry exits."""
+    return _reverse_outer_strip(ctx, _thaw(ctx.tableau))[1]
+
+
 def downward_path(ctx: SlideContext) -> BumpRecord | None:
     """Reverse-insert the outer strip right to left on a scratch copy; the
     path of the first entry to land in a row >= 1, if any."""
-    return _reverse_outer_strip(ctx, _thaw(ctx.tableau))[1]
+    down = _downward(ctx)
+    return None if down is None else _record(*down, REVERSE)
+
+
+def _upward(ctx: SlideContext) -> tuple[Path, int, int] | None:
+    """The raw (path, moved entry, start row) of internal insertion of the
+    inner strip's bottom cell, on a scratch copy; None when the inner strip
+    is empty."""
+    r = _inner_strip_bottom(ctx)
+    if not r:
+        return None
+    path, k = _internal_from(*_thaw(ctx.tableau), r)
+    return path, k, r
 
 
 def upward_path(ctx: SlideContext) -> BumpRecord | None:
     """The bumping path that internal insertion of the inner strip's bottom
     cell would follow; absent when the inner strip is empty."""
-    r = _inner_strip_bottom(ctx)
-    if not r:
-        return None
-    path, k = _internal_from(*_thaw(ctx.tableau), r)
-    return _record(path, k, r, FORWARD)
+    up = _upward(ctx)
+    return None if up is None else _record(*up, FORWARD)
 
 
-def _staircase(up_path: tuple[Cell, ...], rows: int) -> list[int]:
+def _staircase(up_path: Path, rows: int) -> list[int]:
     """The upward path's column in each row 1..rows, at index row - 1: the
     path runs through consecutive rows and is extended above its top row by
     its top column. A cell sits weakly right of the path when its column is
@@ -233,8 +252,8 @@ def _staircase(up_path: tuple[Cell, ...], rows: int) -> list[int]:
     must not count as weakly right (it has drifted left past the staircase's
     head), or the involution breaks.
     """
-    bottom, top = up_path[0], up_path[-1]
-    return [0] * (bottom.row - 1) + [c.col for c in up_path] + [top.col] * (rows - top.row)
+    (bottom, _), (top, top_col) = up_path[0], up_path[-1]
+    return [0] * (bottom - 1) + [col for _, col in up_path] + [top_col] * (rows - top)
 
 
 def downward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> SlideContext:
@@ -255,12 +274,13 @@ def upward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> Sli
     NoUpwardPath if that entry's cell is then no inside corner."""
     if not isinstance(ctx, SlideContext):
         _require_type(SlideContext, ctx=ctx)
-    up_rec = upward_path(ctx)
-    if up_rec is None:
+    up = _upward(ctx)
+    if up is None:
         raise NoUpwardPath(f"inner strip of {ctx.base} is already empty")
 
+    up_path, _, up_row = up
     scratch = _thaw(ctx.tableau)
-    stair = _staircase(up_rec.path, len(scratch[1]))
+    stair = _staircase(up_path, len(scratch[1]))
     exited: list[int] = []
     for r in _outer_strip_rows(ctx):
         trial = _copy(scratch)
@@ -274,7 +294,7 @@ def upward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> Sli
             break
         exited.append(final)
 
-    r, inner = up_rec.landing_row, scratch[0]
+    r, inner = up_row, scratch[0]
     if r > 1 and inner[r - 2] <= inner[r - 1]:  # row r's first cell has a cell below it
         raise NoUpwardPath(f"upward slide does not apply: row {r} has no inside corner")
     path, k = _internal_from(*scratch, r)
@@ -291,8 +311,8 @@ def phi(ctx: SlideContext, steps: list[SlideStep] | None = None) -> SlideContext
         _require_type(SlideContext, ctx=ctx)
     if ctx.tableau.shape.inner == ctx.base.inner:  # empty inner strip: no upward path
         return downward_slide(ctx, steps)
-    down = downward_path(ctx)
-    if down is not None and down.landing_row < _inner_strip_bottom(ctx):
+    down = _downward(ctx)
+    if down is not None and down[2] < _inner_strip_bottom(ctx):  # its landing row
         return downward_slide(ctx, steps)
     return upward_slide(ctx, steps)
 
@@ -301,12 +321,15 @@ def is_fixed_point(ctx: SlideContext) -> bool:
     """Empty inner strip and no downward path: phi leaves ctx unchanged."""
     if not isinstance(ctx, SlideContext):
         _require_type(SlideContext, ctx=ctx)
-    return ctx.tableau.shape.inner == ctx.base.inner and downward_path(ctx) is None
+    return ctx.tableau.shape.inner == ctx.base.inner and _downward(ctx) is None
 
 
-def _one_row(m: int) -> SkewShape:
-    """The one-row shape (m) for m >= 1, built without checks."""
-    return SkewShape._trusted(_canonical((m,)), EMPTY)
+@lru_cache(maxsize=1)
+def _star_row(base: SkewShape, m: int) -> SkewShape:
+    """star(base, (m)) for m >= 1, the one-row factor built without checks.
+    Every fixed point of one sweep case has the same (base, m), so one entry
+    serves both fixed-point maps."""
+    return star(base, SkewShape._trusted(_canonical((m,)), EMPTY))
 
 
 def fixed_point_to_star(ctx: SlideContext) -> Tableau:
@@ -323,7 +346,7 @@ def fixed_point_to_star(ctx: SlideContext) -> Tableau:
     strip_row = tuple(reversed(exited))
     if not strip_row:
         return residual
-    return Tableau(star(ctx.base, _one_row(len(strip_row))), (strip_row,) + residual.rows)
+    return Tableau(_star_row(ctx.base, len(strip_row)), (strip_row,) + residual.rows)
 
 
 def star_to_fixed_point(base: SkewShape, t: Tableau) -> SlideContext:
@@ -337,7 +360,7 @@ def star_to_fixed_point(base: SkewShape, t: Tableau) -> SlideContext:
     if t.shape == base:
         return SlideContext(base, t)
     strip_row = t.rows[0] if t.rows else ()
-    if not strip_row or t.shape != star(base, _one_row(len(strip_row))):
+    if not strip_row or t.shape != _star_row(base, len(strip_row)):
         raise ValueError(f"{t.shape} is not {base} concatenated with one row")
     if not validate(t, SSYT):
         raise ValueError("tableau is not semistandard")

@@ -26,6 +26,20 @@ def fresh_perp_memos():
     clear_perp_memos()
 
 
+@pytest.fixture
+def fresh_caches():
+    """Empty every functools cache of the package after a test that builds
+    more partitions than shapes._canonical holds: a table filled before the
+    evictions holds objects equal to, not the same as, those the cache hands
+    out after them, and test_values pins that tables share equal partitions."""
+    yield
+    for name, module in list(sys.modules.items()):
+        if name.startswith("skewtab."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
 @st.composite
 def partitions(draw, max_len=5, max_part=6):
     length = draw(st.integers(0, max_len))

@@ -7,6 +7,7 @@ the source tree or an installed package alike."""
 import contextlib
 import importlib
 import io
+import pkgutil
 import re
 import shlex
 import signal
@@ -315,10 +316,10 @@ def test_wrong_argument_raises_a_typed_error_at_the_call(call, kind, message):
     assert str(exc.value) == message
 
 
-# Every functools cache in these modules, by the module that defines it, with
+# Every functools cache in the package, by the module that defines it, with
 # its maxsize (None: unbounded). The unbounded ones are the tables a long
-# session grows; the bounded ones hold one shape cache and the perp sweep's
-# per-pair and per-n memos.
+# session grows; the bounded ones hold one shape cache, the perp sweep's
+# per-pair and per-n memos and the fixed-point maps' star shape.
 CACHES = {
     "shapes._canonical": 4096,
     "shapes.partitions_of_size": None,
@@ -328,16 +329,19 @@ CACHES = {
     "symfunc._monomial_pairs": None,
     "symfunc._eh_failures": 64,
     "symfunc._pair_images": 1,
+    "involution._star_row": 1,
     "rules._minus_table": None,
     "cli._parser": None,
 }
 
 
 def test_cache_inventory():
-    found, seen = {}, set()
-    for module in ("shapes", "symfunc", "rules", "cli"):
-        for name, obj in vars(importlib.import_module(f"skewtab.{module}")).items():
-            if hasattr(obj, "cache_info") and id(obj) not in seen:  # an import is listed where it is defined
-                seen.add(id(obj))
-                found[f"{module}.{name}"] = obj.cache_info().maxsize
+    # Every module of the package but __main__, which runs the CLI on import.
+    names = [info.name for info in pkgutil.iter_modules(skewtab.__path__) if info.name != "__main__"]
+    found = {}
+    for module in [skewtab, *(importlib.import_module(f"skewtab.{name}") for name in names)]:
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:  # not an import
+                found[f"{module.__name__.removeprefix('skewtab.')}.{name}"] = obj.cache_info().maxsize
+    assert {"insertion", "involution", "tableaux"} <= set(names)
     assert found == CACHES

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from skewtab import expansion_from_json, skew_pieri, parse_shape
+from skewtab import SkewExpansion, expansion_from_json, skew_lr_pairs, skew_pieri, parse_shape
 from skewtab.cli import build_parser, run, term_lines
 
 from conftest import capture, run_with_fresh_parser
@@ -152,6 +152,27 @@ class TestProduct:
         want = expansion_from_json(json.loads(schur_json))
         assert expansion_from_json(json.loads(skew_json)).to_schur() == want
 
+    def test_large_skew_product_pairs(self):
+        # The 634-term product read off its 7 357 signed (T-, T+) pairs.
+        code, out, _ = capture(run, ["product", "5,4,3,2/3,2,1", "4,3,1/2", "--format", "json"])
+        assert code == 0
+        terms, pairs = {}, 0
+        for *_, shape, sign in skew_lr_pairs(parse_shape("5,4,3,2/3,2,1"), parse_shape("4,3,1/2")):
+            terms[shape] = terms.get(shape, 0) + sign
+            pairs += 1
+        assert pairs == 7357
+        assert SkewExpansion(terms).same_terms(expansion_from_json(json.loads(out)))
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_many_fillings_per_content_digest(self):
+        # A product whose LR tables hold many fillings per content, past
+        # every sweep's sizes, pinned byte for byte.
+        code, out, _ = capture(run, ["product", "20,15,10,5/10,5", "6,4,2/3"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "82c23a36658609d89a82ead4fc84cf22da4ef73acb926b4306da3fc9e2c9acfd"
+        )
+
     def test_schur_rule_golden(self, capsys):
         assert run(["product", "2,1", "2,1", "--rule", "schur"]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -267,6 +288,16 @@ class TestTrace:
         ) == 0
         second = json.loads(capsys.readouterr().out)
         assert second["result"] == BIG_T
+
+    def test_phi_json_digest(self):
+        # phi's trace of BIG_T byte for byte: every step's kind, entry, path,
+        # landing row and state, and the result.
+        argv = ["trace", "slide", BIG_BASE, BIG_T, "--op", "phi", "--format", "json"]
+        code, out, _ = capture(run, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b07b111b63b987e9790a5f918a90f79529d4295d55ba5bd16adbef7b28ff936e"
+        )
 
     def test_upward_inverts_downward(self, capsys):
         assert run(["trace", "slide", BIG_BASE, BIG_DT, "--op", "U"]) == 0

@@ -29,6 +29,7 @@ from skewtab import (
 )
 from skewtab.tableaux import enumerate_ssyt
 
+from skewtab import involution
 from skewtab.insertion import _thaw
 from skewtab.involution import (
     _inner_strip_bottom,
@@ -533,6 +534,42 @@ class TestVerifyInvolution:
         assert report["failures"] == []
         assert report["contexts"] > 0
         assert report["cases"] > 0
+
+    def test_sweep_work_counts(self, monkeypatch):
+        # verify_involution(4, 2, 3): 156 cases, 5 134 contexts, 2 300 fixed
+        # points (230, 690 and 1 380 at n = 0, 1, 2). No BumpRecord is built: phi and is_fixed_point read the
+        # landing row off the raw downward walk, and the upward slide builds
+        # its staircase off the raw upward path. star runs once per case for
+        # the star count, and once per case with n >= 1 that has a fixed point
+        # (102 of 104: a column of 4 has no SSYT with entries <= 3), both
+        # fixed-point maps reading that one shape through _star_row. Every
+        # SlideContext check still runs: two per context (phi of it and of
+        # its image) and one per fixed point (the star round trip).
+        involution._star_row.cache_clear()
+        calls = {"_record": 0, "star": 0}
+        for name in calls:
+            inner = getattr(involution, name)
+
+            def counted(*args, name=name, inner=inner):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(involution, name, counted)
+        checks = 0
+        check = SlideContext.__post_init__
+
+        def counted_check(ctx):
+            nonlocal checks
+            checks += 1
+            check(ctx)
+
+        monkeypatch.setattr(SlideContext, "__post_init__", counted_check)
+        report = verify_involution(4, 2, 3)
+        assert report["failures"] == []
+        assert (report["cases"], report["contexts"]) == (156, 5134)
+        assert calls == {"_record": 0, "star": 156 + 102}
+        assert checks == 2 * 5134 + 2300
+        assert involution._star_row.cache_info()[:2] == (2 * (690 + 1380) - 102, 102)
 
     @given(partitions(max_len=3, max_part=3), st.integers(0, 2))
     def test_phi_involutes_on_random_bases(self, outer, n):
