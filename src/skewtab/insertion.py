@@ -20,8 +20,8 @@ skew shape. The scratch helpers (`_thaw`, `_bump_in`, `_internal_from`,
 a mutable pair (inner, rows) of one inner part and one entry list per row; a
 row's right end is read as its inner part plus its length. `_freeze` alone
 builds outer parts, and builds its tableau through the trusted constructors,
-taking both partitions from `shapes._canonical`, so the shapes of a slide's
-states share their part tuples' objects: a slide runs only on a checked
+taking its shape from `shapes._canonical_shape`, so the states of a slide
+with equal part tuples share one shape object: a slide runs only on a checked
 semistandard context, where every step keeps the shape and filling valid.
 The scratch helpers record bumping paths as lists of plain (row, col) pairs;
 `Cell`s are built only for the paths that `BumpRecord`s carry out of them.
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import starmap
 from operator import add
 
-from .shapes import Cell, Partition, SkewShape, _canonical, _require_int, _require_type
+from .shapes import Cell, Partition, SkewShape, _canonical_shape, _require_int, _require_type
 from .tableaux import Tableau
 
 FORWARD = "forward"
@@ -86,7 +86,8 @@ def _thaw(t: Tableau) -> Scratch:
 def _freeze(inner: list[int], rows: list[list[int]]) -> Tableau:
     """The tableau held in scratch, built without checks. Top rows with no
     cells and no inner part are dropped, each outer part is an inner part plus
-    a row length, and the zero parts padding the inner partition are trimmed."""
+    a row length, and the zero parts padding the inner partition are trimmed.
+    The shape is one `_canonical_shape` lookup."""
     while rows and not rows[-1] and not inner[-1]:
         rows.pop()
         inner.pop()
@@ -94,8 +95,7 @@ def _freeze(inner: list[int], rows: list[list[int]]) -> Tableau:
     k = len(inner)
     while k and inner[k - 1] == 0:
         k -= 1
-    shape = SkewShape._trusted(_canonical(outer), _canonical(tuple(inner[:k])))
-    return Tableau._trusted(shape, tuple(map(tuple, rows)))
+    return Tableau._trusted(_canonical_shape(outer, tuple(inner[:k])), tuple(map(tuple, rows)))
 
 
 def _checked(t: Tableau) -> Tableau:

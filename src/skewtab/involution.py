@@ -8,16 +8,19 @@ phi pairs each context with one of opposite inner-strip parity and equal
 content; its fixed points carry exactly one horizontal strip row and
 correspond to tableaux on the diagonal concatenation star(base, (n)).
 
-Each context is checked once. `SlideContext(...)` checks its fields' types,
-both strips and semistandardness: the public boundary; every context that `phi`,
-`downward_slide`, `upward_slide` and `star_to_fixed_point` return is built
-through it. `SlideContext._trusted` skips the check; `enumerate_contexts`
-uses it for the contexts it builds valid by construction. Slides build their
-tableaux from scratch lists with the trusted `insertion._freeze`; only when
-a check fails, and for the states a trace records, are they rebuilt through
-the public constructors, so a slide applied off its domain fails with the
-same error as when every state was built through them, or, for an upward
-slide about to move a cell that is no inside corner, with `NoUpwardPath`.
+Each context is checked once, by `_context_error`: the outer strip is
+horizontal, the inner strip vertical and the tableau semistandard.
+`SlideContext(...)`, the public boundary, checks its fields' types and then
+runs it. Every context that `phi`, `downward_slide`, `upward_slide` and
+`star_to_fixed_point` return is checked by `_slid`, which runs the same
+function on the tableau that `insertion._freeze` builds from scratch lists
+without checks, and builds the context with `SlideContext._trusted` when it
+passes. `enumerate_contexts` uses `_trusted` for the contexts it builds
+valid by construction. Only when the check fails, and for the states a trace
+records, are tableaux rebuilt through the public constructors, so a slide
+applied off its domain fails with the same error as when every state was
+built through them, or, for an upward slide about to move a cell that is no
+inside corner, with `NoUpwardPath`.
 
 Slides walk the strips by row: a reverse insertion reads only the row of the
 corner it deletes, so the outer strip is walked as a run of row indices, and
@@ -28,8 +31,9 @@ are plain (row, col) pairs, and the walks return them raw; `Cell`s and
 `is_fixed_point` read the downward landing row off the raw walk, and the
 upward slide compares each trial path with a staircase of columns, one per
 row, built once per slide from the raw upward path. Both fixed-point maps
-read star(base, (m)) from a one-entry memo, so a sweep builds one star shape
-per case. A context argument that is not a `SlideContext` raises TypeError.
+and the sweep's star count read star(base, (m)) from a one-entry memo, so a
+sweep builds one star shape per case with m >= 1. A context argument that is
+not a `SlideContext` raises TypeError.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count, repeat
-from operator import ge, sub
+from operator import ge, le, lt, sub
 from typing import Iterator
 
 from .insertion import (
@@ -65,7 +69,7 @@ from .shapes import (
     skew_shapes_up_to,
     star,
 )
-from .tableaux import SSYT, Tableau, enumerate_ssyt, validate
+from .tableaux import SSYT, Tableau, _ordered, enumerate_ssyt, validate
 
 
 class NoUpwardPath(ValueError):
@@ -94,6 +98,20 @@ def _is_vertical_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
     return {0, 1}.issuperset(map(sub, big, padded)) and all(map(ge, small, small[1:]))
 
 
+def _context_error(base: SkewShape, tableau: Tableau) -> str | None:
+    """Why tableau over base is no slide context, or None when it is one: its
+    outer strip is horizontal, its inner strip vertical, and it is an SSYT."""
+    lam, mu = base.outer, base.inner
+    lam_plus, mu_minus = tableau.shape.outer, tableau.shape.inner
+    if not _is_horizontal_strip(lam_plus.parts, lam.parts):
+        return f"{lam_plus}/{lam} is not a horizontal strip"
+    if not _is_vertical_strip(mu.parts, mu_minus.parts):
+        return f"{mu}/{mu_minus} is not a vertical strip"
+    if not _ordered(tableau.rows, mu_minus.parts, le, lt):  # validate(tableau, SSYT)
+        return "tableau is not semistandard"
+    return None
+
+
 @dataclass(frozen=True)
 class SlideContext:
     base: SkewShape
@@ -104,14 +122,9 @@ class SlideContext:
             raise TypeError(f"base {self.base!r} is not a SkewShape")
         if not isinstance(self.tableau, Tableau):
             raise TypeError(f"tableau {self.tableau!r} is not a Tableau")
-        lam, mu = self.base.outer, self.base.inner
-        lam_plus, mu_minus = self.tableau.shape.outer, self.tableau.shape.inner
-        if not _is_horizontal_strip(lam_plus.parts, lam.parts):
-            raise ValueError(f"{lam_plus}/{lam} is not a horizontal strip")
-        if not _is_vertical_strip(mu.parts, mu_minus.parts):
-            raise ValueError(f"{mu}/{mu_minus} is not a vertical strip")
-        if not validate(self.tableau, SSYT):
-            raise ValueError("tableau is not semistandard")
+        error = _context_error(self.base, self.tableau)
+        if error is not None:
+            raise ValueError(error)
 
     @classmethod
     def _trusted(cls, base: SkewShape, tableau: Tableau) -> "SlideContext":
@@ -170,16 +183,16 @@ def _snap(scratch: Scratch) -> Tableau:
 
 
 def _slid(base: SkewShape, scratch: Scratch) -> SlideContext:
-    """The context whose tableau scratch holds, checked once by SlideContext.
-    If that check fails on a state that is no skew filling at all, the public
-    constructors' error is raised instead, as if the tableau had been built
-    through them."""
+    """The context whose tableau scratch holds, checked once by
+    `_context_error`. If that check fails on a state that is no skew filling
+    at all, the public constructors' error is raised instead, as if the
+    tableau had been built through them; otherwise SlideContext's."""
     t = _freeze(*scratch)
-    try:
-        return SlideContext(base, t)
-    except ValueError:
-        _checked(t)
-        raise
+    error = _context_error(base, t)
+    if error is None:
+        return SlideContext._trusted(base, t)
+    _checked(t)
+    raise ValueError(error)
 
 
 def _reverse_outer_strip(
@@ -328,7 +341,7 @@ def is_fixed_point(ctx: SlideContext) -> bool:
 def _star_row(base: SkewShape, m: int) -> SkewShape:
     """star(base, (m)) for m >= 1, the one-row factor built without checks.
     Every fixed point of one sweep case has the same (base, m), so one entry
-    serves both fixed-point maps."""
+    serves both fixed-point maps and the case's star count."""
     return star(base, SkewShape._trusted(_canonical((m,)), EMPTY))
 
 
@@ -346,7 +359,8 @@ def fixed_point_to_star(ctx: SlideContext) -> Tableau:
     strip_row = tuple(reversed(exited))
     if not strip_row:
         return residual
-    return Tableau(_star_row(ctx.base, len(strip_row)), (strip_row,) + residual.rows)
+    # Fits by construction: strip_row fills the new bottom row, the residual base.
+    return Tableau._trusted(_star_row(ctx.base, len(strip_row)), (strip_row,) + residual.rows)
 
 
 def star_to_fixed_point(base: SkewShape, t: Tableau) -> SlideContext:
@@ -426,7 +440,7 @@ def verify_involution(limit_outer: int, limit_n: int, max_entry: int) -> dict:
                         failures.append(f"fixed point moved: {ctx.tableau} over {base}")
                     if abs(image.tableau.shape.inner.size - ctx.tableau.shape.inner.size) != 1:
                         failures.append(f"sign not reversed at {ctx.tableau} over {base}")
-            star_count = len(enumerate_ssyt(star(base, SkewShape.of((n,))), max_entry))
+            star_count = len(enumerate_ssyt(_star_row(base, n) if n else base, max_entry))
             if fixed != star_count:
                 failures.append(
                     f"fixed points ({fixed}) != star tableaux ({star_count}) for {base}, n={n}"

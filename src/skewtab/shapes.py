@@ -19,8 +19,9 @@ in equality, order, `repr` or pickling. The cached tables hand out
 partitions from `_canonical`, one object per part tuple while it stays in
 that bounded cache, so their dict and cache lookups mostly match by
 identity; an eviction costs only that shortcut, never a result. The slides
-take the partitions of every state they build from the same cache, so a
-state's shape costs two cache hits rather than two constructions.
+take the shape of every state they build from `_canonical_shape`, a cache of
+the same bound holding skew shapes of `_canonical` partitions, so a state's
+shape costs one cache hit rather than a construction.
 """
 
 from __future__ import annotations
@@ -227,6 +228,14 @@ class SkewShape:
 
     def __str__(self) -> str:
         return format_shape(self)
+
+
+@lru_cache(maxsize=_CANONICAL_SIZE)
+def _canonical_shape(outer: tuple[int, ...], inner: tuple[int, ...]) -> SkewShape:
+    """outer/inner built without checks from `_canonical` partitions, one
+    object per pair of part tuples while it stays in this bounded cache.
+    Internal: both are trimmed partitions and inner lies inside outer."""
+    return SkewShape._trusted(_canonical(outer), _canonical(inner))
 
 
 def _refuse(self, name, *value):

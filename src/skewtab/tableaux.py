@@ -8,7 +8,8 @@ type, the row count, the row lengths and that entries are positive ints (not
 bools): the public boundary. `Tableau._trusted` skips those checks; the
 enumerators here and the slide code in `involution` use it for fillings they
 built valid by construction. Neither constructor checks semistandardness;
-`validate` does, by comparing each row with itself and with the row above it.
+`validate` does, by comparing each row with itself and with the row above it
+in `_ordered`, which the slide context check in `involution` calls directly.
 
 `_fillings` and `_lr_walk` are two explicit-slot loops with no helper in
 common: `_fillings` feeds the monomial oracle and `_lr_walk` the LR route,
@@ -104,12 +105,17 @@ def validate(t: Tableau, kind: str) -> bool:
         _require_type(Tableau, t=t)
     if kind not in _ORDERS:
         raise ValueError(f"unknown tableau kind {kind!r}")
-    along, up = _ORDERS[kind]
-    rows = t.rows
+    return _ordered(t.rows, t.shape.inner.parts, *_ORDERS[kind])
+
+
+def _ordered(rows: tuple[tuple[int, ...], ...], inner: tuple[int, ...], along, up) -> bool:
+    """validate's loop on a filling's rows and inner parts: along(x, y) must
+    hold for each entry x and its right neighbour y, up(x, y) for each entry
+    x and the entry y above it."""
     for row in rows:
         if not all(map(along, row, row[1:])):
             return False
-    inner = t.shape.inner.parts + (0,) * (len(rows) - len(t.shape.inner.parts))
+    inner = inner + (0,) * (len(rows) - len(inner))
     for r in range(1, len(rows)):
         # From column inner_r + 1 on, row r and the row above it line up cell
         # by cell, and the row above ends first (map stops there).

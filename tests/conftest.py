@@ -26,18 +26,24 @@ def fresh_perp_memos():
     clear_perp_memos()
 
 
-@pytest.fixture
-def fresh_caches():
-    """Empty every functools cache of the package after a test that builds
-    more partitions than shapes._canonical holds: a table filled before the
-    evictions holds objects equal to, not the same as, those the cache hands
-    out after them, and test_values pins that tables share equal partitions."""
-    yield
+def clear_package_caches():
     for name, module in list(sys.modules.items()):
         if name.startswith("skewtab."):
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty every functools cache of the package before and after the test.
+    A test that builds more partitions than shapes._canonical holds leaves
+    tables holding objects equal to, not the same as, those the cache hands
+    out after the evictions; a test that pins which objects tables share
+    (test_values) must start from empty caches whatever ran before it."""
+    clear_package_caches()
+    yield
+    clear_package_caches()
 
 
 @st.composite

@@ -318,10 +318,12 @@ def test_wrong_argument_raises_a_typed_error_at_the_call(call, kind, message):
 
 # Every functools cache in the package, by the module that defines it, with
 # its maxsize (None: unbounded). The unbounded ones are the tables a long
-# session grows; the bounded ones hold one shape cache, the perp sweep's
-# per-pair and per-n memos and the fixed-point maps' star shape.
+# session grows; the bounded ones hold the canonical partitions and the
+# slides' canonical shapes, the perp sweep's per-pair and per-n memos and
+# the fixed-point maps' star shape.
 CACHES = {
     "shapes._canonical": 4096,
+    "shapes._canonical_shape": 4096,
     "shapes.partitions_of_size": None,
     "symfunc._lr_pairs": None,
     "symfunc._basis_product": None,

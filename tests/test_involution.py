@@ -539,14 +539,16 @@ class TestVerifyInvolution:
         # verify_involution(4, 2, 3): 156 cases, 5 134 contexts, 2 300 fixed
         # points (230, 690 and 1 380 at n = 0, 1, 2). No BumpRecord is built: phi and is_fixed_point read the
         # landing row off the raw downward walk, and the upward slide builds
-        # its staircase off the raw upward path. star runs once per case for
-        # the star count, and once per case with n >= 1 that has a fixed point
-        # (102 of 104: a column of 4 has no SSYT with entries <= 3), both
-        # fixed-point maps reading that one shape through _star_row. Every
-        # SlideContext check still runs: two per context (phi of it and of
-        # its image) and one per fixed point (the star round trip).
+        # its staircase off the raw upward path. star runs once per case with
+        # n >= 1, through _star_row: both fixed-point maps and the star count
+        # read that one shape (102 of the 104 cases have a fixed point; a
+        # column of 4 has no SSYT with entries <= 3, and there the star count
+        # is the one miss). Every context check still runs, through the shared
+        # _context_error: two per context (phi of it and of its image) and one
+        # per fixed point (the star round trip). Only the 230 round trips at
+        # n = 0 go through the public SlideContext constructor.
         involution._star_row.cache_clear()
-        calls = {"_record": 0, "star": 0}
+        calls = {"_record": 0, "star": 0, "_context_error": 0}
         for name in calls:
             inner = getattr(involution, name)
 
@@ -555,21 +557,23 @@ class TestVerifyInvolution:
                 return inner(*args)
 
             monkeypatch.setattr(involution, name, counted)
-        checks = 0
-        check = SlideContext.__post_init__
+        post_inits = 0
+        post_init = SlideContext.__post_init__
 
-        def counted_check(ctx):
-            nonlocal checks
-            checks += 1
-            check(ctx)
+        def counted_post_init(ctx):
+            nonlocal post_inits
+            post_inits += 1
+            post_init(ctx)
 
-        monkeypatch.setattr(SlideContext, "__post_init__", counted_check)
+        monkeypatch.setattr(SlideContext, "__post_init__", counted_post_init)
         report = verify_involution(4, 2, 3)
         assert report["failures"] == []
         assert (report["cases"], report["contexts"]) == (156, 5134)
-        assert calls == {"_record": 0, "star": 156 + 102}
-        assert checks == 2 * 5134 + 2300
-        assert involution._star_row.cache_info()[:2] == (2 * (690 + 1380) - 102, 102)
+        assert calls == {"_record": 0, "star": 104, "_context_error": 2 * 5134 + 2300}
+        assert post_inits == 230
+        # Both maps per fixed point at n >= 1, and one star count per case.
+        star_rows = 2 * (690 + 1380) + 104
+        assert involution._star_row.cache_info()[:2] == (star_rows - 104, 104)
 
     @given(partitions(max_len=3, max_part=3), st.integers(0, 2))
     def test_phi_involutes_on_random_bases(self, outer, n):

@@ -17,10 +17,12 @@ from skewtab import (
     Partition,
     SchurExpansion,
     SkewShape,
+    enumerate_contexts,
     h,
     parse_partition,
     parse_shape,
     perp,
+    phi,
     schur,
     schur_product,
     skew_expansion_to_schur,
@@ -235,6 +237,7 @@ class TestResultsOwnTheirTerms:
 
 
 class TestIdentityIsOnlyASpeedUp:
+    @pytest.mark.usefixtures("fresh_caches")
     def test_tables_share_equal_partitions(self):
         straight = _lr_pairs.__wrapped__(SkewShape.of((2, 1)))
         skew = _lr_pairs.__wrapped__(SkewShape.of((3, 1), (1,)))
@@ -249,6 +252,18 @@ class TestIdentityIsOnlyASpeedUp:
         product = skew_h_rho_product(SkewShape.of((1,)), Partition((1, 1)))
         assert any(s.outer is nu for s in product.terms)
         assert all(s.outer is _canonical(s.outer.parts) for s in product.terms)
+
+    def test_slides_survive_a_cleared_shape_cache(self):
+        # The contexts of verify_involution(3, 2, 2); each phi image takes
+        # its shape from shapes._canonical_shape.
+        contexts = [
+            ctx for base in skew_shapes_up_to(3) for n in range(3) for ctx in enumerate_contexts(base, n, 2)
+        ]
+        before = [phi(ctx) for ctx in contexts]
+        shapes._canonical_shape.cache_clear()
+        after = [phi(ctx) for ctx in contexts]
+        assert after == before
+        assert any(a.tableau.shape is not b.tableau.shape for a, b in zip(after, before))
 
     def test_results_survive_a_cleared_canonical_cache(self):
         shapes_a = tuple(skew_shapes_up_to(3))
