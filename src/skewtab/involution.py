@@ -9,31 +9,38 @@ content; its fixed points carry exactly one horizontal strip row and
 correspond to tableaux on the diagonal concatenation star(base, (n)).
 
 Each context is checked once, by `_context_error`: the outer strip is
-horizontal, the inner strip vertical and the tableau semistandard.
-`SlideContext(...)`, the public boundary, checks its fields' types and then
-runs it. Every context that `phi`, `downward_slide`, `upward_slide` and
-`star_to_fixed_point` return is checked by `_slid`, which runs the same
-function on the tableau that `insertion._freeze` builds from scratch lists
-without checks, and builds the context with `SlideContext._trusted` when it
-passes. `enumerate_contexts` uses `_trusted` for the contexts it builds
-valid by construction. Only when the check fails, and for the states a trace
-records, are tableaux rebuilt through the public constructors, so a slide
-applied off its domain fails with the same error as when every state was
-built through them, or, for an upward slide about to move a cell that is no
-inside corner, with `NoUpwardPath`.
+horizontal, the inner strip vertical and the tableau semistandard. The two
+strip checks depend on the base and the tableau's shape alone, so they are
+read, with the outer strip's walk and the inner strip's bottom row, off
+`_strip_facts`, computed once per (base, shape) into a memo that keeps one
+base and at most `shapes._CANONICAL_SIZE` shapes; semistandardness is
+checked on every call. `SlideContext(...)`, the public boundary, checks its
+fields' types and then runs it. Every context that `phi`, `downward_slide`,
+`upward_slide` and `star_to_fixed_point` return is checked by `_slid`, which
+runs the same function on the tableau that `insertion._freeze` builds from
+scratch lists without checks, and builds the context with
+`SlideContext._trusted` when it passes. `enumerate_contexts` uses `_trusted`
+for the contexts it builds valid by construction. Only when the check fails,
+and for the states a trace records, are tableaux rebuilt through the public
+constructors, so a slide applied off its domain fails with the same error as
+when every state was built through them, or, for an upward slide about to
+move a cell that is no inside corner, with `NoUpwardPath`.
 
 Slides walk the strips by row: a reverse insertion reads only the row of the
-corner it deletes, so the outer strip is walked as a run of row indices, and
-phi reads the inner strip's bottom row off the part tuples. Scratch paths
-are plain (row, col) pairs, and the walks return them raw; `Cell`s and
-`BumpRecord`s are built only for the records that `downward_path` and
-`upward_path` return and those of a traced slide's steps. phi and
-`is_fixed_point` read the downward landing row off the raw walk, and the
-upward slide compares each trial path with a staircase of columns, one per
-row, built once per slide from the raw upward path. Both fixed-point maps
-and the sweep's star count read star(base, (m)) from a one-entry memo, so a
-sweep builds one star shape per case with m >= 1. A context argument that is
-not a `SlideContext` raises TypeError.
+corner it deletes, so the outer strip is walked as a tuple of row indices,
+and phi reads the inner strip's bottom row, 0 when that strip is empty.
+`enumerate_contexts` takes each stratum's shape from
+`shapes._canonical_shape`, as `insertion._freeze` does for slide results, so
+contexts and their images share shape objects and compare by identity.
+Scratch paths are plain (row, col) pairs, and the walks return them raw;
+`Cell`s and `BumpRecord`s are built only for the records that
+`downward_path` and `upward_path` return and those of a traced slide's
+steps. phi and `is_fixed_point` read the downward landing row off the raw
+walk, and the upward slide compares each trial path with a staircase of
+columns, one per row, built once per slide from the raw upward path. Both
+fixed-point maps and the sweep's star count read star(base, (m)) from a
+one-entry memo, so a sweep builds one star shape per case with m >= 1. A
+context argument that is not a `SlideContext` raises TypeError.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count, repeat
 from operator import ge, le, lt, sub
-from typing import Iterator
 
 from .insertion import (
     FORWARD,
@@ -59,9 +65,11 @@ from .insertion import (
     _thaw,
 )
 from .shapes import (
+    _CANONICAL_SIZE,
     EMPTY,
     SkewShape,
     _canonical,
+    _canonical_shape,
     _require_int,
     _require_nonnegative,
     _require_type,
@@ -98,18 +106,52 @@ def _is_vertical_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
     return {0, 1}.issuperset(map(sub, big, padded)) and all(map(ge, small, small[1:]))
 
 
+@lru_cache(maxsize=1)
+def _strip_memo(base: SkewShape) -> dict[SkewShape, tuple[tuple[int, ...], int, str | None]]:
+    """The strip facts of base, by tableau shape. One entry: a sweep runs
+    every context of one base in turn, so the base at hand is the only one
+    worth keeping; its dict is emptied when it reaches _CANONICAL_SIZE."""
+    return {}
+
+
+def _strip_facts(base: SkewShape, shape: SkewShape) -> tuple[tuple[int, ...], int, str | None]:
+    """What a slide needs of a tableau shape lam_plus/mu_minus over base
+    lam/mu, all of it fixed by the two shapes, so read once per (base,
+    shape): the rows of the cells of lam_plus/lam taken right to left
+    (columns descending), row r once per strip cell in it, row 1 upward,
+    since in a horizontal strip each row's cells lie right of the next
+    row's; the lowest row of mu/mu_minus, 0 when that strip is empty; and
+    why lam_plus/lam is no horizontal or mu/mu_minus no vertical strip, or
+    None when both are."""
+    memo = _strip_memo(base)
+    facts = memo.get(shape)
+    if facts is not None:
+        return facts
+    lam, mu = base.outer, base.inner
+    lam_plus, mu_minus = shape.outer, shape.inner
+    widths = map(sub, lam_plus.parts, lam.parts + (0,))
+    rows = tuple(chain.from_iterable(map(repeat, count(1), widths)))
+    pairs = zip(mu.parts, mu_minus.parts + (0,) * len(mu.parts))
+    bottom = next((r for r, (m, k) in enumerate(pairs, start=1) if m > k), 0)
+    error = None
+    if not _is_horizontal_strip(lam_plus.parts, lam.parts):
+        error = f"{lam_plus}/{lam} is not a horizontal strip"
+    elif not _is_vertical_strip(mu.parts, mu_minus.parts):
+        error = f"{mu}/{mu_minus} is not a vertical strip"
+    if len(memo) >= _CANONICAL_SIZE:
+        memo.clear()
+    memo[shape] = facts = rows, bottom, error
+    return facts
+
+
 def _context_error(base: SkewShape, tableau: Tableau) -> str | None:
     """Why tableau over base is no slide context, or None when it is one: its
-    outer strip is horizontal, its inner strip vertical, and it is an SSYT."""
-    lam, mu = base.outer, base.inner
-    lam_plus, mu_minus = tableau.shape.outer, tableau.shape.inner
-    if not _is_horizontal_strip(lam_plus.parts, lam.parts):
-        return f"{lam_plus}/{lam} is not a horizontal strip"
-    if not _is_vertical_strip(mu.parts, mu_minus.parts):
-        return f"{mu}/{mu_minus} is not a vertical strip"
-    if not _ordered(tableau.rows, mu_minus.parts, le, lt):  # validate(tableau, SSYT)
-        return "tableau is not semistandard"
-    return None
+    outer strip is horizontal, its inner strip vertical (both read off
+    _strip_facts), and it is an SSYT (checked on every call)."""
+    error = _strip_facts(base, tableau.shape)[2]
+    if error is None and not _ordered(tableau.rows, tableau.shape.inner.parts, le, lt):
+        return "tableau is not semistandard"  # validate(tableau, SSYT)
+    return error
 
 
 @dataclass(frozen=True)
@@ -155,19 +197,15 @@ class SlideStep:
     tableau: Tableau
 
 
-def _outer_strip_rows(ctx: SlideContext) -> Iterator[int]:
+def _outer_strip_rows(ctx: SlideContext) -> tuple[int, ...]:
     """The rows of the cells of lam_plus/lam taken right to left (columns
-    descending): row r once per strip cell in it, row 1 upward, since in a
-    horizontal strip each row's cells lie right of the next row's."""
-    widths = map(sub, ctx.tableau.shape.outer.parts, ctx.base.outer.parts + (0,))
-    return chain.from_iterable(map(repeat, count(1), widths))
+    descending), one entry per cell; see _strip_facts."""
+    return _strip_facts(ctx.base, ctx.tableau.shape)[0]
 
 
 def _inner_strip_bottom(ctx: SlideContext) -> int:
     """The lowest row of mu/mu_minus, or 0 when the inner strip is empty."""
-    mu = ctx.base.inner.parts
-    rows = zip(mu, ctx.tableau.shape.inner.parts + (0,) * len(mu))
-    return next((r for r, (m, k) in enumerate(rows, start=1) if m > k), 0)
+    return _strip_facts(ctx.base, ctx.tableau.shape)[1]
 
 
 def _copy(scratch: Scratch) -> Scratch:
@@ -322,10 +360,11 @@ def phi(ctx: SlideContext, steps: list[SlideStep] | None = None) -> SlideContext
     strictly below the inner strip's bottom cell; upward slide otherwise."""
     if not isinstance(ctx, SlideContext):
         _require_type(SlideContext, ctx=ctx)
-    if ctx.tableau.shape.inner == ctx.base.inner:  # empty inner strip: no upward path
+    bottom = _inner_strip_bottom(ctx)
+    if not bottom:  # empty inner strip: no upward path
         return downward_slide(ctx, steps)
     down = _downward(ctx)
-    if down is not None and down[2] < _inner_strip_bottom(ctx):  # its landing row
+    if down is not None and down[2] < bottom:  # its landing row
         return downward_slide(ctx, steps)
     return upward_slide(ctx, steps)
 
@@ -334,7 +373,7 @@ def is_fixed_point(ctx: SlideContext) -> bool:
     """Empty inner strip and no downward path: phi leaves ctx unchanged."""
     if not isinstance(ctx, SlideContext):
         _require_type(SlideContext, ctx=ctx)
-    return ctx.tableau.shape.inner == ctx.base.inner and _downward(ctx) is None
+    return not _inner_strip_bottom(ctx) and _downward(ctx) is None
 
 
 @lru_cache(maxsize=1)
@@ -401,7 +440,7 @@ def enumerate_contexts(base: SkewShape, n: int, max_entry: int):
     return (
         SlideContext._trusted(base, t)
         for _, lam_plus, mu_minus in _strata(base, n)
-        for t in enumerate_ssyt(SkewShape._trusted(lam_plus, mu_minus), max_entry)
+        for t in enumerate_ssyt(_canonical_shape(lam_plus.parts, mu_minus.parts), max_entry)
     )
 
 
@@ -426,7 +465,8 @@ def verify_involution(limit_outer: int, limit_n: int, max_entry: int) -> dict:
                 if back != ctx:
                     failures.append(f"phi not involutive at {ctx.tableau} over {base}")
                     continue
-                if image.tableau.content() != ctx.tableau.content():
+                entries = sorted(chain.from_iterable(ctx.tableau.rows))
+                if sorted(chain.from_iterable(image.tableau.rows)) != entries:  # content differs
                     failures.append(f"content changed at {ctx.tableau} over {base}")
                 if image == ctx:
                     fixed += 1

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
 
-from .involution import enumerate_contexts, is_fixed_point
+from .involution import _star_row, enumerate_contexts, is_fixed_point
 from .shapes import (
     HORIZONTAL,
     VERTICAL,
@@ -305,7 +305,7 @@ def verify_skew_pieri(limit_outer: int, limit_n: int, max_entry: int = 3) -> dic
                 for ctx in enumerate_contexts(base, n, max_entry):
                     signed += (-1) ** (base.inner.size - ctx.tableau.shape.inner.size)
                     fixed += is_fixed_point(ctx)
-                star_count = len(enumerate_ssyt(star(base, SkewShape.of((n,))), max_entry))
+                star_count = len(enumerate_ssyt(_star_row(base, n), max_entry))  # n >= 1
                 if signed != star_count:
                     failures.append(
                         f"signed count {signed} != star count {star_count} at {base}, n={n}"

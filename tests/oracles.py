@@ -1,8 +1,12 @@
 """Reference oracles the tests check the library against: the skew Pieri
 rule applied one h_n at a time, the membership test for the skew LR sum,
-greedy peeling of monomial data into the Schur basis, and the perp sweep
-with nothing reused between cases. None of them is library code; tests
-import them as `from oracles import ...`."""
+greedy peeling of monomial data into the Schur basis, the perp sweep with
+nothing reused between cases, and a slide context's strip facts read afresh
+from its two shapes. None of them is library code; tests import them as
+`from oracles import ...`."""
+
+from itertools import chain, count, repeat
+from operator import ge, sub
 
 from skewtab import symfunc
 from skewtab.rules import _difference, skew_pieri
@@ -115,3 +119,43 @@ def perp_sweep_failures(max_deg: int, max_n: int) -> list[str]:
                 if unmemoised_perp_failures(schur(alpha), schur(beta), n):
                     failures.append(f"perp identity failed at f=s{alpha.parts}, g=s{beta.parts}, n={n}")
     return failures
+
+
+def outer_strip_rows(ctx) -> list[int]:
+    """The rows of the cells of lam_plus/lam taken right to left (columns
+    descending): row r once per strip cell in it, row 1 upward, since in a
+    horizontal strip each row's cells lie right of the next row's."""
+    widths = map(sub, ctx.tableau.shape.outer.parts, ctx.base.outer.parts + (0,))
+    return list(chain.from_iterable(map(repeat, count(1), widths)))
+
+
+def inner_strip_bottom(ctx) -> int:
+    """The lowest row of mu/mu_minus, or 0 when the inner strip is empty."""
+    mu = ctx.base.inner.parts
+    rows = zip(mu, ctx.tableau.shape.inner.parts + (0,) * len(mu))
+    return next((r for r, (m, k) in enumerate(rows, start=1) if m > k), 0)
+
+
+def _is_horizontal_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
+    if not len(small) <= len(big) <= len(small) + 1:
+        return False
+    return all(map(ge, big, small)) and all(map(ge, small, big[1:]))
+
+
+def _is_vertical_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
+    if len(small) > len(big):
+        return False
+    padded = small + (0,) * (len(big) - len(small))
+    return {0, 1}.issuperset(map(sub, big, padded)) and all(map(ge, small, small[1:]))
+
+
+def strip_error(base: SkewShape, shape: SkewShape) -> str | None:
+    """Why shape decorates base with no horizontal outer and vertical inner
+    strip, with the slide-context check's message; None when it does."""
+    lam, mu = base.outer, base.inner
+    lam_plus, mu_minus = shape.outer, shape.inner
+    if not _is_horizontal_strip(lam_plus.parts, lam.parts):
+        return f"{lam_plus}/{lam} is not a horizontal strip"
+    if not _is_vertical_strip(mu.parts, mu_minus.parts):
+        return f"{mu}/{mu_minus} is not a vertical strip"
+    return None

@@ -332,6 +332,7 @@ CACHES = {
     "symfunc._eh_failures": 64,
     "symfunc._pair_images": 1,
     "involution._star_row": 1,
+    "involution._strip_memo": 1,
     "rules._minus_table": None,
     "cli._parser": None,
 }

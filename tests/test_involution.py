@@ -41,6 +41,7 @@ from skewtab.involution import (
 from skewtab.shapes import parse_shape, skew_shapes_up_to
 
 from conftest import partitions, validate_by_cells
+from oracles import inner_strip_bottom, outer_strip_rows, strip_error
 
 BIG_BASE = SkewShape.of((7, 5, 4, 1, 1), (3, 1))
 BIG_T = "7,6,4,4,1/3,1: [1,2,2,5][1,2,2,3,6][2,2,3,4][3,5,7,7][9]"
@@ -231,6 +232,59 @@ class TestTrustedConstruction:
                     assert list(_outer_strip_rows(ctx)) == [c.row for c in outer]
                     assert _inner_strip_bottom(ctx) == (ctx.inner_strip.cells() or [Cell(0, 0)])[0].row
                     assert (upward_path(ctx) is None) == (ctx.inner_strip.size == 0)
+
+
+def _oracle_facts(ctx):
+    return (
+        tuple(outer_strip_rows(ctx)),
+        inner_strip_bottom(ctx),
+        strip_error(ctx.base, ctx.tableau.shape),
+    )
+
+
+class TestStripFacts:
+    """The strip facts are read once per (base, shape) from a bounded memo;
+    these tests hold them to the per-context computations they replace."""
+
+    def test_facts_match_the_oracle_cold_and_warm(self):
+        for base in skew_shapes_up_to(4):
+            for n in range(3):
+                for ctx in enumerate_contexts(base, n, 3):
+                    for c in (ctx, phi(ctx)):
+                        involution._strip_memo.cache_clear()
+                        for _ in ("cold", "warm"):
+                            facts = involution._strip_facts(c.base, c.tableau.shape)
+                            assert facts == _oracle_facts(c), (str(c.base), str(c.tableau))
+
+    @pytest.mark.parametrize(
+        "base, tableau, message",
+        [
+            ("2,2/1", "3,3/1: [1,1][2,2,2]", "3,3/2,2 is not a horizontal strip"),
+            ("2,2/1", "2,2/1,1: [1][2]", "1/1,1 is not a vertical strip"),
+        ],
+    )
+    def test_strip_errors_cold_and_warm(self, base, tableau, message):
+        base, tableau = parse_shape(base), parse_tableau(tableau)
+        assert strip_error(base, tableau.shape) == message
+        involution._strip_memo.cache_clear()
+        for _ in ("cold", "warm"):
+            with pytest.raises(ValueError) as exc:
+                SlideContext(base, tableau)
+            assert str(exc.value) == message
+        assert len(involution._strip_memo(base)) == 1
+
+    def test_memo_holds_at_most_its_bound(self, monkeypatch):
+        bound = 3
+        monkeypatch.setattr(involution, "_CANONICAL_SIZE", bound)
+        involution._strip_memo.cache_clear()
+        base = SkewShape.of((3, 2, 1), (2, 1))
+        shapes = set()
+        for n in range(4):
+            for ctx in enumerate_contexts(base, n, 3):
+                phi(ctx)
+                shapes.add(ctx.tableau.shape)
+                assert len(involution._strip_memo(base)) <= bound
+        assert len(shapes) > 2 * bound  # the memo was emptied on the way
 
 
 class TestPaths:
@@ -546,9 +600,13 @@ class TestVerifyInvolution:
         # is the one miss). Every context check still runs, through the shared
         # _context_error: two per context (phi of it and of its image) and one
         # per fixed point (the star round trip). Only the 230 round trips at
-        # n = 0 go through the public SlideContext constructor.
+        # n = 0 go through the public SlideContext constructor. The strip
+        # facts are computed once per (base, tableau shape) that holds a
+        # context: 499 times, over the 51 bases that have contexts (a column
+        # of 4 has none).
         involution._star_row.cache_clear()
-        calls = {"_record": 0, "star": 0, "_context_error": 0}
+        involution._strip_memo.cache_clear()
+        calls = {"_record": 0, "star": 0, "_context_error": 0, "_is_horizontal_strip": 0}
         for name in calls:
             inner = getattr(involution, name)
 
@@ -569,7 +627,13 @@ class TestVerifyInvolution:
         report = verify_involution(4, 2, 3)
         assert report["failures"] == []
         assert (report["cases"], report["contexts"]) == (156, 5134)
-        assert calls == {"_record": 0, "star": 104, "_context_error": 2 * 5134 + 2300}
+        assert calls == {
+            "_record": 0,
+            "star": 104,
+            "_context_error": 2 * 5134 + 2300,
+            "_is_horizontal_strip": 499,
+        }
+        assert involution._strip_memo.cache_info().misses == 51
         assert post_inits == 230
         # Both maps per fixed point at n >= 1, and one star count per case.
         star_rows = 2 * (690 + 1380) + 104
