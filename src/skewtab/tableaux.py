@@ -137,9 +137,10 @@ def enumerate_ssyt(shape: SkewShape, max_entry: int) -> tuple[Tableau, ...]:
 
 
 def enumerate_fillings(shape: SkewShape, kind: str, max_entry: int) -> Iterator[Tableau]:
-    """Fillings of the given kind with entries in 1..max_entry. A max_entry
-    that is not an int (bools included) raises TypeError at the call, a
-    negative one ValueError."""
+    """Fillings of the given kind with entries in 1..max_entry. A shape that
+    is not a SkewShape, or a max_entry that is not an int (bools included),
+    raises TypeError at the call, a negative max_entry ValueError."""
+    _require_type(SkewShape, shape=shape)
     if kind not in (SSYT, ASSYT):
         raise ValueError(f"unknown tableau kind {kind!r}")
     _require_nonnegative(max_entry=max_entry)
@@ -213,10 +214,21 @@ def reverse_reading_word(t_minus: Tableau, t_plus: Tableau) -> tuple[int, ...]:
 
 def is_yamanouchi(word: tuple[int, ...], tau: Partition = Partition()) -> bool:
     """True if every prefix, after seeding counts with tau, has #i >= #(i+1).
-    A tau that is not a Partition raises TypeError."""
+    A tau that is not a Partition, a word that is not iterable or a letter
+    that is not an int (bools included) raises TypeError, a letter below 1
+    ValueError."""
     _require_type(Partition, tau=tau)
+    try:
+        letters = tuple(word)
+    except TypeError:
+        raise TypeError(f"word {word!r} is not an iterable of ints") from None
+    for x in letters:
+        if type(x) is not int:
+            raise TypeError(f"word {word!r} has a letter that is not an int: {x!r}")
+        if x < 1:
+            raise ValueError(f"word {word!r} has a letter below 1: {x}")
     counts: dict[int, int] = {i: p for i, p in enumerate(tau.parts, start=1)}
-    for x in word:
+    for x in letters:
         counts[x] = counts.get(x, 0) + 1
         if counts[x] > counts.get(x - 1, 0) and x > 1:
             return False

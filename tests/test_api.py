@@ -185,6 +185,10 @@ WRONG_ARGUMENTS = [
     ("enumerate_fillings-negative-empty-shape",
      lambda: skewtab.enumerate_fillings(skewtab.SkewShape.of(()), skewtab.SSYT, -1),
      ValueError, "max_entry must be nonnegative, got -1"),
+    ("enumerate_fillings-tuple", lambda: skewtab.enumerate_fillings((1,), skewtab.SSYT, 2),
+     TypeError, "shape (1,) is not a SkewShape"),
+    ("enumerate_fillings-none", lambda: skewtab.enumerate_fillings(None, skewtab.SSYT, 2),
+     TypeError, "shape None is not a SkewShape"),
     ("enumerate_inner_strips-float",
      lambda: skewtab.enumerate_inner_strips(PART, 1.5, skewtab.VERTICAL),
      TypeError, "k must be an int, got 1.5"),
@@ -221,6 +225,18 @@ WRONG_ARGUMENTS = [
      TypeError, "ctx 'x' is not a SlideContext"),
     ("is_yamanouchi-tuple", lambda: skewtab.is_yamanouchi((1,), (1,)),
      TypeError, "tau (1,) is not a Partition"),
+    ("is_yamanouchi-none", lambda: skewtab.is_yamanouchi(None),
+     TypeError, "word None is not an iterable of ints"),
+    ("is_yamanouchi-str-letter", lambda: skewtab.is_yamanouchi(("a",)),
+     TypeError, "word ('a',) has a letter that is not an int: 'a'"),
+    ("is_yamanouchi-float-letter", lambda: skewtab.is_yamanouchi((1.5,)),
+     TypeError, "word (1.5,) has a letter that is not an int: 1.5"),
+    ("is_yamanouchi-bool-letter", lambda: skewtab.is_yamanouchi((1, True)),
+     TypeError, "word (1, True) has a letter that is not an int: True"),
+    ("is_yamanouchi-zero", lambda: skewtab.is_yamanouchi((0, -1)),
+     ValueError, "word (0, -1) has a letter below 1: 0"),
+    ("is_yamanouchi-negative", lambda: skewtab.is_yamanouchi((2, 1, -1)),
+     ValueError, "word (2, 1, -1) has a letter below 1: -1"),
     ("lr_coefficient-str", lambda: skewtab.lr_coefficient("x", PART, PART),
      TypeError, "nu 'x' is not a Partition"),
     ("lr_fillings-str", lambda: skewtab.lr_fillings("x"),
@@ -319,8 +335,8 @@ def test_wrong_argument_raises_a_typed_error_at_the_call(call, kind, message):
 # Every functools cache in the package, by the module that defines it, with
 # its maxsize (None: unbounded). The unbounded ones are the tables a long
 # session grows; the bounded ones hold the canonical partitions and the
-# slides' canonical shapes, the perp sweep's per-pair and per-n memos and
-# the fixed-point maps' star shape.
+# slides' canonical shapes and strip facts, the perp sweep's per-pair and
+# per-n memos and the fixed-point maps' star shape.
 CACHES = {
     "shapes._canonical": 4096,
     "shapes._canonical_shape": 4096,
@@ -332,7 +348,7 @@ CACHES = {
     "symfunc._eh_failures": 64,
     "symfunc._pair_images": 1,
     "involution._star_row": 1,
-    "involution._strip_memo": 1,
+    "involution._strip_facts": 4096,
     "rules._minus_table": None,
     "cli._parser": None,
 }

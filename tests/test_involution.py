@@ -32,9 +32,8 @@ from skewtab.tableaux import enumerate_ssyt
 from skewtab import involution
 from skewtab.insertion import _thaw
 from skewtab.involution import (
-    _inner_strip_bottom,
-    _outer_strip_rows,
     _slid,
+    _strip_facts,
     downward_path,
     upward_path,
 )
@@ -70,9 +69,9 @@ class TestSlideContext:
     def test_strip_cells(self):
         ctx = SlideContext(BIG_BASE, parse_tableau(BIG_T))
         assert set(ctx.outer_strip.cells()) == {Cell(2, 6), Cell(4, 4), Cell(4, 3), Cell(4, 2)}
-        assert list(_outer_strip_rows(ctx)) == [2, 4, 4, 4]
+        assert list(_strip_facts(ctx.base, ctx.tableau.shape)[0]) == [2, 4, 4, 4]
         assert ctx.inner_strip.cells() == ()
-        assert _inner_strip_bottom(ctx) == 0
+        assert _strip_facts(ctx.base, ctx.tableau.shape)[1] == 0
         assert ctx.n == 4
 
     def test_inner_strip_cells_bottom_first(self):
@@ -80,7 +79,7 @@ class TestSlideContext:
         t = Tableau.of((3, 2), (1,), [1, 1], [1, 2])
         ctx = SlideContext(base, t)
         assert ctx.inner_strip.cells() == (Cell(1, 2), Cell(2, 1))
-        assert _inner_strip_bottom(ctx) == 1
+        assert _strip_facts(ctx.base, ctx.tableau.shape)[1] == 1
 
 
 def _composed_check(base, inner, rows):
@@ -229,8 +228,9 @@ class TestTrustedConstruction:
             for n in range(4):
                 for ctx in enumerate_contexts(base, n, 3):
                     outer = sorted(ctx.outer_strip.cells(), key=lambda c: -c.col)
-                    assert list(_outer_strip_rows(ctx)) == [c.row for c in outer]
-                    assert _inner_strip_bottom(ctx) == (ctx.inner_strip.cells() or [Cell(0, 0)])[0].row
+                    rows, bottom, _ = _strip_facts(ctx.base, ctx.tableau.shape)
+                    assert list(rows) == [c.row for c in outer]
+                    assert bottom == (ctx.inner_strip.cells() or [Cell(0, 0)])[0].row
                     assert (upward_path(ctx) is None) == (ctx.inner_strip.size == 0)
 
 
@@ -243,7 +243,7 @@ def _oracle_facts(ctx):
 
 
 class TestStripFacts:
-    """The strip facts are read once per (base, shape) from a bounded memo;
+    """The strip facts are read once per (base, shape) from a bounded cache;
     these tests hold them to the per-context computations they replace."""
 
     def test_facts_match_the_oracle_cold_and_warm(self):
@@ -251,7 +251,7 @@ class TestStripFacts:
             for n in range(3):
                 for ctx in enumerate_contexts(base, n, 3):
                     for c in (ctx, phi(ctx)):
-                        involution._strip_memo.cache_clear()
+                        involution._strip_facts.cache_clear()
                         for _ in ("cold", "warm"):
                             facts = involution._strip_facts(c.base, c.tableau.shape)
                             assert facts == _oracle_facts(c), (str(c.base), str(c.tableau))
@@ -266,25 +266,25 @@ class TestStripFacts:
     def test_strip_errors_cold_and_warm(self, base, tableau, message):
         base, tableau = parse_shape(base), parse_tableau(tableau)
         assert strip_error(base, tableau.shape) == message
-        involution._strip_memo.cache_clear()
+        involution._strip_facts.cache_clear()
         for _ in ("cold", "warm"):
             with pytest.raises(ValueError) as exc:
                 SlideContext(base, tableau)
             assert str(exc.value) == message
-        assert len(involution._strip_memo(base)) == 1
+        assert involution._strip_facts.cache_info().currsize == 1
 
-    def test_memo_holds_at_most_its_bound(self, monkeypatch):
-        bound = 3
-        monkeypatch.setattr(involution, "_CANONICAL_SIZE", bound)
-        involution._strip_memo.cache_clear()
-        base = SkewShape.of((3, 2, 1), (2, 1))
-        shapes = set()
-        for n in range(4):
-            for ctx in enumerate_contexts(base, n, 3):
-                phi(ctx)
-                shapes.add(ctx.tableau.shape)
-                assert len(involution._strip_memo(base)) <= bound
-        assert len(shapes) > 2 * bound  # the memo was emptied on the way
+    def test_cache_spans_bases(self):
+        # A stream that leaves a base and comes back (repeated trace requests,
+        # the skew-pieri check after the involution sweep) finds its facts.
+        a, b = SkewShape.of((3, 2, 1), (2, 1)), SkewShape.of((2, 2), (1,))
+        involution._strip_facts.cache_clear()
+        misses = []
+        for base in (a, b, a):
+            for n in range(3):
+                for ctx in enumerate_contexts(base, n, 3):
+                    phi(ctx)
+            misses.append(involution._strip_facts.cache_info().misses)
+        assert 0 < misses[0] < misses[1] == misses[2]
 
 
 class TestPaths:
@@ -418,7 +418,7 @@ class TestPhiRegressions:
             t = Tableau.of((2, 1, 1, 1), (1, 1, 1), [a], [], [], [b])
             ctx = SlideContext(base, t)
             down = downward_path(ctx)
-            assert down is not None and not down.landing_row < _inner_strip_bottom(ctx)
+            assert down is not None and not down.landing_row < _strip_facts(base, t.shape)[1]
             image = phi(ctx)
             # the cell below-left must not move
             assert image.tableau.entry(4, 1) == b
@@ -432,7 +432,7 @@ class TestPhiRegressions:
         t_hat = parse_tableau("6,3,2/3,2: [1,2,2][3][4,5]")
         ctx = SlideContext(base, t_hat)
         down = downward_path(ctx)
-        assert down is not None and down.landing_row < _inner_strip_bottom(ctx)
+        assert down is not None and down.landing_row < _strip_facts(base, t_hat.shape)[1]
         image = phi(ctx)
         assert image.tableau == parse_tableau("6,2,2/3,1: [1,2,2][3][4,5]")
         assert phi(image) == ctx
@@ -605,7 +605,7 @@ class TestVerifyInvolution:
         # context: 499 times, over the 51 bases that have contexts (a column
         # of 4 has none).
         involution._star_row.cache_clear()
-        involution._strip_memo.cache_clear()
+        involution._strip_facts.cache_clear()
         calls = {"_record": 0, "star": 0, "_context_error": 0, "_is_horizontal_strip": 0}
         for name in calls:
             inner = getattr(involution, name)
@@ -633,7 +633,7 @@ class TestVerifyInvolution:
             "_context_error": 2 * 5134 + 2300,
             "_is_horizontal_strip": 499,
         }
-        assert involution._strip_memo.cache_info().misses == 51
+        assert involution._strip_facts.cache_info().misses == 499
         assert post_inits == 230
         # Both maps per fixed point at n >= 1, and one star count per case.
         star_rows = 2 * (690 + 1380) + 104
