@@ -12,7 +12,9 @@ test off. The products build no pair and fill no T+: skew_lr_product and
 skew_h_rho_product sum s_{sigma/kappa} per mu_minus over the T- (cached per
 inner shape mu; kappa the word's entry counts where T- ends, sigma = kappa +
 the content unspent) and multiply by s_lam, which counts the T+ by the
-kappa-lattice LR rule. skew_lr_pairs lists every pair for auditing, in T-
+kappa-lattice LR rule: each (lam, mu_minus, f) block of terms is read
+from a small bounded cache, since one first factor meets the same blocks
+across its second factors. skew_lr_pairs lists every pair for auditing, in T-
 fill order, then lam_plus in lexicographic order, then lr_fillings order:
 the T+ on lam_plus/lam are LR fillings of star(lam_plus/lam, kappa).
 Harnesses cross-check the rules against the Schur-basis product, against
@@ -31,6 +33,7 @@ from .shapes import (
     VERTICAL,
     Partition,
     SkewShape,
+    _CANONICAL_SIZE,
     _canonical,
     _require_int,
     _require_nonnegative,
@@ -51,7 +54,6 @@ from .symfunc import (
     monomial_product,
     schur,
     schur_product,
-    skew_expansion_to_schur,
     skew_monomials,
     skew_to_schur,
     verify_perp_identities,
@@ -206,10 +208,11 @@ def _admissible_pairs(a: SkewShape, b: SkewShape):
                     yield t_minus, Tableau(plus_shape, rows), SkewShape(lam_plus, mu_minus), sign
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CANONICAL_SIZE)
 def _minus_table(mu: Partition, target: tuple[int, ...], tau: tuple[int, ...] | None):
     """(mu_minus, f) over the finished T- of every factor with inner shape
-    mu, f the Schur image of the signed sum of s_{sigma/kappa} over its T-:
+    mu, f the Schur image of the signed sum of s_{sigma/kappa} over its T-,
+    kept as its terms tuple ((nu, c), ...), which _block takes as a key:
     kappa the word's entry counts where T- ends, sigma = kappa + the content
     unspent (with tau None, disjoint rows: a product of h's). A placement
     moves an entry from the unspent content to kappa, so sigma is the same
@@ -226,25 +229,38 @@ def _minus_table(mu: Partition, target: tuple[int, ...], tau: tuple[int, ...] | 
         kappa: SkewShape._trusted(sigma, _canonical(tuple(filter(None, kappa))))
         for kappa in set().union(*sums.values())
     }
-    return tuple(
-        (_canonical(m), skew_expansion_to_schur(SkewExpansion._of({shapes[k]: c for k, c in t.items()})))
-        for m, t in sums.items()
-    )
+    images = (SkewExpansion._of({shapes[k]: c for k, c in t.items()}).to_schur() for t in sums.values())
+    return tuple((_canonical(m), tuple(f.terms.items())) for m, f in zip(sums, images))
+
+
+# How many blocks _block keeps: every block of one first factor across all
+# second factors (at most 74 per factor in verify_skew_lr(5, 4), 211 in
+# verify_skew_lr(6, 5)), so a sweep over b for a fixed a computes each once.
+_BLOCKS = 256
+
+
+@lru_cache(maxsize=_BLOCKS)
+def _block(lam: Partition, mu_minus: Partition, f: tuple[tuple[Partition, int], ...]):
+    """The nonzero terms of s_lam * f on the shapes lam_plus/mu_minus, as a
+    tuple of (shape, coefficient) pairs, f given by its Schur terms: the LR
+    tables of s_lam * s_nu summed over the terms of f. Read-only."""
+    row: dict[Partition, int] = {}
+    for nu, b in f:
+        for lam_plus, c in _basis_product(lam, nu):
+            row[lam_plus] = row.get(lam_plus, 0) + b * c
+    return tuple((SkewShape._trusted(lam_plus, mu_minus), c) for lam_plus, c in row.items() if c)
 
 
 def _signed_terms(a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | None):
     """The signs of the pairs of _signed_pairs summed by shape
     lam_plus/mu_minus, with no pair built: for each (mu_minus, f) of
-    _minus_table, the coefficient of s_lam_plus in s_lam * f, summed over the
-    LR tables of s_lam * s_nu into one dict, since the T+ of lam_plus/lam after
-    a T- number <s_lam * s_{sigma/kappa}, s_lam_plus> (kappa-lattice LR rule)."""
+    _minus_table, the block of s_lam * f from _block, since the T+ of
+    lam_plus/lam after a T- number <s_lam * s_{sigma/kappa}, s_lam_plus>
+    (kappa-lattice LR rule). The blocks of distinct mu_minus hold distinct
+    shapes, so they are copied into one fresh dict that the result owns."""
     terms: dict[SkewShape, int] = {}
     for mu_minus, f in _minus_table(a.inner, target, tau):
-        row: dict[Partition, int] = {}
-        for nu, b in f.terms.items():
-            for lam_plus, c in _basis_product(a.outer, nu):
-                row[lam_plus] = row.get(lam_plus, 0) + b * c
-        terms.update((SkewShape._trusted(lam_plus, mu_minus), c) for lam_plus, c in row.items())
+        terms.update(_block(a.outer, mu_minus, f))
     return SkewExpansion._of(terms)
 
 

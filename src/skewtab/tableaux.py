@@ -128,10 +128,12 @@ def enumerate_ssyt(shape: SkewShape, max_entry: int) -> tuple[Tableau, ...]:
     """All SSYT on shape with entries in 1..max_entry.
 
     Emitted in lexicographic order of the row-concatenated entry sequences.
-    A max_entry that is not an int (bools included) raises TypeError, a
-    negative one ValueError.
+    A shape that is not a SkewShape, or a max_entry that is not an int
+    (bools included), raises TypeError, a negative max_entry ValueError.
     """
-    if type(max_entry) is not int or max_entry < 0:  # one test: contexts call this per stratum
+    if not isinstance(shape, SkewShape):  # one test each: contexts call this per stratum
+        _require_type(SkewShape, shape=shape)
+    if type(max_entry) is not int or max_entry < 0:
         _require_nonnegative(max_entry=max_entry)
     return tuple(_fillings(shape, SSYT, max_entry))
 

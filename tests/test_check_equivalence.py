@@ -19,8 +19,8 @@ counts and builds a T+ only for the fillings it keeps; its pairs, in order,
 are compared with the build-then-filter loop it replaced.
 
 `rules._minus_table` keys its signed sums by kappa and builds one shape per
-distinct kappa; its tables are compared with the checked per-state build it
-replaced.
+distinct kappa; its tables, each f kept as its Schur terms tuple, are
+compared in order with the checked per-state build it replaced.
 
 `fixed_point_to_star` and `star_to_fixed_point` build the one-row factor of
 star(base, (m)) unchecked; both are compared, result or exception, with
@@ -331,13 +331,15 @@ def test_admissible_pairs_as_before():
 
 
 def _reference_minus_table(mu, target, tau):
-    """rules._minus_table as it was written: one checked SkewShape.of per T- state."""
+    """rules._minus_table as it was written: one checked SkewShape.of per T-
+    state; each f is given as its Schur terms tuple, as the table keeps it."""
     sums = {}
     for _, mu_minus, sign, budget, counts in rules._signed_pairs(mu, target, tau):
         shape = SkewShape.of(tuple(k + b for k, b in zip(counts, budget)), counts)
         terms = sums.setdefault(mu_minus, {})
         terms[shape] = terms.get(shape, 0) + sign
-    return tuple((_canonical(m), skew_expansion_to_schur(SkewExpansion(t))) for m, t in sums.items())
+    images = (skew_expansion_to_schur(SkewExpansion(t)) for t in sums.values())
+    return tuple((_canonical(m), tuple(f.terms.items())) for m, f in zip(sums, images))
 
 
 def test_minus_table_as_before():

@@ -38,6 +38,7 @@ from skewtab import (
 from skewtab.symfunc import lr_expand
 from skewtab.tableaux import reverse_reading_word
 
+from skewtab import rules
 from skewtab.rules import (
     _difference,
     _minus_table,
@@ -471,18 +472,19 @@ class TestCountedTermsAgainstPairs:
 
 def _terms_by_schur_product(a, target, tau):
     """_signed_terms as it read s_lam * f before: one schur_product of
-    schur(lam) and f per (mu_minus, f) of _minus_table."""
+    schur(lam) and f per (mu_minus, f) of _minus_table, f rebuilt as a
+    SchurExpansion from the terms tuple the table keeps."""
     lam = schur(a.outer)
     terms = {}
     for mu_minus, f in _minus_table(a.inner, target, tau):
-        for lam_plus, c in schur_product(lam, f).terms.items():
+        for lam_plus, c in schur_product(lam, SchurExpansion(dict(f))).terms.items():
             terms[SkewShape(lam_plus, mu_minus)] = c
     return SkewExpansion(terms)
 
 
 class TestSignedTermsAgainstSchurProductRoute:
-    """rules._signed_terms, which sums each mu_minus's LR tables into one
-    dict, against the schur_product route it replaced: the same terms."""
+    """rules._signed_terms, which reads each mu_minus's block of s_lam * f
+    from _block, against the schur_product route it replaced: the same terms."""
 
     def test_skew_lr_targets(self):
         # The pairs of the skew-lr sweep, verify_skew_lr(5, 4).
@@ -501,6 +503,38 @@ class TestSignedTermsAgainstSchurProductRoute:
             for rho in rhos:
                 args = (a, rho.parts, None)
                 assert _signed_terms(*args).same_terms(_terms_by_schur_product(*args)), (a, rho)
+
+
+class TestBlockCache:
+    """rules._block, the bounded cache of s_lam * f blocks that _signed_terms
+    reads: its work counts on a sweep, and products that do not depend on
+    what it holds or on its bound."""
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_sweep_work_counts(self):
+        # verify_skew_lr(4, 3) reads 2 029 blocks, 668 of them distinct; no
+        # first factor has more than 27, so no block is computed twice.
+        assert verify_skew_lr(4, 3)["failures"] == []
+        info = rules._block.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1361, 668, rules._BLOCKS)
+
+    def _products(self):
+        shapes_b = tuple(skew_shapes_up_to(3))
+        rhos = [rho for d in range(4) for rho in partitions_of_size(d)]
+        for a in skew_shapes_up_to(4):
+            yield from (skew_lr_product(a, b) for b in shapes_b)
+            yield from (skew_h_rho_product(a, rho) for rho in rhos)
+
+    def test_products_do_not_depend_on_the_cache(self, monkeypatch):
+        warm = list(self._products())
+        rules._block.cache_clear()
+        cold = list(self._products())
+        monkeypatch.setattr(rules, "_block", lru_cache(maxsize=1)(rules._block.__wrapped__))
+        tiny = list(self._products())
+        assert rules._block.cache_info().maxsize == 1 and rules._block.cache_info().misses > len(warm)
+        assert len(warm) == len(cold) == len(tiny) == 52 * (22 + 7)
+        for x, y, z in zip(warm, cold, tiny):
+            assert x.same_terms(y) and x.same_terms(z)
 
 
 def _residual_states():

@@ -255,6 +255,16 @@ class TestEnumeration:
         with pytest.raises(TypeError, match=f"^max_entry must be an int, got {m!r}$"):
             enumerate_ssyt(shape, m)
 
+    @pytest.mark.parametrize("shape", [(1,), None], ids=["tuple", "none"])
+    def test_shape_not_a_skew_shape_raises_at_the_call(self, shape):
+        # enumerate_ssyt used to raise an unnamed AttributeError from _fillings.
+        with pytest.raises(TypeError) as exc:
+            enumerate_ssyt(shape, 2)
+        assert str(exc.value) == f"shape {shape!r} is not a SkewShape"
+        with pytest.raises(TypeError) as exc:
+            enumerate_fillings(shape, SSYT, 2)
+        assert str(exc.value) == f"shape {shape!r} is not a SkewShape"
+
     @pytest.mark.parametrize("outer", [(), (2, 1)], ids=["empty", "2,1"])
     def test_negative_entry_bound_raises_at_the_call(self, outer):
         # -1 once gave one filling of the empty shape and none of (2, 1).

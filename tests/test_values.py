@@ -32,7 +32,7 @@ from skewtab import (
     star,
 )
 from skewtab import shapes
-from skewtab.rules import _difference, _minus_table
+from skewtab.rules import _block, _difference, _minus_table
 from skewtab.shapes import EMPTY, _canonical, partitions_of_size, skew_shapes_up_to
 from skewtab.symfunc import _lr_pairs, lr_expand
 
@@ -218,14 +218,27 @@ class TestResultsOwnTheirTerms:
         shapes_b = tuple(skew_shapes_up_to(3))
         keys = {(a.inner, _difference(b), b.inner.parts) for a in shapes_a for b in shapes_b}
         keys |= {(a.inner, (2, 1), None) for a in shapes_a}
-        before = {key: [(m, dict(f.terms)) for m, f in _minus_table(*key)] for key in keys}
+        before = {key: [(m, dict(f)) for m, f in _minus_table(*key)] for key in keys}
+        # The blocks the products read, held here so an eviction from the
+        # bounded cache cannot hide a change to one of them.
+        blocks = {
+            (a.outer, m, f): _block(a.outer, m, f)
+            for a in shapes_a
+            for key in keys
+            if key[0] == a.inner
+            for m, f in _minus_table(*key)
+        }
+        copies = {key: [(s.outer.parts, s.inner.parts, c) for s, c in block] for key, block in blocks.items()}
         for a in shapes_a:
             for b in shapes_b:
                 skew_lr_product(a, b).terms.clear()
                 skew_lr_product(a, b).to_schur().terms.clear()
             skew_h_rho_product(a, Partition((2, 1))).terms.clear()
-        after = {key: [(m, dict(f.terms)) for m, f in _minus_table(*key)] for key in keys}
+        after = {key: [(m, dict(f)) for m, f in _minus_table(*key)] for key in keys}
         assert after == before
+        for key, block in blocks.items():
+            assert [(s.outer.parts, s.inner.parts, c) for s, c in block] == copies[key], key
+            assert [(s.outer.parts, s.inner.parts, c) for s, c in _block(*key)] == copies[key], key
 
     def test_of_drops_zeros_and_keeps_a_clean_dict(self):
         p, q = Partition((2,)), Partition((1, 1))
@@ -247,8 +260,8 @@ class TestIdentityIsOnlyASpeedUp:
         sums = dict(_minus_table.__wrapped__(Partition((2, 1)), (2, 1), None))
         assert any(mu_minus is _canonical((2,)) for mu_minus in sums)
         assert all(mu_minus is _canonical(mu_minus.parts) for mu_minus in sums)
-        assert any(p is nu for f in sums.values() for p in f.terms)
-        assert all(p is _canonical(p.parts) for f in sums.values() for p in f.terms)
+        assert any(p is nu for f in sums.values() for p, _ in f)
+        assert all(p is _canonical(p.parts) for f in sums.values() for p, _ in f)
         product = skew_h_rho_product(SkewShape.of((1,)), Partition((1, 1)))
         assert any(s.outer is nu for s in product.terms)
         assert all(s.outer is _canonical(s.outer.parts) for s in product.terms)
