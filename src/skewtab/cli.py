@@ -5,8 +5,10 @@ Output is deterministic: term lines are sorted lexicographically by shape
 and printed one per line, sign first. Exit status is 0 on success or a
 clean verification, 1 when a verification sweep reports failures, and 2 on
 usage errors (including unparseable shapes or tableaux, and inputs too large
-to compute). No engine recurses, so every command takes shapes of any number
-of rows.
+to compute). When the reader of standard output goes away first (`skewtab
+... | head -1`), `main` stops writing and exits 141, the status a shell gives
+a process that SIGPIPE ends, with nothing on stderr. No engine recurses, so
+every command takes shapes of any number of rows.
 
 `run` can be called any number of times in one process. It builds one
 argument parser on its first call and reuses it for every later request:
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .insertion import REVERSE
@@ -219,7 +222,14 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()  # here, so a closed pipe fails inside the try
+    except BrokenPipeError:
+        # Point stdout at /dev/null, so the flush at exit writes nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141  # the fixed status the module docstring documents
+    sys.exit(status)
 
 
 if __name__ == "__main__":

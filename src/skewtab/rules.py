@@ -12,11 +12,12 @@ test off. The products build no pair and fill no T+: skew_lr_product and
 skew_h_rho_product sum s_{sigma/kappa} per mu_minus over the T- (cached per
 inner shape mu; kappa the word's entry counts where T- ends, sigma = kappa +
 the content unspent) and multiply by s_lam, which counts the T+ by the
-kappa-lattice LR rule: each (lam, mu_minus, f) block of terms is read
-from a small bounded cache, since one first factor meets the same blocks
-across its second factors. skew_lr_pairs lists every pair for auditing, in T-
-fill order, then lam_plus in lexicographic order, then lr_fillings order:
-the T+ on lam_plus/lam are LR fillings of star(lam_plus/lam, kappa).
+kappa-lattice LR rule: each (lam, f) block s_lam * f comes from a small
+bounded cache and each shape from shapes._canonical_shape, since one first
+factor meets the same ones across its second factors. skew_lr_pairs lists
+every pair for auditing, in T- fill order, then lam_plus in lexicographic
+order, then lr_fillings order: the T+ on lam_plus/lam are LR fillings of
+star(lam_plus/lam, kappa).
 Harnesses cross-check the rules against the Schur-basis product, against
 monomial expansions, and against signed tableau counting.
 """
@@ -35,6 +36,7 @@ from .shapes import (
     SkewShape,
     _CANONICAL_SIZE,
     _canonical,
+    _canonical_shape,
     _require_int,
     _require_nonnegative,
     _require_type,
@@ -217,50 +219,49 @@ def _minus_table(mu: Partition, target: tuple[int, ...], tau: tuple[int, ...] | 
     unspent (with tau None, disjoint rows: a product of h's). A placement
     moves an entry from the unspent content to kappa, so sigma is the same
     for every T- (outer(b), or the steep seed + rho with tau None): the sums
-    are keyed by kappa, and one shape is built per distinct kappa. Read-only."""
+    are keyed by kappa, each kappa's shape from _canonical_shape. Read-only."""
     sums: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for _, mu_minus, sign, budget, counts in _signed_pairs(mu, target, tau):
         terms = sums.setdefault(mu_minus, {})
         terms[counts] = terms.get(counts, 0) + sign
     # The empty T- is always a state, so the last state gives sigma; each
     # kappa is a partition, so dropping its zeros trims it.
-    sigma = _canonical(tuple(map(add, counts, budget)))
-    shapes = {
-        kappa: SkewShape._trusted(sigma, _canonical(tuple(filter(None, kappa))))
-        for kappa in set().union(*sums.values())
-    }
+    sigma = tuple(map(add, counts, budget))
+    kappas = set().union(*sums.values())
+    shapes = {k: _canonical_shape(sigma, tuple(filter(None, k))) for k in kappas}
     images = (SkewExpansion._of({shapes[k]: c for k, c in t.items()}).to_schur() for t in sums.values())
     return tuple((_canonical(m), tuple(f.terms.items())) for m, f in zip(sums, images))
 
 
-# How many blocks _block keeps: every block of one first factor across all
-# second factors (at most 74 per factor in verify_skew_lr(5, 4), 211 in
-# verify_skew_lr(6, 5)), so a sweep over b for a fixed a computes each once.
+# How many blocks _block keeps: every (lam, f) block one first factor reads
+# across all second factors (at most 36 in verify_skew_lr(5, 4), 81 in (6, 5),
+# of which at most 15 and 27 are new), so neither sweep computes one twice.
 _BLOCKS = 256
 
 
 @lru_cache(maxsize=_BLOCKS)
-def _block(lam: Partition, mu_minus: Partition, f: tuple[tuple[Partition, int], ...]):
-    """The nonzero terms of s_lam * f on the shapes lam_plus/mu_minus, as a
-    tuple of (shape, coefficient) pairs, f given by its Schur terms: the LR
-    tables of s_lam * s_nu summed over the terms of f. Read-only."""
-    row: dict[Partition, int] = {}
+def _block(lam: Partition, f: tuple[tuple[Partition, int], ...]):
+    """s_lam * f as a tuple of (lam_plus parts, coefficient) pairs with no
+    zero coefficient, f given by its Schur terms: the LR tables of s_lam *
+    s_nu summed over the terms of f, whatever mu_minus f belongs to. Read-only."""
+    row: dict[tuple[int, ...], int] = {}
     for nu, b in f:
         for lam_plus, c in _basis_product(lam, nu):
-            row[lam_plus] = row.get(lam_plus, 0) + b * c
-    return tuple((SkewShape._trusted(lam_plus, mu_minus), c) for lam_plus, c in row.items() if c)
+            row[lam_plus.parts] = row.get(lam_plus.parts, 0) + b * c
+    return tuple((p, c) for p, c in row.items() if c)
 
 
 def _signed_terms(a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | None):
     """The signs of the pairs of _signed_pairs summed by shape
     lam_plus/mu_minus, with no pair built: for each (mu_minus, f) of
-    _minus_table, the block of s_lam * f from _block, since the T+ of
-    lam_plus/lam after a T- number <s_lam * s_{sigma/kappa}, s_lam_plus>
-    (kappa-lattice LR rule). The blocks of distinct mu_minus hold distinct
-    shapes, so they are copied into one fresh dict that the result owns."""
+    _minus_table, the rows of s_lam * f from _block on lam_plus/mu_minus, since
+    the T+ of lam_plus/lam after a T- number <s_lam * s_{sigma/kappa},
+    s_lam_plus> (kappa-lattice LR rule). Each shape, from _canonical_shape, is
+    written once, into one fresh dict that the result owns."""
     terms: dict[SkewShape, int] = {}
     for mu_minus, f in _minus_table(a.inner, target, tau):
-        terms.update(_block(a.outer, mu_minus, f))
+        for p, c in _block(a.outer, f):
+            terms[_canonical_shape(p, mu_minus.parts)] = c
     return SkewExpansion._of(terms)
 
 
@@ -367,12 +368,13 @@ def verify_skew_lr(limit_outer_a: int, limit_outer_b: int) -> dict:
 
 def verify_perp_range(max_deg: int, max_n: int) -> dict:
     """Sweep the checks of perp_identity_failures over all Schur pairs with
-    degrees at most max_deg and all n from 1 to max_n. A limit that is not
-    an int raises TypeError, a negative one ValueError."""
+    degrees at most max_deg and all n from 1 to max_n; with max_n 0 no
+    partition is built. A limit that is not an int raises TypeError, a
+    negative one ValueError."""
     _require_nonnegative(max_deg=max_deg, max_n=max_n)
     failures: list[str] = []
     cases = 0
-    basis = [p for d in range(max_deg + 1) for p in partitions_of_size(d)]
+    basis = [p for d in range(max_deg + 1) for p in partitions_of_size(d)] if max_n else []
     for alpha in basis:
         f = schur(alpha)
         for beta in basis:

@@ -1,9 +1,14 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skewtab
 from skewtab import SkewExpansion, expansion_from_json, skew_lr_pairs, skew_pieri, parse_shape
 from skewtab.cli import build_parser, run, term_lines
 
@@ -498,3 +503,32 @@ class TestParserReuse:
 
     def test_build_parser_returns_a_new_parser(self):
         assert build_parser() is not build_parser()
+
+
+class TestClosedPipe:
+    """A reader that closes standard output early ends the command quietly:
+    no traceback on stderr and the one fixed status, whether the output
+    fails while it is printed or when it is flushed at exit."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["product", "20,15,10,5/10,5", "6,4,2/3"], ["expand", "2,1", "--h", "1"]],
+        ids=["large", "small"],
+    )
+    def test_closed_pipe_exits_quietly(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        path = [str(Path(skewtab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "skewtab", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 141  # the status the cli docstring documents

@@ -38,7 +38,7 @@ from skewtab import (
 from skewtab.symfunc import lr_expand
 from skewtab.tableaux import reverse_reading_word
 
-from skewtab import rules
+from skewtab import rules, shapes
 from skewtab.rules import (
     _difference,
     _minus_table,
@@ -506,17 +506,19 @@ class TestSignedTermsAgainstSchurProductRoute:
 
 
 class TestBlockCache:
-    """rules._block, the bounded cache of s_lam * f blocks that _signed_terms
-    reads: its work counts on a sweep, and products that do not depend on
-    what it holds or on its bound."""
+    """rules._block, the bounded cache of s_lam * f blocks keyed on (lam, f)
+    that _signed_terms reads, and the shared shape cache it takes its term
+    shapes from: its work counts on a sweep, products that do not depend on
+    what either cache holds or on its bound, and term shapes that are the
+    cache's objects."""
 
     @pytest.mark.usefixtures("fresh_caches")
     def test_sweep_work_counts(self):
-        # verify_skew_lr(4, 3) reads 2 029 blocks, 668 of them distinct; no
-        # first factor has more than 27, so no block is computed twice.
+        # verify_skew_lr(4, 3) reads 2 029 blocks, 170 of them distinct (lam,
+        # f) pairs; all fit in the bound, so no block is computed twice.
         assert verify_skew_lr(4, 3)["failures"] == []
         info = rules._block.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1361, 668, rules._BLOCKS)
+        assert (info.hits, info.misses, info.currsize) == (1859, 170, 170)
 
     def _products(self):
         shapes_b = tuple(skew_shapes_up_to(3))
@@ -532,9 +534,19 @@ class TestBlockCache:
         monkeypatch.setattr(rules, "_block", lru_cache(maxsize=1)(rules._block.__wrapped__))
         tiny = list(self._products())
         assert rules._block.cache_info().maxsize == 1 and rules._block.cache_info().misses > len(warm)
-        assert len(warm) == len(cold) == len(tiny) == 52 * (22 + 7)
-        for x, y, z in zip(warm, cold, tiny):
-            assert x.same_terms(y) and x.same_terms(z)
+        shapes._canonical_shape.cache_clear()
+        cleared = list(self._products())
+        monkeypatch.setattr(rules, "_canonical_shape", lru_cache(maxsize=1)(shapes._canonical_shape.__wrapped__))
+        single = list(self._products())
+        assert rules._canonical_shape.cache_info().maxsize == 1
+        assert len(warm) == len(cold) == len(tiny) == len(cleared) == len(single) == 52 * (22 + 7)
+        for x, *others in zip(warm, cold, tiny, cleared, single):
+            assert all(x.same_terms(y) for y in others)
+
+    def test_term_shapes_are_the_shared_objects(self):
+        for product in self._products():
+            for s in product.terms:
+                assert s is shapes._canonical_shape(s.outer.parts, s.inner.parts), s
 
 
 def _residual_states():
@@ -761,6 +773,13 @@ class TestVerifiers:
         rep = verify_perp_range(2, 2)
         assert rep["failures"] == []
         assert rep["cases"] > 0
+
+    def test_perp_with_no_n_builds_no_partition(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"partitions_of_size({n}) called")
+
+        monkeypatch.setattr(rules, "partitions_of_size", refuse)
+        assert verify_perp_range(100000, 0) == {"max_deg": 100000, "max_n": 0, "cases": 0, "failures": []}
 
     @pytest.mark.parametrize("bad", [True, 1.5], ids=["bool", "float"])
     @pytest.mark.parametrize(
