@@ -12,10 +12,11 @@ every command takes shapes of any number of rows.
 
 `run` can be called any number of times in one process. It builds one
 argument parser on its first call and reuses it for every later request:
-parsing does not change the parser, and the handlers look up the functions
-they call at call time. `build_parser()` still returns a new parser on every
-call. A request is parsed once, by its command's sub-parser: the command
-word picks the sub-parser, so the top-level parser does not walk the
+parsing does not change the parser, and the handlers look up what they call
+at call time: `verify` reads its target's row of `rules.SWEEPS`, so a row
+replaced there is the one run. `build_parser()` still returns a new parser
+on every call. A request is parsed once, by its command's sub-parser: the
+command word picks the sub-parser, so the top-level parser does not walk the
 arguments first.
 """
 
@@ -28,14 +29,8 @@ import os
 import sys
 
 from .insertion import REVERSE
-from .involution import SlideContext, downward_slide, phi, upward_slide, verify_involution
-from .rules import (
-    skew_lr_product,
-    skew_pieri,
-    verify_perp_range,
-    verify_skew_lr,
-    verify_skew_pieri,
-)
+from .involution import SlideContext, downward_slide, phi, upward_slide
+from .rules import SWEEPS, skew_lr_product, skew_pieri
 from .shapes import format_shape, parse_shape
 from .symfunc import expansion_to_json, schur_product, skew_to_schur, term_lines
 from .tableaux import format_tableau, parse_tableau
@@ -67,14 +62,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.target == "skew-pieri":
-        report = verify_skew_pieri(args.max_outer, args.max_n, max_entry=args.max_entry)
-    elif args.target == "involution":
-        report = verify_involution(args.max_outer, args.max_n, args.max_entry)
-    elif args.target == "perp":
-        report = verify_perp_range(args.max_deg, args.max_n)
-    else:
-        report = verify_skew_lr(args.max_outer, args.max_outer_b)
+    sweep = SWEEPS[args.target]
+    report = sweep.run(*(getattr(args, flag) for flag in sweep.flags))
     failures = report["failures"]
     report["ok"] = not failures
     if args.format == "json":
@@ -159,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_product)
 
     p = sub.add_parser("verify", help="run an exhaustive verification sweep")
-    p.add_argument("target", choices=["skew-pieri", "involution", "perp", "skew-lr"])
+    p.add_argument("target", choices=list(SWEEPS))
     p.add_argument("--max-outer", type=int, default=4)
     p.add_argument("--max-n", type=int, default=2)
     p.add_argument("--max-entry", type=int, default=3)

@@ -19,7 +19,9 @@ every pair for auditing, in T- fill order, then lam_plus in lexicographic
 order, then lr_fillings order: the T+ on lam_plus/lam are LR fillings of
 star(lam_plus/lam, kappa).
 Harnesses cross-check the rules against the Schur-basis product, against
-monomial expansions, and against signed tableau counting.
+monomial expansions, and against signed tableau counting. SWEEPS lists
+every exhaustive sweep with its limits: `skewtab verify` and
+scripts/run_checks.py both read it.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
+from typing import Callable, NamedTuple
 
-from .involution import _star_row, enumerate_contexts, is_fixed_point
+from .involution import _star_row, enumerate_contexts, is_fixed_point, verify_involution
 from .shapes import (
     HORIZONTAL,
     VERTICAL,
@@ -385,3 +388,25 @@ def verify_perp_range(max_deg: int, max_n: int) -> dict:
                     failures.append(f"perp identity failed at f=s{alpha.parts}, g=s{beta.parts}, n={n}")
     return {"max_deg": max_deg, "max_n": max_n, "cases": cases, "failures": failures}
 
+
+class Sweep(NamedTuple):
+    """One exhaustive sweep: its function, the `skewtab verify` options it
+    reads in positional order (as argparse dests), its full limits and its
+    deep limit sets, each limit set one value per option."""
+
+    run: Callable[..., dict]
+    flags: tuple[str, ...]
+    full: tuple[int, ...]
+    deep: tuple[tuple[int, ...], ...]
+
+
+_OUTER_N_ENTRY = ("max_outer", "max_n", "max_entry")
+
+# Every sweep, in the order scripts/run_checks.py runs them; the keys are the
+# targets of `skewtab verify`. A sweep is added by adding a row.
+SWEEPS = {
+    "involution": Sweep(verify_involution, _OUTER_N_ENTRY, (5, 2, 3), ((6, 2, 3), (5, 3, 3))),
+    "skew-pieri": Sweep(verify_skew_pieri, _OUTER_N_ENTRY, (6, 3, 3), ((7, 3, 3),)),
+    "skew-lr": Sweep(verify_skew_lr, ("max_outer", "max_outer_b"), (5, 4), ((6, 5),)),
+    "perp": Sweep(verify_perp_range, ("max_deg", "max_n"), (4, 3), ((6, 2),)),
+}

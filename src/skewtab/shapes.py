@@ -125,7 +125,8 @@ class Partition:
 
 EMPTY = Partition()
 
-# How many partitions _canonical keeps; a fixed bound on its memory.
+# How many entries _canonical keeps, and so do the package's other large
+# caches: a fixed bound on their memory.
 _CANONICAL_SIZE = 4096
 _canonical = lru_cache(maxsize=_CANONICAL_SIZE)(Partition._trusted)
 
@@ -374,7 +375,7 @@ def _strata(base: SkewShape, n: int, dual: bool = False) -> Iterator[tuple[int, 
                 yield k, lam_plus, mu_minus
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=_CANONICAL_SIZE, typed=True)
 def partitions_of_size(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in lexicographic order of parts. An n that is not
     an int raises TypeError, a negative one ValueError: checked on cache

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .shapes import EMPTY, Partition, SkewShape, _canonical, _require_nonnegative, _require_type
-from .shapes import partitions_of_size, star
+from .shapes import EMPTY, Partition, SkewShape, _CANONICAL_SIZE, _canonical, _require_nonnegative
+from .shapes import _require_type, partitions_of_size, star
 from .tableaux import _lr_walk, enumerate_ssyt
 
 
@@ -201,7 +201,7 @@ def schur(p) -> SchurExpansion:
     return x
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CANONICAL_SIZE)
 def _lr_pairs(shape: SkewShape) -> tuple[tuple[Partition, int], ...]:
     """Content partitions of the LR fillings of shape, with multiplicity,
     tallied off the walk's letter counts: no filling is built."""
@@ -231,7 +231,7 @@ def lr_coefficient(nu: Partition, lam: Partition, mu: Partition) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CANONICAL_SIZE)
 def _basis_product(mu: Partition, nu: Partition) -> tuple[tuple[Partition, int], ...]:
     """s_mu * s_nu in the Schur basis, as the LR table of the concatenated
     shape: s_mu * s_nu = s_{mu * nu}, so one filling enumeration gives every
@@ -279,7 +279,7 @@ def hall_inner(f: SchurExpansion, g: SchurExpansion) -> int:
     return sum(c * g.terms.get(p, 0) for p, c in f.terms.items())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CANONICAL_SIZE)
 def _perp_table(mu: Partition, d: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
     """The products s_mu * s_nu over all nu of size d, inverted: lam maps to
     the pairs (nu, c) with c = <s_mu * s_nu, s_lam> nonzero, nu in
@@ -344,7 +344,7 @@ def omega(f: SchurExpansion) -> SchurExpansion:
     return SchurExpansion({p.conjugate(): c for p, c in f.terms.items()})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CANONICAL_SIZE)
 def _monomial_pairs(shape: SkewShape, num_vars: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     counts: dict[tuple[int, ...], int] = {}
     for t in enumerate_ssyt(shape, num_vars):

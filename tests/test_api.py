@@ -341,11 +341,11 @@ def test_wrong_argument_raises_a_typed_error_at_the_call(call, kind, message):
 CACHES = {
     "shapes._canonical": 4096,
     "shapes._canonical_shape": 4096,
-    "shapes.partitions_of_size": None,
-    "symfunc._lr_pairs": None,
-    "symfunc._basis_product": None,
-    "symfunc._perp_table": None,
-    "symfunc._monomial_pairs": None,
+    "shapes.partitions_of_size": 4096,
+    "symfunc._lr_pairs": 4096,
+    "symfunc._basis_product": 4096,
+    "symfunc._perp_table": 4096,
+    "symfunc._monomial_pairs": 4096,
     "symfunc._eh_failures": 64,
     "symfunc._pair_images": 1,
     "involution._star_row": 1,

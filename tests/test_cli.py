@@ -370,11 +370,10 @@ class TestErrors:
         assert run([]) == 2
 
     def test_failing_sweep_exits_1(self, capsys, monkeypatch):
-        import skewtab.cli as cli
+        from skewtab.rules import SWEEPS
 
-        monkeypatch.setattr(
-            cli, "verify_perp_range", lambda *a, **k: {"cases": 1, "failures": ["boom"]}
-        )
+        boom = SWEEPS["perp"]._replace(run=lambda *a: {"cases": 1, "failures": ["boom"]})
+        monkeypatch.setitem(SWEEPS, "perp", boom)
         assert run(["verify", "perp"]) == 1
         out = capsys.readouterr().out
         assert "FAIL: boom" in out
