@@ -41,6 +41,16 @@ columns, one per row, built once per slide from the raw upward path. Both
 fixed-point maps and the sweep's star count read star(base, (m)) from a
 one-entry memo, so a sweep builds one star shape per case with m >= 1. A
 context argument that is not a `SlideContext` raises TypeError.
+
+An untraced `downward_slide` or `upward_slide` (no `steps`) reads its
+image from `_slide_image`, one cache of 512 (context, direction) entries;
+a traced slide runs the same body uncached. `verify_involution` calls phi
+on each context and on its image, so each 2-cycle {A, B} is slid from
+both ends, and the second call of each pair finds its image cached when
+the enumeration reaches B: the sweep slides each context once. The largest
+(base, n) case of `verify_involution(5, 2, 3)` has 336 contexts, so 512
+entries keep every image of a case until it is read again; deeper sweeps
+recompute the few images evicted first.
 """
 
 from __future__ import annotations
@@ -292,6 +302,10 @@ def downward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> S
     row >= 1, then re-insert the exited entries in reverse removal order."""
     if not isinstance(ctx, SlideContext):
         _require_type(SlideContext, ctx=ctx)
+    return _slide_image(ctx, True) if steps is None else _slide_down(ctx, steps)
+
+
+def _slide_down(ctx: SlideContext, steps: list[SlideStep] | None) -> SlideContext:
     scratch = _thaw(ctx.tableau)
     exited, _ = _reverse_outer_strip(ctx, scratch, steps)
     _reinsert_exited(scratch, exited, steps)
@@ -305,6 +319,10 @@ def upward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> Sli
     NoUpwardPath if that entry's cell is then no inside corner."""
     if not isinstance(ctx, SlideContext):
         _require_type(SlideContext, ctx=ctx)
+    return _slide_image(ctx, False) if steps is None else _slide_up(ctx, steps)
+
+
+def _slide_up(ctx: SlideContext, steps: list[SlideStep] | None) -> SlideContext:
     up = _upward(ctx)
     if up is None:
         raise NoUpwardPath(f"inner strip of {ctx.base} is already empty")
@@ -333,6 +351,13 @@ def upward_slide(ctx: SlideContext, steps: list[SlideStep] | None = None) -> Sli
         steps.append(SlideStep("internal", _record(path, k, r, FORWARD), _snap(scratch)))
     _reinsert_exited(scratch, exited, steps)
     return _slid(ctx.base, scratch)
+
+
+@lru_cache(maxsize=512)
+def _slide_image(ctx: SlideContext, down: bool) -> SlideContext:
+    """The untraced downward (down) or upward slide of ctx. An error is not
+    cached: an off-domain slide raises afresh on every call."""
+    return _slide_down(ctx, None) if down else _slide_up(ctx, None)
 
 
 def phi(ctx: SlideContext, steps: list[SlideStep] | None = None) -> SlideContext:

@@ -83,14 +83,15 @@ def pieri(lam: Partition, n: int, dual: bool = False) -> SchurExpansion:
 def skew_pieri(s: SkewShape, n: int, dual: bool = False) -> SkewExpansion:
     """s_{lam/mu} * h_n as the signed sum over adding an (n-k)-horizontal
     strip outside and removing a k-vertical strip inside, sign (-1)^k
-    (strip directions swap when dual, giving the e_n product)."""
+    (strip directions swap when dual, giving the e_n product). Each term
+    shape comes from _canonical_shape, as in the LR products."""
     _require_type(SkewShape, s=s)
     _require_int(n=n)
     terms: dict[SkewShape, int] = {}
     for k, lam_plus, mu_minus in _strata(s, n, dual):
-        shape = SkewShape._trusted(lam_plus, mu_minus)
+        shape = _canonical_shape(lam_plus.parts, mu_minus.parts)
         terms[shape] = terms.get(shape, 0) + (-1) ** k
-    return SkewExpansion(terms)
+    return SkewExpansion._of(terms)
 
 
 def _difference(b: SkewShape) -> tuple[int, ...]:

@@ -335,9 +335,9 @@ def test_wrong_argument_raises_a_typed_error_at_the_call(call, kind, message):
 # Every functools cache in the package, by the module that defines it, with
 # its maxsize (None: unbounded). The unbounded ones are the tables a long
 # session grows; the bounded ones hold the canonical partitions and the
-# slides' canonical shapes and strip facts, the skew products' T- tables and
-# s_lam * f blocks, the perp sweep's per-pair and per-n memos and the
-# fixed-point maps' star shape.
+# slides' canonical shapes, strip facts and untraced images, the skew
+# products' T- tables and s_lam * f blocks, the perp sweep's per-pair and
+# per-n memos and the fixed-point maps' star shape.
 CACHES = {
     "shapes._canonical": 4096,
     "shapes._canonical_shape": 4096,
@@ -350,6 +350,7 @@ CACHES = {
     "symfunc._pair_images": 1,
     "involution._star_row": 1,
     "involution._strip_facts": 4096,
+    "involution._slide_image": 512,
     "rules._minus_table": 4096,
     "rules._block": 256,
     "cli._parser": None,

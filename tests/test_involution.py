@@ -1,4 +1,5 @@
 import hashlib
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -597,15 +598,18 @@ class TestVerifyInvolution:
         # n >= 1, through _star_row: both fixed-point maps and the star count
         # read that one shape (102 of the 104 cases have a fixed point; a
         # column of 4 has no SSYT with entries <= 3, and there the star count
-        # is the one miss). Every context check still runs, through the shared
-        # _context_error: two per context (phi of it and of its image) and one
-        # per fixed point (the star round trip). Only the 230 round trips at
-        # n = 0 go through the public SlideContext constructor. The strip
-        # facts are computed once per (base, tableau shape) that holds a
-        # context: 499 times, over the 51 bases that have contexts (a column
-        # of 4 has none).
+        # is the one miss). phi runs on each context and on its image, but
+        # each context is slid once: the second slide of each (context,
+        # direction) reads _slide_image, so the image cache misses and hits
+        # once per context. Each computed image is checked, through the
+        # shared _context_error: one check per context and one per fixed
+        # point (the star round trip). Only the 230 round trips at n = 0 go
+        # through the public SlideContext constructor. The strip facts are
+        # computed once per (base, tableau shape) that holds a context: 499
+        # times, over the 51 bases that have contexts (a column of 4 has none).
         involution._star_row.cache_clear()
         involution._strip_facts.cache_clear()
+        involution._slide_image.cache_clear()
         calls = {"_record": 0, "star": 0, "_context_error": 0, "_is_horizontal_strip": 0}
         for name in calls:
             inner = getattr(involution, name)
@@ -630,9 +634,10 @@ class TestVerifyInvolution:
         assert calls == {
             "_record": 0,
             "star": 104,
-            "_context_error": 2 * 5134 + 2300,
+            "_context_error": 5134 + 2300,
             "_is_horizontal_strip": 499,
         }
+        assert involution._slide_image.cache_info()[:2] == (5134, 5134)
         assert involution._strip_facts.cache_info().misses == 499
         assert post_inits == 230
         # Both maps per fixed point at n >= 1, and one star count per case.
@@ -644,3 +649,86 @@ class TestVerifyInvolution:
         base = SkewShape(outer, Partition())
         for ctx in enumerate_contexts(base, n, 2):
             assert phi(phi(ctx)) == ctx
+
+
+class TestSlideImageCache:
+    """Untraced slides read their images from involution._slide_image; a
+    cache of any size, or a warm one, must change no result (cf.
+    test_rules.TestBlockCache.test_products_do_not_depend_on_the_cache)."""
+
+    BASE = SkewShape.of((2, 1), (1,))
+
+    @staticmethod
+    def _one_entry_cache(monkeypatch):
+        monkeypatch.setattr(involution, "_slide_image", lru_cache(maxsize=1)(involution._slide_image.__wrapped__))
+
+    def test_sweep_does_not_depend_on_the_cache(self, monkeypatch):
+        involution._slide_image.cache_clear()
+        cold = verify_involution(4, 2, 3)
+        warm = verify_involution(4, 2, 3)
+        self._one_entry_cache(monkeypatch)
+        tiny = verify_involution(4, 2, 3)
+        assert involution._slide_image.cache_info().misses > cold["contexts"]
+        assert cold == warm == tiny
+        assert cold["failures"] == [] and cold["contexts"] == 5134
+
+    def _failures(self, monkeypatch, images):
+        """verify_involution(3, 2, 3)'s failures, through the image cache and
+        through a one-entry one, with both slide bodies sending each key of
+        images to its value."""
+        for name in ("_slide_down", "_slide_up"):
+
+            def planted(ctx, steps, real=getattr(involution, name)):
+                return images[ctx] if ctx in images else real(ctx, steps)
+
+            monkeypatch.setattr(involution, name, planted)
+        involution._slide_image.cache_clear()
+        try:
+            cached = verify_involution(3, 2, 3)["failures"]
+        finally:  # the cache holds planted images now
+            involution._slide_image.cache_clear()
+        self._one_entry_cache(monkeypatch)
+        return cached, verify_involution(3, 2, 3)["failures"]
+
+    def _moved(self):
+        """Two contexts a, b = phi(a) of one 2-cycle over BASE with n = 2,
+        and a context c of another."""
+        moved = [ctx for ctx in enumerate_contexts(self.BASE, 2, 3) if phi(ctx) != ctx]
+        a = moved[0]
+        b = phi(a)
+        c = next(ctx for ctx in moved if ctx not in (a, b))
+        return a, b, c
+
+    def test_planted_three_cycle_fails_alike(self, monkeypatch):
+        a, b, c = self._moved()
+        cached, tiny = self._failures(monkeypatch, {a: b, b: c, c: a})
+        assert cached == tiny
+        for ctx in (a, b, c):
+            assert f"phi not involutive at {ctx.tableau} over {self.BASE}" in cached
+
+    def test_planted_wrong_image_fails_alike(self, monkeypatch):
+        a, b, c = self._moved()
+        cached, tiny = self._failures(monkeypatch, {a: c})
+        assert cached == tiny
+        for ctx in (a, b):  # a goes to c, and b goes to a, which no longer comes back
+            assert f"phi not involutive at {ctx.tableau} over {self.BASE}" in cached
+
+    def test_traced_phi_skips_the_cache(self):
+        contexts = [
+            ctx for base in skew_shapes_up_to(3) for n in range(3) for ctx in enumerate_contexts(base, n, 2)
+        ]
+        contexts.append(SlideContext(BIG_BASE, parse_tableau(BIG_T)))
+
+        def traced(ctx):
+            steps = []
+            return phi(ctx, steps), steps
+
+        involution._slide_image.cache_clear()
+        cold = list(map(traced, contexts))
+        untraced = list(map(phi, contexts))
+        info = involution._slide_image.cache_info()
+        warm = list(map(traced, contexts))
+        assert involution._slide_image.cache_info() == info
+        assert warm == cold
+        assert [image for image, _ in cold] == untraced
+        assert any(steps for _, steps in cold)

@@ -135,6 +135,15 @@ class TestSkewPieri:
         got = skew_pieri(s, 0)
         assert dict(got.terms) == {s: 1}
 
+    def test_term_shapes_are_the_shared_objects(self):
+        # Equal term shapes are one object, so to_schur's _lr_pairs lookups
+        # match by identity, as for the LR products' terms.
+        for s in skew_shapes_up_to(4):
+            for n in range(4):
+                for dual in (False, True):
+                    for t in skew_pieri(s, n, dual).terms:
+                        assert t is shapes._canonical_shape(t.outer.parts, t.inner.parts), (s, n, dual, t)
+
 
 class TestSkewLR:
     def test_agrees_with_schur_product(self):

@@ -31,7 +31,7 @@ from skewtab import (
     skew_to_schur,
     star,
 )
-from skewtab import shapes
+from skewtab import involution, shapes
 from skewtab.rules import _block, _difference, _minus_table
 from skewtab.shapes import EMPTY, _canonical, partitions_of_size, skew_shapes_up_to
 from skewtab.symfunc import _lr_pairs, lr_expand
@@ -268,12 +268,14 @@ class TestIdentityIsOnlyASpeedUp:
 
     def test_slides_survive_a_cleared_shape_cache(self):
         # The contexts of verify_involution(3, 2, 2); each phi image takes
-        # its shape from shapes._canonical_shape.
+        # its shape from shapes._canonical_shape. The image cache is cleared
+        # too, so the second round slides again rather than reading images.
         contexts = [
             ctx for base in skew_shapes_up_to(3) for n in range(3) for ctx in enumerate_contexts(base, n, 2)
         ]
         before = [phi(ctx) for ctx in contexts]
         shapes._canonical_shape.cache_clear()
+        involution._slide_image.cache_clear()
         after = [phi(ctx) for ctx in contexts]
         assert after == before
         assert any(a.tableau.shape is not b.tableau.shape for a, b in zip(after, before))
