@@ -25,7 +25,8 @@ with equal part tuples share one shape object: a slide runs only on a checked
 semistandard context, where every step keeps the shape and filling valid.
 The scratch helpers record bumping paths as lists of plain (row, col) pairs;
 `Cell`s are built only for the paths that `BumpRecord`s carry out of them.
-A tableau argument that is not a `Tableau` raises TypeError.
+A tableau argument that is not a `Tableau` raises TypeError, and so does a
+`reverse_insert` cell that is not a pair of ints (bools refused).
 """
 
 from __future__ import annotations
@@ -191,10 +192,13 @@ def internal_insert(t: Tableau, r: int) -> tuple[Tableau, BumpRecord]:
 
 
 def reverse_insert(t: Tableau, c: Cell | tuple[int, int]) -> tuple[Tableau, BumpRecord]:
-    """Delete the outside corner c and cascade its entry downward."""
+    """Delete the outside corner c, a pair of ints, and cascade its entry downward."""
     if not isinstance(t, Tableau):
         _require_type(Tableau, t=t)
-    c = Cell(*c)
+    row, col = c if isinstance(c, (tuple, list)) and len(c) == 2 else (None, None)
+    if type(row) is not int or type(col) is not int:
+        raise TypeError(f"c must be a pair of ints, got {c!r}")
+    c = Cell(row, col)
     _, outside = t.shape.corners()
     if c not in outside:
         raise NotOutsideCorner(f"{tuple(c)} is not an outside corner of {t.shape}")

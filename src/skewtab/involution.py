@@ -10,8 +10,9 @@ correspond to tableaux on the diagonal concatenation star(base, (n)).
 
 Each context is checked once, by `_context_error`: the outer strip is
 horizontal, the inner strip vertical and the tableau semistandard. The two
-strip checks depend on the base and the tableau's shape alone, so they are
-read, with the outer strip's walk and the inner strip's bottom row, off
+strip checks, the predicates of `shapes` behind `SkewShape.is_strip`,
+depend on the base and the tableau's shape alone, so they are read, with
+the outer strip's walk and the inner strip's bottom row, off
 `_strip_facts`, a cache of at most `shapes._CANONICAL_SIZE` (base, shape)
 pairs shared by every base; semistandardness is checked on every call.
 `SlideContext(...)`, the public boundary, checks its fields' types and then
@@ -58,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count, repeat
-from operator import ge, le, lt, sub
+from operator import le, lt, sub
 
 from .insertion import (
     FORWARD,
@@ -80,6 +81,8 @@ from .shapes import (
     SkewShape,
     _canonical,
     _canonical_shape,
+    _is_horizontal_strip,
+    _is_vertical_strip,
     _require_int,
     _require_nonnegative,
     _require_type,
@@ -97,23 +100,6 @@ class NoUpwardPath(ValueError):
 
 class NotFixedPoint(ValueError):
     """Fixed-point conversion requested off the fixed-point locus."""
-
-
-def _is_horizontal_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
-    """big/small is a horizontal strip of partitions: the parts interlace,
-    big_1 >= small_1 >= big_2 >= small_2 >= ... (small a partition)."""
-    if not len(small) <= len(big) <= len(small) + 1:
-        return False
-    return all(map(ge, big, small)) and all(map(ge, small, big[1:]))
-
-
-def _is_vertical_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
-    """big/small is a vertical strip of partitions: 0 <= big_i - small_i <= 1
-    for every i, and small weakly decreases (big a partition)."""
-    if len(small) > len(big):
-        return False
-    padded = small + (0,) * (len(big) - len(small))
-    return {0, 1}.issuperset(map(sub, big, padded)) and all(map(ge, small, small[1:]))
 
 
 @lru_cache(maxsize=_CANONICAL_SIZE)

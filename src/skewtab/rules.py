@@ -53,7 +53,6 @@ from .shapes import (
 from .symfunc import (
     SchurExpansion,
     SkewExpansion,
-    _basis_product,
     h,
     monomial_expansion,
     monomial_product,
@@ -246,13 +245,10 @@ _BLOCKS = 256
 @lru_cache(maxsize=_BLOCKS)
 def _block(lam: Partition, f: tuple[tuple[Partition, int], ...]):
     """s_lam * f as a tuple of (lam_plus parts, coefficient) pairs with no
-    zero coefficient, f given by its Schur terms: the LR tables of s_lam *
-    s_nu summed over the terms of f, whatever mu_minus f belongs to. Read-only."""
-    row: dict[tuple[int, ...], int] = {}
-    for nu, b in f:
-        for lam_plus, c in _basis_product(lam, nu):
-            row[lam_plus.parts] = row.get(lam_plus.parts, 0) + b * c
-    return tuple((p, c) for p, c in row.items() if c)
+    zero coefficient, f given by its Schur terms: the terms of
+    schur_product(s_lam, f), whatever mu_minus f belongs to. Read-only."""
+    row = schur_product(SchurExpansion._of({lam: 1}), SchurExpansion._of(dict(f)))
+    return tuple((p.parts, c) for p, c in row.terms.items())
 
 
 def _signed_terms(a: SkewShape, target: tuple[int, ...], tau: tuple[int, ...] | None):

@@ -22,13 +22,17 @@ identity; an eviction costs only that shortcut, never a result. The slides
 take the shape of every state they build from `_canonical_shape`, a cache of
 the same bound holding skew shapes of `_canonical` partitions, so a state's
 shape costs one cache hit rather than a construction.
+
+The strip predicates `_is_horizontal_strip` and `_is_vertical_strip` live
+here, on part tuples; `SkewShape.is_strip` and the slide context check in
+`involution` both call them.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache
-from operator import ge
+from operator import ge, sub
 from typing import Iterator, NamedTuple
 
 HORIZONTAL = "horizontal"
@@ -131,6 +135,23 @@ _CANONICAL_SIZE = 4096
 _canonical = lru_cache(maxsize=_CANONICAL_SIZE)(Partition._trusted)
 
 
+def _is_horizontal_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
+    """big/small is a horizontal strip of partitions: the parts interlace,
+    big_1 >= small_1 >= big_2 >= small_2 >= ... (small a partition)."""
+    if not len(small) <= len(big) <= len(small) + 1:
+        return False
+    return all(map(ge, big, small)) and all(map(ge, small, big[1:]))
+
+
+def _is_vertical_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
+    """big/small is a vertical strip of partitions: 0 <= big_i - small_i <= 1
+    for every i, and small weakly decreases (big a partition)."""
+    if len(small) > len(big):
+        return False
+    padded = small + (0,) * (len(big) - len(small))
+    return {0, 1}.issuperset(map(sub, big, padded)) and all(map(ge, small, small[1:]))
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class SkewShape:
     """The diagram outer/inner; equality is componentwise on the two partitions.
@@ -203,14 +224,12 @@ class SkewShape:
         return tuple(out)
 
     def is_strip(self, direction: str) -> bool:
-        """True if no two cells share a column (horizontal) or row (vertical)."""
-        cells = self.cells()
+        """True if no two cells share a column (horizontal) or row (vertical),
+        read off the parts by `_is_horizontal_strip` or `_is_vertical_strip`."""
         if direction == HORIZONTAL:
-            cols = [c.col for c in cells]
-            return len(cols) == len(set(cols))
+            return _is_horizontal_strip(self.outer.parts, self.inner.parts)
         if direction == VERTICAL:
-            rws = [c.row for c in cells]
-            return len(rws) == len(set(rws))
+            return _is_vertical_strip(self.outer.parts, self.inner.parts)
         raise ValueError(f"unknown direction {direction!r}")
 
     def corners(self) -> tuple[frozenset[Cell], frozenset[Cell]]:

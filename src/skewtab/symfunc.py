@@ -196,9 +196,7 @@ def _as_partition(p, name: str) -> Partition:
 def schur(p) -> SchurExpansion:
     """The single Schur function s_p as an expansion. A p that is neither a
     Partition nor an iterable raises TypeError."""
-    x = object.__new__(SchurExpansion)
-    x.terms = {_as_partition(p, "p"): 1}
-    return x
+    return SchurExpansion._of({_as_partition(p, "p"): 1})
 
 
 @lru_cache(maxsize=_CANONICAL_SIZE)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import ge, gt, le, lt, ne, sub
+from operator import ge, gt, le, lt, sub
 from typing import Iterator
 
 from .shapes import ParseError, Partition, SkewShape, _require_nonnegative, _require_type, parse_shape
@@ -44,21 +44,14 @@ class Tableau:
         if len(rows) != self.shape.rows:
             raise ValueError(f"{len(rows)} entry rows for a {self.shape.rows}-row shape")
         outer, inner = self.shape.outer.parts, self.shape.inner.parts
-        widths = tuple(map(sub, outer, inner + (0,) * (len(outer) - len(inner))))
-        # Every row at once; only a rejected filling is walked row by row,
-        # to name the lowest row at fault.
-        if (
-            any(map(ne, map(len, rows), widths))
-            or not {int}.issuperset(map(type, chain.from_iterable(rows)))
-            or min(chain.from_iterable(rows), default=1) < 1
-        ):
-            for r, (row, width) in enumerate(zip(rows, widths), start=1):
-                if len(row) != width:
-                    raise ValueError(f"row {r} has {len(row)} entries, expected {width}")
-                if not {int}.issuperset(map(type, row)):
-                    raise ValueError(f"row {r} has a non-integer entry")
-                if min(row, default=1) < 1:
-                    raise ValueError(f"row {r} has a nonpositive entry")
+        widths = map(sub, outer, inner + (0,) * (len(outer) - len(inner)))
+        for r, (row, width) in enumerate(zip(rows, widths), start=1):
+            if len(row) != width:
+                raise ValueError(f"row {r} has {len(row)} entries, expected {width}")
+            if not {int}.issuperset(map(type, row)):
+                raise ValueError(f"row {r} has a non-integer entry")
+            if row and min(row) < 1:
+                raise ValueError(f"row {r} has a nonpositive entry")
         object.__setattr__(self, "rows", rows)
 
     @classmethod

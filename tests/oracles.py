@@ -1,16 +1,16 @@
 """Reference oracles the tests check the library against: the skew Pieri
 rule applied one h_n at a time, the membership test for the skew LR sum,
 greedy peeling of monomial data into the Schur basis, the perp sweep with
-nothing reused between cases, and a slide context's strip facts read afresh
-from its two shapes. None of them is library code; tests import them as
-`from oracles import ...`."""
+nothing reused between cases, the strip test read cell by cell, and a slide
+context's strip facts read afresh from its two shapes. None of them is
+library code; tests import them as `from oracles import ...`."""
 
 from itertools import chain, count, repeat
-from operator import ge, sub
+from operator import sub
 
 from skewtab import symfunc
 from skewtab.rules import _difference, skew_pieri
-from skewtab.shapes import Partition, SkewShape, partitions_of_size
+from skewtab.shapes import HORIZONTAL, VERTICAL, Partition, SkewShape, partitions_of_size
 from skewtab.symfunc import SchurExpansion, SkewExpansion, _monomial_pairs, schur
 from skewtab.tableaux import ASSYT, SSYT, Tableau, is_yamanouchi, reverse_reading_word, validate
 
@@ -136,17 +136,17 @@ def inner_strip_bottom(ctx) -> int:
     return next((r for r, (m, k) in enumerate(rows, start=1) if m > k), 0)
 
 
-def _is_horizontal_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
-    if not len(small) <= len(big) <= len(small) + 1:
-        return False
-    return all(map(ge, big, small)) and all(map(ge, small, big[1:]))
-
-
-def _is_vertical_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
-    if len(small) > len(big):
-        return False
-    padded = small + (0,) * (len(big) - len(small))
-    return {0, 1}.issuperset(map(sub, big, padded)) and all(map(ge, small, small[1:]))
+def is_strip_by_cells(shape: SkewShape, direction: str) -> bool:
+    """SkewShape.is_strip read off the cells: True if no two cells share a
+    column (horizontal) or a row (vertical)."""
+    cells = shape.cells()
+    if direction == HORIZONTAL:
+        cols = [c.col for c in cells]
+        return len(cols) == len(set(cols))
+    if direction == VERTICAL:
+        rws = [c.row for c in cells]
+        return len(rws) == len(set(rws))
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 def strip_error(base: SkewShape, shape: SkewShape) -> str | None:
@@ -154,8 +154,8 @@ def strip_error(base: SkewShape, shape: SkewShape) -> str | None:
     strip, with the slide-context check's message; None when it does."""
     lam, mu = base.outer, base.inner
     lam_plus, mu_minus = shape.outer, shape.inner
-    if not _is_horizontal_strip(lam_plus.parts, lam.parts):
+    if not lam_plus.contains(lam) or not is_strip_by_cells(SkewShape(lam_plus, lam), HORIZONTAL):
         return f"{lam_plus}/{lam} is not a horizontal strip"
-    if not _is_vertical_strip(mu.parts, mu_minus.parts):
+    if not mu.contains(mu_minus) or not is_strip_by_cells(SkewShape(mu, mu_minus), VERTICAL):
         return f"{mu}/{mu_minus} is not a vertical strip"
     return None

@@ -263,6 +263,18 @@ WRONG_ARGUMENTS = [
     ("reading_word-str", lambda: skewtab.reading_word("x"), TypeError, "t 'x' is not a Tableau"),
     ("reverse_insert-str", lambda: skewtab.reverse_insert("x", (1, 1)),
      TypeError, "t 'x' is not a Tableau"),
+    ("reverse_insert-bool-row", lambda: skewtab.reverse_insert(CTX.tableau, (True, 2)),
+     TypeError, "c must be a pair of ints, got (True, 2)"),
+    ("reverse_insert-float-col", lambda: skewtab.reverse_insert(CTX.tableau, (1, 2.0)),
+     TypeError, "c must be a pair of ints, got (1, 2.0)"),
+    ("reverse_insert-float-row", lambda: skewtab.reverse_insert(CTX.tableau, (2.0, 1)),
+     TypeError, "c must be a pair of ints, got (2.0, 1)"),
+    ("reverse_insert-int", lambda: skewtab.reverse_insert(CTX.tableau, 5),
+     TypeError, "c must be a pair of ints, got 5"),
+    ("reverse_insert-none", lambda: skewtab.reverse_insert(CTX.tableau, None),
+     TypeError, "c must be a pair of ints, got None"),
+    ("reverse_insert-triple", lambda: skewtab.reverse_insert(CTX.tableau, (2, 1, 0)),
+     TypeError, "c must be a pair of ints, got (2, 1, 0)"),
     ("schur-str", lambda: skewtab.schur("x"), ValueError, "non-integer part in ('x',)"),
     ("schur-none", lambda: skewtab.schur(None),
      TypeError, "p None is not a Partition or an iterable of parts"),

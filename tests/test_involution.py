@@ -41,7 +41,7 @@ from skewtab.involution import (
 from skewtab.shapes import parse_shape, skew_shapes_up_to
 
 from conftest import partitions, validate_by_cells
-from oracles import inner_strip_bottom, outer_strip_rows, strip_error
+from oracles import inner_strip_bottom, is_strip_by_cells, outer_strip_rows, strip_error
 
 BIG_BASE = SkewShape.of((7, 5, 4, 1, 1), (3, 1))
 BIG_T = "7,6,4,4,1/3,1: [1,2,2,5][1,2,2,3,6][2,2,3,4][3,5,7,7][9]"
@@ -87,7 +87,7 @@ def _composed_check(base, inner, rows):
     """The checks a slide result went through when every value was built by
     the public constructors: read each outer part off the inner part and row
     length, drop empty top rows, build Partition, SkewShape and Tableau, then
-    test containment, is_strip and the cell-by-cell SSYT rule. Returns
+    test containment, the cell-by-cell strip and SSYT rules. Returns
     (tableau, error): tableau is None if construction failed, error is None
     if every check passed."""
     outer = [i + len(r) for i, r in zip(inner, rows)]
@@ -101,9 +101,9 @@ def _composed_check(base, inner, rows):
         return None, str(exc)
     lam, mu = base.outer, base.inner
     lam_plus, mu_minus = shape.outer, shape.inner
-    if not lam_plus.contains(lam) or not SkewShape(lam_plus, lam).is_strip(HORIZONTAL):
+    if not lam_plus.contains(lam) or not is_strip_by_cells(SkewShape(lam_plus, lam), HORIZONTAL):
         return t, f"{lam_plus}/{lam} is not a horizontal strip"
-    if not mu.contains(mu_minus) or not SkewShape(mu, mu_minus).is_strip(VERTICAL):
+    if not mu.contains(mu_minus) or not is_strip_by_cells(SkewShape(mu, mu_minus), VERTICAL):
         return t, f"{mu}/{mu_minus} is not a vertical strip"
     if not validate_by_cells(t, SSYT):
         return t, "tableau is not semistandard"
@@ -476,8 +476,8 @@ class TestPhiExhaustive:
         seen = set()
         for ctx in enumerate_contexts(base, 2, 2):
             assert ctx.outer_strip.size + ctx.inner_strip.size == 2
-            assert SkewShape(ctx.tableau.shape.outer, base.outer).is_strip(HORIZONTAL)
-            assert SkewShape(base.inner, ctx.tableau.shape.inner).is_strip(VERTICAL)
+            assert is_strip_by_cells(SkewShape(ctx.tableau.shape.outer, base.outer), HORIZONTAL)
+            assert is_strip_by_cells(SkewShape(base.inner, ctx.tableau.shape.inner), VERTICAL)
             seen.add(ctx)
         assert len(seen) == len(list(enumerate_contexts(base, 2, 2)))
 

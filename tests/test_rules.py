@@ -48,7 +48,7 @@ from skewtab.rules import (
 from skewtab.shapes import skew_shapes_up_to, subpartitions_of_size, superpartitions
 
 from conftest import partitions, skew_shapes
-from oracles import is_admissible_pair, iterated_skew_pieri, skew_pieri_linear
+from oracles import is_admissible_pair, is_strip_by_cells, iterated_skew_pieri, skew_pieri_linear
 
 NINE_TERMS = {
     SkewShape.of((3, 2, 2)): 1,
@@ -106,8 +106,8 @@ class TestSkewPieri:
             # outer grows by a horizontal strip, inner shrinks by a vertical strip
             from skewtab import HORIZONTAL, VERTICAL
 
-            assert SkewShape(s.outer, Partition((3, 2, 2))).is_strip(HORIZONTAL)
-            assert SkewShape(Partition((1, 1)), s.inner).is_strip(VERTICAL)
+            assert is_strip_by_cells(SkewShape(s.outer, Partition((3, 2, 2))), HORIZONTAL)
+            assert is_strip_by_cells(SkewShape(Partition((1, 1)), s.inner), VERTICAL)
 
     @given(skew_shapes(max_len=3, max_part=4), st.integers(0, 2))
     def test_collapses_to_product(self, s, n):

@@ -31,6 +31,7 @@ from skewtab.shapes import (
 )
 
 from conftest import partitions, skew_shapes
+from oracles import is_strip_by_cells
 
 
 class TestPartition:
@@ -97,6 +98,18 @@ class TestSkewShape:
         assert SkewShape.of((2, 1, 1), (1,)).is_strip(VERTICAL)
         assert not SkewShape.of((2, 2), (1,)).is_strip(VERTICAL)
 
+    @pytest.mark.parametrize("direction", [HORIZONTAL, VERTICAL])
+    def test_strips_match_the_cell_oracle(self, direction):
+        # is_strip reads the parts; the oracle reads the cells.
+        shapes = list(skew_shapes_up_to(8))
+        assert len(shapes) == 862
+        for s in shapes:
+            assert s.is_strip(direction) is is_strip_by_cells(s, direction), str(s)
+
+    def test_unknown_strip_direction(self):
+        with pytest.raises(ValueError, match="unknown direction 'diagonal'"):
+            SkewShape.of((2, 1), (1,)).is_strip("diagonal")
+
     def test_ordering_is_outer_then_inner(self):
         shapes = list(skew_shapes_up_to(6))
         assert sorted(shapes) == sorted(shapes, key=lambda s: (s.outer.parts, s.inner.parts))
@@ -159,7 +172,7 @@ def _brute_outer_strips(base, n, direction):
         if any(a < b for a, b in zip(parts, parts[1:])):
             continue
         cand = Partition(parts)
-        if SkewShape(cand, base).is_strip(direction):
+        if is_strip_by_cells(SkewShape(cand, base), direction):
             found.append(cand)
     return sorted(set(found), key=lambda p: p.parts)
 
@@ -183,7 +196,7 @@ class TestStripEnumeration:
         for k in range(4):
             for mu in enumerate_inner_strips(base, k, VERTICAL):
                 assert base.contains(mu)
-                assert SkewShape(base, mu).is_strip(VERTICAL)
+                assert is_strip_by_cells(SkewShape(base, mu), VERTICAL)
                 assert base.size - mu.size == k
 
     def test_outer_strips_sorted(self):
