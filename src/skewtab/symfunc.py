@@ -12,8 +12,9 @@ every probe of a degree in one walk. It and the Hall check of perp do not
 depend on n, so they run once per (f, g) pair, not once per n; the e/h
 check depends on n alone and runs once per n. Each identity is checked by
 difference, the right side's terms subtracted from a fresh dict of the left
-side's. The images the Pieri-type checks read are built once per pair, in a
-one-entry memo that every n of the pair reuses. A second
+side's. The images of one operand (its h_j^perp, e_j^perp and probe images)
+are built once per sweep, in a memo of operands; those of a pair once per
+pair, in a one-entry memo that every n of the pair reuses. A second
 route through monomial expansions (enumerate the semistandard tableaux with
 `tableaux._fillings`, collect exponent vectors) exists for cross-checking
 and shares no code with the LR walk; greedy peeling of monomial data back
@@ -396,8 +397,12 @@ def perp_identity_failures(f: SchurExpansion, g: SchurExpansion, n: int) -> list
     subtracted from a fresh dict of the left side's, and it fails if an entry
     is left nonzero. The two Pieri-type identities are checked for this n,
     off the images of the pair's memo (_PairImages), since a sweep runs every
-    n of a pair in turn. The alternating sum of e_i h_{n-i}, which is 1 at
-    n = 0 and 0 above, depends on n alone and is decided once per n
+    n of a pair in turn. What belongs to one operand (h_j^perp, e_j^perp and
+    its probe images) is built once per sweep, in a memo of operands
+    (_operand_images) whose bound exceeds a sweep's basis, as every g comes
+    back only after the whole basis has run; what mixes f and g is built
+    once per pair. The alternating sum of e_i h_{n-i}, which is 1 at n = 0
+    and 0 above, depends on n alone and is decided once per n
     (_eh_failures). The checks that depend on neither n follow, run once per
     pair.
     """
@@ -406,9 +411,10 @@ def perp_identity_failures(f: SchurExpansion, g: SchurExpansion, n: int) -> list
     _require_nonnegative(n=n)
     pair = _pair_images(tuple(f.terms.items()), tuple(g.terms.items()))
     pair.extend(n)
+    fx, gx = pair.fx, pair.gx
     fails: list[str] = []
 
-    diff = dict(schur_product(pair.f, pair.h_g[n]).terms)
+    diff = dict(schur_product(fx.x, gx.h[n]).terms)
     for k in range(n + 1):
         sign = (-1) ** k
         for nu, c in perp(h(n - k), pair.e_f_g[k]).terms.items():
@@ -420,7 +426,7 @@ def perp_identity_failures(f: SchurExpansion, g: SchurExpansion, n: int) -> list
 
     diff = dict(perp(h(n), pair.fg).terms)
     for i in range(n + 1):
-        for nu, c in schur_product(pair.h_f[n - i], pair.h_g[i]).terms.items():
+        for nu, c in schur_product(fx.h[n - i], gx.h[i]).terms.items():
             diff[nu] = diff.get(nu, 0) - c
     if any(diff.values()):
         fails.append("h_n^perp(fg) != sum_i h_{n-i}^perp(f) h_i^perp(g)")
@@ -441,28 +447,63 @@ def _eh_failures(n: int) -> tuple[str, ...]:
     return ()
 
 
-class _PairImages:
-    """The memo of perp_identity_failures for the f and g with the given
-    terms: f, g, fg, the verdict of the checks that do not depend on n
-    (_pair_failures), and the lists h_f, h_g and e_f_g, whose entry j is
-    h_j^perp f, h_j^perp g and (e_j^perp f) g, extended as a larger n first
-    needs them. Nothing in it leaves perp_identity_failures, and no
-    expansion in it is changed once built."""
+class _OperandImages:
+    """The images of perp_identity_failures that belong to one operand x,
+    given by its terms, whatever pair it is in: the lists h and e, whose
+    entry j is h_j^perp x and e_j^perp x, extended as a larger n first needs
+    them, and x's probe images _perp_images(x, d) by degree, each built when
+    first read. Every row is only read: the difference loop of
+    _pair_failures writes into fg's probe rows alone, which stay per pair."""
 
-    __slots__ = ("f", "g", "fg", "failures", "h_f", "h_g", "e_f_g")
+    __slots__ = ("x", "h", "e", "probes")
 
-    def __init__(self, f_items: tuple, g_items: tuple):
-        self.f, self.g = SchurExpansion._of(dict(f_items)), SchurExpansion._of(dict(g_items))
-        self.fg = schur_product(self.f, self.g)
-        self.failures = _pair_failures(self.f, self.g, self.fg)
-        self.h_f, self.h_g, self.e_f_g = [], [], []
+    def __init__(self, items: tuple):
+        self.x = SchurExpansion._of(dict(items))
+        self.h, self.e, self.probes = [], [], {}
 
     def extend(self, n: int) -> None:
         """Fill the image lists up to entry n."""
-        for j in range(len(self.h_f), n + 1):
-            self.h_f.append(perp(h(j), self.f))
-            self.h_g.append(perp(h(j), self.g))
-            self.e_f_g.append(schur_product(perp(e(j), self.f), self.g))
+        for j in range(len(self.h), n + 1):
+            self.h.append(perp(h(j), self.x))
+            self.e.append(perp(e(j), self.x))
+
+    def probe(self, d: int) -> dict[Partition, dict[Partition, int]]:
+        """_perp_images(x, d), built on the first read of degree d."""
+        images = self.probes.get(d)
+        if images is None:
+            images = self.probes[d] = _perp_images(self.x, d)
+        return images
+
+
+# verify_perp_range runs g through the whole basis under each f, so an
+# operand comes back only after every other one has: the bound must exceed
+# the number of operands of a sweep (12 at degree 4, 30 at degree 6), or
+# every entry is evicted before it is read again.
+_operand_images = lru_cache(maxsize=64)(_OperandImages)
+
+
+class _PairImages:
+    """The memo of perp_identity_failures for the f and g with the given
+    terms. Per operand, from _operand_images: f's and g's images, as fx and
+    gx. Per pair: fg, the verdict of the checks that do not depend on n
+    (_pair_failures), and the list e_f_g, whose entry j is (e_j^perp f) g,
+    extended as a larger n first needs it. Nothing in it leaves
+    perp_identity_failures, and no expansion in it is changed once built."""
+
+    __slots__ = ("fx", "gx", "fg", "failures", "e_f_g")
+
+    def __init__(self, f_items: tuple, g_items: tuple):
+        self.fx, self.gx = _operand_images(f_items), _operand_images(g_items)
+        self.fg = schur_product(self.fx.x, self.gx.x)
+        self.failures = _pair_failures(self.fx.x, self.gx.x, self.fg)
+        self.e_f_g = []
+
+    def extend(self, n: int) -> None:
+        """Fill the image lists of f, g and the pair up to entry n."""
+        self.fx.extend(n)
+        self.gx.extend(n)
+        for j in range(len(self.e_f_g), n + 1):
+            self.e_f_g.append(schur_product(self.fx.e[j], self.gx.x))
 
 
 # One entry: a sweep runs every n of a pair in turn, so the pair at hand is
@@ -480,24 +521,26 @@ def _pair_failures(f: SchurExpansion, g: SchurExpansion, fg: SchurExpansion) -> 
     past deg f + deg g exercise nonconstant images. It is checked one
     degree d at a time off the perp tables, by difference: one walk gives
     (fg)^perp(s_pi) for every pi of size d, and from each of those fresh
-    rows g^perp(s_pi) pushed through f's images is subtracted; g's images
-    are read per degree and f's as first needed, both through _perp_images.
+    rows g^perp(s_pi) pushed through f's images is subtracted. fg's images
+    are built here, per pair, since they are the rows written into; g's
+    images (per degree) and f's (as first needed) are read from the operand
+    memo, _operand_images, so each is built once per sweep. fg is never
+    looked up there: with f = s_empty its terms are g's, and the writes
+    would land in g's cached rows.
     Last, the s_empty coefficient of perp(fg, fg) must be <fg, fg>: the one
     check that runs perp with a first argument of many terms and
     coefficients.
     """
     fails: list[str] = []
-    f_images: dict[int, dict] = {}  # f's images, by degree, as first needed
+    f_images = _operand_images(tuple(f.terms.items())).probe
+    g_images = _operand_images(tuple(g.terms.items())).probe
     low = min((p.size for p in f.terms), default=0) + min((p.size for p in g.terms), default=0)
     for d in range(low, f.degree() + g.degree() + 3):
-        lhs_images, g_images = _perp_images(fg, d), _perp_images(g, d)
+        lhs_images, g_rows = _perp_images(fg, d), g_images(d)
         for pi in partitions_of_size(d):
             diff = lhs_images.get(pi, {})
-            for lam, b in g_images.get(pi, {}).items():
-                k = lam.size
-                if k not in f_images:
-                    f_images[k] = _perp_images(f, k)
-                for nu, c in f_images[k].get(lam, {}).items():
+            for lam, b in g_rows.get(pi, {}).items():
+                for nu, c in f_images(lam.size).get(lam, {}).items():
                     diff[nu] = diff.get(nu, 0) - b * c
             if any(diff.values()):
                 fails.append(f"(fg)^perp != f^perp g^perp at s[{pi}]")

@@ -90,7 +90,7 @@ def schur_from_monomials(m: dict[tuple[int, ...], int], num_vars: int) -> SchurE
 # The memos perp_identity_failures reads besides the LR and perp tables:
 # whatever they hold was built by the perp and products in force when it was
 # filled, so a test that patches those must empty them on both sides.
-PERP_MEMOS = ("_pair_images", "_eh_failures")
+PERP_MEMOS = ("_operand_images", "_pair_images", "_eh_failures")
 
 
 def clear_perp_memos() -> None:

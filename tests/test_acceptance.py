@@ -23,7 +23,6 @@ from skewtab import (
     parse_shape,
     parse_tableau,
     partitions_of_size,
-    phi,
     pieri,
     reverse_insert,
     schur,

@@ -345,11 +345,11 @@ def test_wrong_argument_raises_a_typed_error_at_the_call(call, kind, message):
 
 
 # Every functools cache in the package, by the module that defines it, with
-# its maxsize (None: unbounded). The unbounded ones are the tables a long
-# session grows; the bounded ones hold the canonical partitions and the
-# slides' canonical shapes, strip facts and untraced images, the skew
-# products' T- tables and s_lam * f blocks, the perp sweep's per-pair and
-# per-n memos and the fixed-point maps' star shape.
+# its maxsize (None: unbounded, which only the CLI's one parser is). The
+# bounded ones hold the canonical partitions and the slides' canonical
+# shapes, strip facts and untraced images, the skew products' T- tables and
+# s_lam * f blocks, the perp sweep's per-operand, per-pair and per-n memos
+# and the fixed-point maps' star shape.
 CACHES = {
     "shapes._canonical": 4096,
     "shapes._canonical_shape": 4096,
@@ -359,6 +359,7 @@ CACHES = {
     "symfunc._perp_table": 4096,
     "symfunc._monomial_pairs": 4096,
     "symfunc._eh_failures": 64,
+    "symfunc._operand_images": 64,
     "symfunc._pair_images": 1,
     "involution._star_row": 1,
     "involution._strip_facts": 4096,

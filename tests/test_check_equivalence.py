@@ -304,6 +304,24 @@ def test_interleaved_pairs_as_unmemoised(corruption, monkeypatch):
     assert info.misses > info.maxsize
 
 
+@pytest.mark.usefixtures("fresh_perp_memos")
+@pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+def test_warm_operand_memo_as_unmemoised(corruption, monkeypatch):
+    # The (3, 2) sweep caches the images of all its operands; then every
+    # case of it, run again on that warm memo, reports what it reports on
+    # empty memos, and builds no operand's images anew.
+    if CORRUPTIONS[corruption]:
+        monkeypatch.setattr(symfunc, "_perp_table", _corrupt(CORRUPTIONS[corruption]))
+    calls = [(schur(a), schur(b), n) for a in SMALL for b in SMALL for n in (1, 2)]
+    want = [unmemoised_perp_failures(f, g, n) for f, g, n in calls]
+    rules.verify_perp_range(3, 2)
+    warm = symfunc._operand_images.cache_info()
+    assert warm.currsize == len(SMALL) == 7
+    assert [symfunc.perp_identity_failures(f, g, n) for f, g, n in calls] == want
+    assert symfunc._operand_images.cache_info().misses == warm.misses
+    assert any(want) is (corruption != "clean")
+
+
 def _reference_admissible_pairs(a, b):
     """rules._admissible_pairs as it was written: every LR filling of
     star(lam_plus/lam, kappa) built as a Tableau, then kept if its content is

@@ -11,7 +11,6 @@ from skewtab import (
     NotOutsideCorner,
     REVERSE,
     SSYT,
-    SkewShape,
     external_insert,
     internal_insert,
     parse_tableau,

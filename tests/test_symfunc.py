@@ -1,10 +1,8 @@
-import itertools
 import json
 import re
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from skewtab import (
     Partition,
@@ -28,7 +26,7 @@ from skewtab import (
     HORIZONTAL,
     VERTICAL,
 )
-from skewtab import symfunc
+from skewtab import rules, symfunc
 from skewtab.shapes import partitions_of_size, superpartitions
 from skewtab.symfunc import (
     _basis_product,
@@ -511,15 +509,17 @@ class TestPerpIdentities:
 
     @pytest.mark.usefixtures("fresh_perp_memos")
     def test_sweep_work_counts(self, monkeypatch):
-        # 12 operands, 144 pairs, 432 cases (n = 1, 2, 3). Once per pair:
-        # fg and the n-free checks (1 product, 1 perp, 9 _perp_images: fg's
-        # and g's at the 3 probe degrees |f| + |g| .. |f| + |g| + 2, and f's
-        # at the 3 degrees |f| .. |f| + 2 that g's images reach); h_j^perp f,
-        # h_j^perp g and e_j^perp f for j = 0..3 (12 perp) and (e_j^perp f) g
-        # (4 products). Once per case: h_n^perp(fg) and the n + 1 terms
-        # h_{n-k}^perp(...) (3 + 9 perp per pair); f h_n^perp(g) and the
-        # n + 1 products h_{n-i}^perp(f) h_i^perp(g) (3 + 9 products per
-        # pair). The e/h sum once per n: 2 + 3 + 4 products.
+        # 12 operands, 144 pairs, 432 cases (n = 1, 2, 3). Once per operand
+        # x of degree a: h_j^perp x and e_j^perp x for j = 0..3 (8 perp), and
+        # x's probe images at the 7 degrees a .. a + 6 that it reaches as g
+        # under an f of degree 0..4 (as f it reaches only a .. a + 2). Once
+        # per pair: fg and the n-free checks (1 product, 1 perp, and 3
+        # _perp_images: fg's at the probe degrees |f| + |g| .. |f| + |g| + 2)
+        # and (e_j^perp f) g for j = 0..3 (4 products). Once per case:
+        # h_n^perp(fg) and the n + 1 terms h_{n-k}^perp(...) (3 + 9 perp per
+        # pair); f h_n^perp(g) and the n + 1 products h_{n-i}^perp(f)
+        # h_i^perp(g) (3 + 9 products per pair). The e/h sum once per n:
+        # 2 + 3 + 4 products.
         calls = {"_perp_images": 0, "perp": 0, "schur_product": 0}
         for name in calls:
             inner = getattr(symfunc, name)
@@ -531,10 +531,37 @@ class TestPerpIdentities:
             monkeypatch.setattr(symfunc, name, counted)
         assert verify_perp_range(4, 3)["failures"] == []
         assert calls == {
-            "_perp_images": 144 * 9,
-            "perp": 144 * (12 + 1 + 12),
+            "_perp_images": 144 * 3 + 12 * 7,
+            "perp": 144 * (1 + 12) + 12 * 8,
             "schur_product": 144 * (1 + 4 + 12) + 9,
         }
+
+    @pytest.mark.usefixtures("fresh_perp_memos")
+    def test_operand_memo_rows_are_never_written(self):
+        # After the bench's sweep every cached operand equals a fresh build
+        # of the same images: the difference loop wrote into no cached row.
+        assert verify_perp_range(4, 3)["failures"] == []
+        basis = [p for d in range(5) for p in partitions_of_size(d)]
+        before = symfunc._operand_images.cache_info()
+        assert before.currsize == len(basis) == 12
+        for p in basis:
+            key = tuple(schur(p).terms.items())
+            cached, fresh = symfunc._operand_images(key), symfunc._OperandImages(key)
+            fresh.extend(3)
+            for d in cached.probes:
+                fresh.probe(d)
+            assert (cached.x, cached.h, cached.e) == (fresh.x, fresh.h, fresh.e), p
+            assert len(cached.probes) == 7 and cached.probes == fresh.probes, p
+        assert symfunc._operand_images.cache_info().misses == before.misses
+
+    def test_operand_memo_outlasts_the_deep_basis(self):
+        # The sweep brings each g back only after the whole basis has run, so
+        # a bound at or below the deep line's basis would evict every operand
+        # before it is read again.
+        ((max_deg, _),) = rules.SWEEPS["perp"].deep
+        basis = [p for d in range(max_deg + 1) for p in partitions_of_size(d)]
+        assert len(basis) == 30
+        assert symfunc._operand_images.cache_info().maxsize > len(basis)
 
     def test_pair_memo_holds_one_entry(self):
         assert symfunc._pair_images.cache_info().maxsize == 1
