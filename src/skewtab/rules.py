@@ -236,13 +236,7 @@ def _minus_table(mu: Partition, target: tuple[int, ...], tau: tuple[int, ...] | 
     return tuple((_canonical(m), tuple(f.terms.items())) for m, f in zip(sums, images))
 
 
-# How many blocks _block keeps: every (lam, f) block one first factor reads
-# across all second factors (at most 36 in verify_skew_lr(5, 4), 81 in (6, 5),
-# of which at most 15 and 27 are new), so neither sweep computes one twice.
-_BLOCKS = 256
-
-
-@lru_cache(maxsize=_BLOCKS)
+@lru_cache(maxsize=_CANONICAL_SIZE)
 def _block(lam: Partition, f: tuple[tuple[Partition, int], ...]):
     """s_lam * f as a tuple of (lam_plus parts, coefficient) pairs with no
     zero coefficient, f given by its Schur terms: the terms of

@@ -12,16 +12,17 @@ every probe of a degree in one walk. It and the Hall check of perp do not
 depend on n, so they run once per (f, g) pair, not once per n; the e/h
 check depends on n alone and runs once per n. Each identity is checked by
 difference, the right side's terms subtracted from a fresh dict of the left
-side's. The images of one operand (its h_j^perp, e_j^perp and probe images)
-are built once per sweep, in a memo of operands; those of a pair once per
-pair, in a one-entry memo that every n of the pair reuses. A second
-route through monomial expansions (enumerate the semistandard tableaux with
-`tableaux._fillings`, collect exponent vectors) exists for cross-checking
-and shares no code with the LR walk; greedy peeling of monomial data back
-into the Schur basis is a test oracle in `tests/oracles.py`. Two
-homogeneous symmetric functions of degree d are equal iff their monomial
-expansions in d variables agree, so every monomial-level check fixes
-num_vars at the degree at hand. All coefficients are exact ints.
+side's. An operand's h_j^perp and e_j^perp are built once per sweep, in a
+cache keyed on its terms and n, and its probe rows are read straight off the
+perp tables; the images of a pair are built once per pair, in a one-entry
+memo that every n of the pair reuses. A second route through monomial
+expansions (enumerate the semistandard tableaux with `tableaux._fillings`,
+collect exponent vectors) exists for cross-checking and shares no code with
+the LR walk; greedy peeling of monomial data back into the Schur basis is a
+test oracle in `tests/oracles.py`. Two homogeneous symmetric functions of
+degree d are equal iff their monomial expansions in d variables agree, so
+every monomial-level check fixes num_vars at the degree at hand. All
+coefficients are exact ints.
 """
 
 from __future__ import annotations
@@ -395,47 +396,47 @@ def perp_identity_failures(f: SchurExpansion, g: SchurExpansion, n: int) -> list
 
     Each identity is checked by difference: the right side's terms are
     subtracted from a fresh dict of the left side's, and it fails if an entry
-    is left nonzero. The two Pieri-type identities are checked for this n,
-    off the images of the pair's memo (_PairImages), since a sweep runs every
-    n of a pair in turn. What belongs to one operand (h_j^perp, e_j^perp and
-    its probe images) is built once per sweep, in a memo of operands
-    (_operand_images) whose bound exceeds a sweep's basis, as every g comes
-    back only after the whole basis has run; what mixes f and g is built
-    once per pair. The alternating sum of e_i h_{n-i}, which is 1 at n = 0
-    and 0 above, depends on n alone and is decided once per n
-    (_eh_failures). The checks that depend on neither n follow, run once per
-    pair.
+    is left nonzero. The two Pieri-type identities are checked for this n.
+    What belongs to one operand, its h_j^perp and e_j^perp, comes from
+    _operand_perps, so each is built once per sweep; what mixes f and g comes
+    from _pair_images, built once per pair, since a sweep runs every n of a
+    pair in turn. The alternating sum of e_i h_{n-i}, which is 1 at n = 0 and
+    0 above, depends on n alone and is decided once per n (_eh_failures).
+    The checks that depend on neither n follow, run once per pair.
     """
     if not (isinstance(f, SchurExpansion) and isinstance(g, SchurExpansion)):
         _require_type(SchurExpansion, f=f, g=g)
     _require_nonnegative(n=n)
-    pair = _pair_images(tuple(f.terms.items()), tuple(g.terms.items()))
-    pair.extend(n)
-    fx, gx = pair.fx, pair.gx
+    f_items, g_items = tuple(f.terms.items()), tuple(g.terms.items())
+    fg, pair_fails, e_f_g = _pair_images(f_items, g_items)
+    f_h, f_e = _operand_perps(f_items, n)
+    g_h = _operand_perps(g_items, n)[0]
+    for k in range(len(e_f_g), n + 1):
+        e_f_g.append(schur_product(f_e[k], g))
     fails: list[str] = []
 
-    diff = dict(schur_product(fx.x, gx.h[n]).terms)
+    diff = dict(schur_product(f, g_h[n]).terms)
     for k in range(n + 1):
         sign = (-1) ** k
-        for nu, c in perp(h(n - k), pair.e_f_g[k]).terms.items():
+        for nu, c in perp(h(n - k), e_f_g[k]).terms.items():
             diff[nu] = diff.get(nu, 0) - sign * c
     if any(diff.values()):
         fails.append("f*h_n^perp(g) != sum_k (-1)^k h_{n-k}^perp(e_k^perp(f) g)")
 
     fails.extend(_eh_failures(n))
 
-    diff = dict(perp(h(n), pair.fg).terms)
+    diff = dict(perp(h(n), fg).terms)
     for i in range(n + 1):
-        for nu, c in schur_product(fx.h[n - i], gx.h[i]).terms.items():
+        for nu, c in schur_product(f_h[n - i], g_h[i]).terms.items():
             diff[nu] = diff.get(nu, 0) - c
     if any(diff.values()):
         fails.append("h_n^perp(fg) != sum_i h_{n-i}^perp(f) h_i^perp(g)")
 
-    fails.extend(pair.failures)
+    fails.extend(pair_fails)
     return fails
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_CANONICAL_SIZE)
 def _eh_failures(n: int) -> tuple[str, ...]:
     """The check of perp_identity_failures that depends on n alone: the
     alternating sum of e_i h_{n-i} is 1 at n = 0 and 0 above."""
@@ -447,68 +448,25 @@ def _eh_failures(n: int) -> tuple[str, ...]:
     return ()
 
 
-class _OperandImages:
-    """The images of perp_identity_failures that belong to one operand x,
-    given by its terms, whatever pair it is in: the lists h and e, whose
-    entry j is h_j^perp x and e_j^perp x, extended as a larger n first needs
-    them, and x's probe images _perp_images(x, d) by degree, each built when
-    first read. Every row is only read: the difference loop of
-    _pair_failures writes into fg's probe rows alone, which stay per pair."""
-
-    __slots__ = ("x", "h", "e", "probes")
-
-    def __init__(self, items: tuple):
-        self.x = SchurExpansion._of(dict(items))
-        self.h, self.e, self.probes = [], [], {}
-
-    def extend(self, n: int) -> None:
-        """Fill the image lists up to entry n."""
-        for j in range(len(self.h), n + 1):
-            self.h.append(perp(h(j), self.x))
-            self.e.append(perp(e(j), self.x))
-
-    def probe(self, d: int) -> dict[Partition, dict[Partition, int]]:
-        """_perp_images(x, d), built on the first read of degree d."""
-        images = self.probes.get(d)
-        if images is None:
-            images = self.probes[d] = _perp_images(self.x, d)
-        return images
-
-
-# verify_perp_range runs g through the whole basis under each f, so an
-# operand comes back only after every other one has: the bound must exceed
-# the number of operands of a sweep (12 at degree 4, 30 at degree 6), or
-# every entry is evicted before it is read again.
-_operand_images = lru_cache(maxsize=64)(_OperandImages)
-
-
-class _PairImages:
-    """The memo of perp_identity_failures for the f and g with the given
-    terms. Per operand, from _operand_images: f's and g's images, as fx and
-    gx. Per pair: fg, the verdict of the checks that do not depend on n
-    (_pair_failures), and the list e_f_g, whose entry j is (e_j^perp f) g,
-    extended as a larger n first needs it. Nothing in it leaves
-    perp_identity_failures, and no expansion in it is changed once built."""
-
-    __slots__ = ("fx", "gx", "fg", "failures", "e_f_g")
-
-    def __init__(self, f_items: tuple, g_items: tuple):
-        self.fx, self.gx = _operand_images(f_items), _operand_images(g_items)
-        self.fg = schur_product(self.fx.x, self.gx.x)
-        self.failures = _pair_failures(self.fx.x, self.gx.x, self.fg)
-        self.e_f_g = []
-
-    def extend(self, n: int) -> None:
-        """Fill the image lists of f, g and the pair up to entry n."""
-        self.fx.extend(n)
-        self.gx.extend(n)
-        for j in range(len(self.e_f_g), n + 1):
-            self.e_f_g.append(schur_product(self.fx.e[j], self.gx.x))
+@lru_cache(maxsize=_CANONICAL_SIZE)
+def _operand_perps(items: tuple, n: int) -> tuple[tuple[SchurExpansion, ...], tuple[SchurExpansion, ...]]:
+    """(h_j^perp x for j = 0..n, e_j^perp x for j = 0..n), x the operand of
+    perp_identity_failures with the given terms, whatever pair it is in."""
+    x = SchurExpansion._of(dict(items))
+    return tuple(perp(h(j), x) for j in range(n + 1)), tuple(perp(e(j), x) for j in range(n + 1))
 
 
 # One entry: a sweep runs every n of a pair in turn, so the pair at hand is
 # the only one worth keeping.
-_pair_images = lru_cache(maxsize=1)(_PairImages)
+@lru_cache(maxsize=1)
+def _pair_images(f_items: tuple, g_items: tuple) -> tuple[SchurExpansion, tuple[str, ...], list[SchurExpansion]]:
+    """What perp_identity_failures builds once for the f and g with the given
+    terms: fg, the verdict of the checks that do not depend on n
+    (_pair_failures), and the list e_f_g, whose entry k is (e_k^perp f) g,
+    which perp_identity_failures extends as a larger n first needs it."""
+    f, g = SchurExpansion._of(dict(f_items)), SchurExpansion._of(dict(g_items))
+    fg = schur_product(f, g)
+    return fg, _pair_failures(f, g, fg), []
 
 
 def _pair_failures(f: SchurExpansion, g: SchurExpansion, fg: SchurExpansion) -> tuple[str, ...]:
@@ -519,35 +477,44 @@ def _pair_failures(f: SchurExpansion, g: SchurExpansion, fg: SchurExpansion) -> 
     functions of degree from the least degree of a term of f plus that of
     g, below which both sides vanish, to deg f + deg g + 2: the two degrees
     past deg f + deg g exercise nonconstant images. It is checked one
-    degree d at a time off the perp tables, by difference: one walk gives
-    (fg)^perp(s_pi) for every pi of size d, and from each of those fresh
-    rows g^perp(s_pi) pushed through f's images is subtracted. fg's images
-    are built here, per pair, since they are the rows written into; g's
-    images (per degree) and f's (as first needed) are read from the operand
-    memo, _operand_images, so each is built once per sweep. fg is never
-    looked up there: with f = s_empty its terms are g's, and the writes
-    would land in g's cached rows.
+    degree d at a time, by difference: one walk gives (fg)^perp(s_pi) for
+    every pi of size d as fresh rows, built here per pair since they are the
+    only rows written into, and from each of them g^perp(s_pi) pushed
+    through f^perp is subtracted. g's and f's rows are read term by term
+    straight from the perp tables, whose rows are tuples.
     Last, the s_empty coefficient of perp(fg, fg) must be <fg, fg>: the one
     check that runs perp with a first argument of many terms and
     coefficients.
     """
     fails: list[str] = []
-    f_images = _operand_images(tuple(f.terms.items())).probe
-    g_images = _operand_images(tuple(g.terms.items())).probe
     low = min((p.size for p in f.terms), default=0) + min((p.size for p in g.terms), default=0)
     for d in range(low, f.degree() + g.degree() + 3):
-        lhs_images, g_rows = _perp_images(fg, d), g_images(d)
+        lhs_images = _perp_images(fg, d)
+        # Per term a s_mu of g: its table at degree d and, as every lam it
+        # sends s_pi to has size d - |mu|, f's tables at that size.
+        g_tables = [
+            (a, _perp_table(mu, d - mu.size), _term_tables(f, d - mu.size)) for mu, a in g.terms.items() if mu.size <= d
+        ]
         for pi in partitions_of_size(d):
             diff = lhs_images.get(pi, {})
-            for lam, b in g_rows.get(pi, {}).items():
-                for nu, c in f_images(lam.size).get(lam, {}).items():
-                    diff[nu] = diff.get(nu, 0) - b * c
+            for a, g_table, f_tables in g_tables:
+                for lam, b in g_table.get(pi, ()):
+                    for c, f_table in f_tables:
+                        abc = a * b * c
+                        for nu, k in f_table.get(lam, ()):
+                            diff[nu] = diff.get(nu, 0) - abc * k
             if any(diff.values()):
                 fails.append(f"(fg)^perp != f^perp g^perp at s[{pi}]")
 
     if perp(fg, fg)[EMPTY] != hall_inner(fg, fg):
         fails.append("perp(fg, fg) at s[∅] != <fg, fg>")
     return tuple(fails)
+
+
+def _term_tables(x: SchurExpansion, d: int) -> list:
+    """(a, _perp_table(mu, d - |mu|)) for each term a s_mu of x with |mu| <= d:
+    x^perp(s_pi) for pi of size d, term by term."""
+    return [(a, _perp_table(mu, d - mu.size)) for mu, a in x.terms.items() if mu.size <= d]
 
 
 def verify_perp_identities(f: SchurExpansion, g: SchurExpansion, n: int) -> bool:

@@ -358,14 +358,14 @@ CACHES = {
     "symfunc._basis_product": 4096,
     "symfunc._perp_table": 4096,
     "symfunc._monomial_pairs": 4096,
-    "symfunc._eh_failures": 64,
-    "symfunc._operand_images": 64,
+    "symfunc._eh_failures": 4096,
+    "symfunc._operand_perps": 4096,
     "symfunc._pair_images": 1,
     "involution._star_row": 1,
     "involution._strip_facts": 4096,
     "involution._slide_image": 512,
     "rules._minus_table": 4096,
-    "rules._block": 256,
+    "rules._block": 4096,
     "cli._parser": None,
 }
 

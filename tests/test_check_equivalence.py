@@ -315,10 +315,30 @@ def test_warm_operand_memo_as_unmemoised(corruption, monkeypatch):
     calls = [(schur(a), schur(b), n) for a in SMALL for b in SMALL for n in (1, 2)]
     want = [unmemoised_perp_failures(f, g, n) for f, g, n in calls]
     rules.verify_perp_range(3, 2)
-    warm = symfunc._operand_images.cache_info()
-    assert warm.currsize == len(SMALL) == 7
+    warm = symfunc._operand_perps.cache_info()
+    assert warm.currsize == len(SMALL) * 2 == 14
     assert [symfunc.perp_identity_failures(f, g, n) for f, g, n in calls] == want
-    assert symfunc._operand_images.cache_info().misses == warm.misses
+    assert symfunc._operand_perps.cache_info().misses == warm.misses
+    assert any(want) is (corruption != "clean")
+
+
+@pytest.mark.usefixtures("fresh_perp_memos")
+@pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+def test_operands_past_a_64_entry_bound_as_unmemoised(corruption, monkeypatch):
+    # Two cycles over 68 operands (s_empty and k s_1 for k = 1..67), in the
+    # sweep's order: each g comes back only after every other one, so an LRU
+    # bound at or below 68 entries would evict it first. Every verdict is the
+    # one reported on empty memos, and the second cycle builds no operand's
+    # images anew.
+    if CORRUPTIONS[corruption]:
+        monkeypatch.setattr(symfunc, "_perp_table", _corrupt(CORRUPTIONS[corruption]))
+    calls = [(schur(()), SchurExpansion({(1,): k}), 1) for k in range(1, 68)]
+    want = [unmemoised_perp_failures(f, g, n) for f, g, n in calls]
+    assert [symfunc.perp_identity_failures(f, g, n) for f, g, n in calls] == want
+    first = symfunc._operand_perps.cache_info()
+    assert first.currsize == 68
+    assert [symfunc.perp_identity_failures(f, g, n) for f, g, n in calls] == want
+    assert symfunc._operand_perps.cache_info().misses == first.misses
     assert any(want) is (corruption != "clean")
 
 

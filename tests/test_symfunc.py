@@ -510,12 +510,11 @@ class TestPerpIdentities:
     @pytest.mark.usefixtures("fresh_perp_memos")
     def test_sweep_work_counts(self, monkeypatch):
         # 12 operands, 144 pairs, 432 cases (n = 1, 2, 3). Once per operand
-        # x of degree a: h_j^perp x and e_j^perp x for j = 0..3 (8 perp), and
-        # x's probe images at the 7 degrees a .. a + 6 that it reaches as g
-        # under an f of degree 0..4 (as f it reaches only a .. a + 2). Once
-        # per pair: fg and the n-free checks (1 product, 1 perp, and 3
-        # _perp_images: fg's at the probe degrees |f| + |g| .. |f| + |g| + 2)
-        # and (e_j^perp f) g for j = 0..3 (4 products). Once per case:
+        # x and n: h_j^perp x and e_j^perp x for j = 0..n (2 + 3 + 4 perp,
+        # twice). Once per pair: fg and the n-free checks (1 product, 1 perp,
+        # and 3 _perp_images: fg's at the probe degrees |f| + |g| .. |f| +
+        # |g| + 2; f's and g's rows are read off the perp tables) and
+        # (e_k^perp f) g for k = 0..3 (4 products). Once per case:
         # h_n^perp(fg) and the n + 1 terms h_{n-k}^perp(...) (3 + 9 perp per
         # pair); f h_n^perp(g) and the n + 1 products h_{n-i}^perp(f)
         # h_i^perp(g) (3 + 9 products per pair). The e/h sum once per n:
@@ -531,40 +530,45 @@ class TestPerpIdentities:
             monkeypatch.setattr(symfunc, name, counted)
         assert verify_perp_range(4, 3)["failures"] == []
         assert calls == {
-            "_perp_images": 144 * 3 + 12 * 7,
-            "perp": 144 * (1 + 12) + 12 * 8,
+            "_perp_images": 144 * 3,
+            "perp": 144 * (1 + 12) + 12 * (2 + 3 + 4) * 2,
             "schur_product": 144 * (1 + 4 + 12) + 9,
         }
 
     @pytest.mark.usefixtures("fresh_perp_memos")
     def test_operand_memo_rows_are_never_written(self):
-        # After the bench's sweep every cached operand equals a fresh build
-        # of the same images: the difference loop wrote into no cached row.
+        # After the bench's sweep every cached operand entry (12 operands,
+        # n = 1, 2, 3) equals a fresh build of the same images: no check
+        # wrote into a cached image.
         assert verify_perp_range(4, 3)["failures"] == []
         basis = [p for d in range(5) for p in partitions_of_size(d)]
-        before = symfunc._operand_images.cache_info()
-        assert before.currsize == len(basis) == 12
+        before = symfunc._operand_perps.cache_info()
+        assert before.currsize == len(basis) * 3 == 36
         for p in basis:
             key = tuple(schur(p).terms.items())
-            cached, fresh = symfunc._operand_images(key), symfunc._OperandImages(key)
-            fresh.extend(3)
-            for d in cached.probes:
-                fresh.probe(d)
-            assert (cached.x, cached.h, cached.e) == (fresh.x, fresh.h, fresh.e), p
-            assert len(cached.probes) == 7 and cached.probes == fresh.probes, p
-        assert symfunc._operand_images.cache_info().misses == before.misses
+            for n in (1, 2, 3):
+                assert symfunc._operand_perps(key, n) == symfunc._operand_perps.__wrapped__(key, n), (p, n)
+        assert symfunc._operand_perps.cache_info().misses == before.misses
 
     def test_operand_memo_outlasts_the_deep_basis(self):
         # The sweep brings each g back only after the whole basis has run, so
-        # a bound at or below the deep line's basis would evict every operand
-        # before it is read again.
-        ((max_deg, _),) = rules.SWEEPS["perp"].deep
+        # a bound at or below the deep line's entries, one per operand and n,
+        # would evict every entry before it is read again.
+        ((max_deg, max_n),) = rules.SWEEPS["perp"].deep
         basis = [p for d in range(max_deg + 1) for p in partitions_of_size(d)]
-        assert len(basis) == 30
-        assert symfunc._operand_images.cache_info().maxsize > len(basis)
+        assert len(basis) == 30 and max_n == 2
+        assert symfunc._operand_perps.cache_info().maxsize > len(basis) * max_n
 
     def test_pair_memo_holds_one_entry(self):
         assert symfunc._pair_images.cache_info().maxsize == 1
+
+    def test_every_memo_is_a_table_or_a_perp_memo(self):
+        # A memo left out of PERP_MEMOS stays warm across the tests that
+        # patch perp or the perp tables, so what it holds answers for the
+        # other side of the patch: work counts and planted faults go unseen.
+        tables = ["_lr_pairs", "_basis_product", "_perp_table", "_monomial_pairs"]
+        caches = [name for name, obj in vars(symfunc).items() if hasattr(obj, "cache_info") and obj.__module__ == symfunc.__name__]
+        assert sorted(caches) == sorted(tables + list(PERP_MEMOS))
 
     @pytest.mark.parametrize("name", PERP_MEMOS)
     def test_perp_memos_are_bounded(self, name):
