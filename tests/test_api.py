@@ -4,8 +4,10 @@ run as printed; every public function raises a typed error on a wrong
 argument, and every cache the library keeps has a known bound. Runs against
 the source tree or an installed package alike."""
 
+import ast
 import contextlib
 import importlib
+import inspect
 import io
 import pkgutil
 import re
@@ -345,11 +347,11 @@ def test_wrong_argument_raises_a_typed_error_at_the_call(call, kind, message):
 
 
 # Every functools cache in the package, by the module that defines it, with
-# its maxsize (None: unbounded, which only the CLI's one parser is). The
-# bounded ones hold the canonical partitions and the slides' canonical
-# shapes, strip facts and untraced images, the skew products' T- tables and
-# s_lam * f blocks, the perp sweep's per-operand, per-pair and per-n memos
-# and the fixed-point maps' star shape.
+# its maxsize (None: unbounded, which only the CLI's one parser is): seventeen
+# caches. The bounded ones hold the canonical partitions and the slides'
+# canonical shapes, strip facts, untraced images and stratum tableaux, the
+# skew products' T- tables and s_lam * f blocks, the perp sweep's
+# per-operand, per-pair and per-n memos and the fixed-point maps' star shape.
 CACHES = {
     "shapes._canonical": 4096,
     "shapes._canonical_shape": 4096,
@@ -364,19 +366,39 @@ CACHES = {
     "involution._star_row": 1,
     "involution._strip_facts": 4096,
     "involution._slide_image": 512,
+    "involution._stratum_tableaux": 4096,
     "rules._minus_table": 4096,
     "rules._block": 4096,
     "cli._parser": None,
 }
 
 
+def _imported_names(module) -> set[str]:
+    """The names that module's top-level import statements bind."""
+    return {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.parse(inspect.getsource(module)).body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
 def test_cache_inventory():
     # Every module of the package but __main__, which runs the CLI on import.
     names = [info.name for info in pkgutil.iter_modules(skewtab.__path__) if info.name != "__main__"]
-    found = {}
+    caches, defined = {}, {}  # id of each cache object -> the object, the names that define it
     for module in [skewtab, *(importlib.import_module(f"skewtab.{name}") for name in names)]:
+        short = module.__name__.removeprefix("skewtab.")
+        imported = _imported_names(module)
         for name, obj in vars(module).items():
-            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:  # not an import
-                found[f"{module.__name__.removeprefix('skewtab.')}.{name}"] = obj.cache_info().maxsize
+            if hasattr(obj, "cache_info"):
+                caches[id(obj)] = obj
+                if name not in imported:
+                    defined.setdefault(id(obj), []).append(f"{short}.{name}")
+    # Each cache is defined by one binding, however many modules import it,
+    # and whatever function it wraps: lru_cache(...)(fn) over a function of
+    # another module is listed under the name it is bound to.
+    assert all(len(defined.get(key, ())) == 1 for key in caches), defined
+    found = {names[0]: caches[key].cache_info().maxsize for key, names in defined.items()}
     assert {"insertion", "involution", "tableaux"} <= set(names)
     assert found == CACHES

@@ -38,7 +38,7 @@ from skewtab.involution import (
     downward_path,
     upward_path,
 )
-from skewtab.shapes import parse_shape, skew_shapes_up_to
+from skewtab.shapes import _strata, parse_shape, skew_shapes_up_to
 
 from conftest import partitions, validate_by_cells
 from oracles import inner_strip_bottom, is_strip_by_cells, outer_strip_rows, strip_error
@@ -732,3 +732,70 @@ class TestSlideImageCache:
         assert warm == cold
         assert [image for image, _ in cold] == untraced
         assert any(steps for _, steps in cold)
+
+
+class TestStratumCache:
+    """enumerate_contexts reads each stratum's tableaux from
+    involution._stratum_tableaux, keyed on (shape, max_entry); a cache of any
+    size, or a warm one, must change no result."""
+
+    A = SkewShape.of((2,), (1,))  # n = 1: strata 3/1, 2,1/1 and 2
+    B = SkewShape.of((3,), (1,))  # n = 0: the one stratum 3/1
+
+    def test_sweep_work_counts(self, monkeypatch):
+        # verify_involution(4, 2, 3): 518 strata over the 156 cases, and one
+        # n = 0 star count for each of the 52 bases, read off the cache, are
+        # 570 reads of 177 distinct shapes. enumerate_ssyt, called through
+        # the module's global, runs once per shape and once per star count
+        # with n >= 1 (104 cases), and the 5 134 contexts share 1 572 tableaux.
+        involution._stratum_tableaux.cache_clear()
+        calls = 0
+        fill = involution.enumerate_ssyt
+
+        def counted(shape, max_entry):
+            nonlocal calls
+            calls += 1
+            return fill(shape, max_entry)
+
+        monkeypatch.setattr(involution, "enumerate_ssyt", counted)
+        report = verify_involution(4, 2, 3)
+        assert (report["cases"], report["contexts"], report["failures"]) == (156, 5134, [])
+        assert involution._stratum_tableaux.cache_info()[:2] == (393, 177)
+        assert calls == 177 + 104
+        cases = [(base, n) for base in skew_shapes_up_to(4) for n in range(3)]
+        assert sum(1 for base, n in cases for _ in _strata(base, n)) == 518
+        tableaux = [ctx.tableau for base, n in cases for ctx in enumerate_contexts(base, n, 3)]
+        assert (len(tableaux), len(set(map(id, tableaux)))) == (5134, 1572)
+
+    def test_sweep_does_not_depend_on_the_cache(self, monkeypatch):
+        involution._stratum_tableaux.cache_clear()
+        cold = verify_involution(4, 2, 3)
+        warm = verify_involution(4, 2, 3)
+        tiny_cache = lru_cache(maxsize=1)(involution._stratum_tableaux.__wrapped__)
+        monkeypatch.setattr(involution, "_stratum_tableaux", tiny_cache)
+        tiny = verify_involution(4, 2, 3)
+        assert tiny_cache.cache_info().misses > 177
+        assert cold == warm == tiny
+        assert cold["failures"] == [] and cold["contexts"] == 5134
+
+    def test_bases_share_a_stratum_s_tableaux(self):
+        on_b = [ctx.tableau for ctx in enumerate_contexts(self.A, 1, 3) if ctx.tableau.shape == self.B]
+        from_b = [ctx.tableau for ctx in enumerate_contexts(self.B, 0, 3)]
+        assert len(from_b) == 6 and len(on_b) == len(from_b)
+        assert all(s is t for s, t in zip(on_b, from_b))
+
+    def test_keyed_on_max_entry(self):
+        # A cache keyed on the shape alone would hand the second call the
+        # tableaux of the first.
+        base = SkewShape.of((2, 1), (1,))
+        fresh = {}
+        for m in (0, 1, 2, 3):
+            involution._stratum_tableaux.cache_clear()
+            fresh[m] = list(enumerate_contexts(base, 2, m))
+        involution._stratum_tableaux.cache_clear()
+        for m in (3, 2, 0, 1, 3):
+            assert list(enumerate_contexts(base, 2, m)) == fresh[m]
+        assert len(fresh[2]) < len(fresh[3])
+        with pytest.raises(TypeError, match="max_entry must be an int"):
+            enumerate_contexts(base, 2, True)  # 1's entry is cached; True is still refused
+        assert involution._stratum_tableaux.cache_info().currsize == 4 * len(list(_strata(base, 2)))
